@@ -8,8 +8,8 @@ module Congestion = Dtr_cost.Congestion
    destination's arc-load contribution, plus each destination's SLA subtotal.
    A single-arc trial recomputes only what the move can affect:
 
-   - routing: [Routing.with_changed_arc] reruns Dijkstra only for the
-     destinations whose shortest paths the new weight can alter;
+   - routing: [Routing.with_changed_arc] repairs only the destinations
+     whose shortest paths the new weight can alter;
    - loads: only affected destinations re-route their demand; totals are
      re-summed from the per-destination contributions in destination order,
      which reproduces the full evaluation's float summation bit-for-bit

@@ -1,5 +1,4 @@
 module Rng = Dtr_util.Rng
-module Stat = Dtr_util.Stat
 module Json = Dtr_util.Json
 module Graph = Dtr_topology.Graph
 module Failure = Dtr_topology.Failure
@@ -92,8 +91,7 @@ type t = {
   (* event accounting for the [stats] reply *)
   mutable events : int;
   mutable errors : int;
-  mutable lat : float array;  (* seconds, one per handled request *)
-  mutable lat_len : int;
+  mutable timed : int;  (* parsed requests handled, each timed once *)
 }
 
 let c_events = Metric.Counter.create "serve.events"
@@ -103,10 +101,11 @@ let c_errors = Metric.Counter.create "serve.errors"
 
 (* One latency histogram per event kind, registered up front so every run
    reports the same histogram set (deterministic report layout even for
-   kinds a given trace never exercises).  Recording is unconditional, like
-   the [t.lat] latency array the [stats] reply has always kept: it touches
-   no RNG and no optimizer state, so the fixed-seed obs-on = obs-off
-   identity holds by construction. *)
+   kinds a given trace never exercises).  Recording is unconditional — the
+   [stats] reply's latency summary is read from these histograms — and
+   touches no RNG and no optimizer state, so the fixed-seed obs-on = obs-off
+   identity holds by construction.  Memory stays bounded however long the
+   daemon runs. *)
 let event_kinds =
   [
     "hello"; "tm_update"; "link_down"; "link_up"; "srlg_down"; "resize";
@@ -158,21 +157,11 @@ let create (cfg : config) =
     exec = cfg.exec;
     events = 0;
     errors = 0;
-    lat = Array.make 256 0.;
-    lat_len = 0;
+    timed = 0;
   }
 
 let incumbent t = t.incumbent
 let cache_stats t = Cache.stats t.cache
-
-let record_latency t secs =
-  if t.lat_len = Array.length t.lat then begin
-    let bigger = Array.make (2 * t.lat_len) 0. in
-    Array.blit t.lat 0 bigger 0 t.lat_len;
-    t.lat <- bigger
-  end;
-  t.lat.(t.lat_len) <- secs;
-  t.lat_len <- t.lat_len + 1
 
 let invalidate_bases t =
   t.routing_d <- None;
@@ -497,9 +486,13 @@ let handle_reopt_full t =
            ("weights_epoch", int t.weights_epoch);
          ]))
 
-let percentile_ms t p =
-  if t.lat_len = 0 then 0.
-  else 1000. *. Stat.percentile (Array.sub t.lat 0 t.lat_len) p
+(* Handled requests' latencies: the merge of the per-kind histograms.  They
+   are registered by name, so they are shared by every daemon in the
+   process; its quantiles are bucket upper bounds (see
+   [Histogram.quantile]). *)
+let latency_snapshot () =
+  let snaps = List.map (fun (_, h) -> Histogram.snapshot h) latency_hists in
+  List.fold_left Histogram.merge (List.hd snaps) (List.tl snaps)
 
 let ratio num_ den_ = if den_ <= 0. then 0. else num_ /. den_
 
@@ -518,6 +511,8 @@ let handle_stats t =
   let now = Unix.gettimeofday () in
   let events_ps, hit_rate, abort_rate = rolling_rates ~now in
   let lookups = s.Lru.hits + s.Lru.misses in
+  let lat = latency_snapshot () in
+  let ms q = num (1000. *. Histogram.quantile lat q) in
   Ok
     (Json.Obj
        [
@@ -526,10 +521,10 @@ let handle_stats t =
          ( "latency_ms",
            Json.Obj
              [
-               ("count", int t.lat_len);
-               ("p50", num (percentile_ms t 50.));
-               ("p99", num (percentile_ms t 99.));
-               ("max", num (percentile_ms t 100.));
+               ("count", int t.timed);
+               ("p50", ms 50.);
+               ("p99", ms 99.);
+               ("max", ms 100.);
              ] );
          ( "cache",
            Json.Obj
@@ -756,7 +751,7 @@ let handle_line t line =
       in
       let now = Unix.gettimeofday () in
       let seconds = now -. t0 in
-      record_latency t seconds;
+      t.timed <- t.timed + 1;
       Histogram.record (hist_for name) seconds;
       Rolling.incr roll_events ~now;
       if Result.is_error outcome then Rolling.incr roll_errors ~now;

@@ -3,7 +3,7 @@ module Int_heap = Dtr_util.Int_heap
 
 let infinity = max_int / 4
 
-let check g weights =
+let check_weights g weights =
   if Array.length weights <> Graph.num_arcs g then
     invalid_arg "Dijkstra: weights length mismatch";
   Array.iter (fun w -> if w <= 0 then invalid_arg "Dijkstra: weights must be positive") weights
@@ -55,13 +55,13 @@ let run ~weights ~disabled ~start ~off ~ids ~head ~dist ~heap =
       done
 
 let fill_to_destination g ~weights ~disabled ~dest ~dist ~heap =
-  check g weights;
   if Array.length dist <> Graph.num_nodes g then
     invalid_arg "Dijkstra: dist length mismatch";
   run ~weights ~disabled ~start:dest ~off:(Graph.in_offsets g)
     ~ids:(Graph.in_csr g) ~head:(Graph.arc_sources g) ~dist ~heap
 
 let to_destination g ~weights ?disabled ~dest () =
+  check_weights g weights;
   let dist = Array.make (Graph.num_nodes g) infinity in
   let heap = Int_heap.create ~capacity:(Graph.num_nodes g) () in
   fill_to_destination g ~weights ~disabled ~dest ~dist ~heap;
@@ -118,7 +118,7 @@ let repair_arc_removal g ~weights ~disabled ~dist ~heap ~is_affected ~affected =
   done
 
 let from_source g ~weights ?disabled ~src () =
-  check g weights;
+  check_weights g weights;
   let dist = Array.make (Graph.num_nodes g) infinity in
   let heap = Int_heap.create ~capacity:(Graph.num_nodes g) () in
   run ~weights ~disabled ~start:src ~off:(Graph.out_offsets g)

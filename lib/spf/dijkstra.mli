@@ -10,6 +10,11 @@ val infinity : int
 (** Sentinel distance for unreachable nodes ([max_int / 4]; safe to add
     weights to without overflow). *)
 
+val check_weights : Dtr_topology.Graph.t -> int array -> unit
+(** [check_weights g weights] validates a weight vector once for a batch of
+    runs: one entry per arc, every entry positive.
+    @raise Invalid_argument otherwise. *)
+
 val to_destination :
   Dtr_topology.Graph.t ->
   weights:int array ->
@@ -42,7 +47,9 @@ val fill_to_destination :
 (** Allocation-free variant used by the optimizer's inner loop: writes into
     [dist] and reuses [heap].  Iterates the graph's flat-CSR adjacency with
     an unboxed int-keyed heap, so a settled run touches only contiguous int
-    arrays. *)
+    arrays.  [weights] is not validated here: callers running one vector
+    over many destinations check it once with {!check_weights}.
+    @raise Invalid_argument if [dist] does not have one entry per node. *)
 
 val repair_arc_removal :
   Dtr_topology.Graph.t ->
@@ -55,10 +62,10 @@ val repair_arc_removal :
   unit
 (** [repair_arc_removal g ~weights ~disabled ~dist ~heap ~is_affected
     ~affected] re-settles exactly the nodes in [affected] after arc
-    deletions, in place: their entries in [dist] are reset to
-    {!val:infinity}, seeded with the cheapest enabled escape into an
-    unaffected neighbour, and re-relaxed Dijkstra-style along enabled arcs
-    whose tails are affected.  Entries of unaffected nodes must already hold
-    their (unchanged) post-deletion distances; they are read but never
+    deletions or arc weight increases, in place: their entries in [dist]
+    are reset to {!val:infinity}, seeded with the cheapest enabled escape
+    into an unaffected neighbour, and re-relaxed Dijkstra-style along
+    enabled arcs whose tails are affected.  Entries of unaffected nodes
+    must already hold their (unchanged) distances; they are read but never
     written.  The result is bit-identical to a from-scratch run because
     shortest distances are canonical.  Used by {!Spf_delta.repair}. *)

@@ -28,7 +28,7 @@ type t = {
 type buffers = {
   heap : Int_heap.t;
   scratch : int array;
-  rebuilt : bool array; (* repair_dest: membership flags for the rebuild set *)
+  rebuilt : bool array; (* repaired_dest: membership flags for the rebuild set *)
   delta : Spf_delta.scratch;
 }
 
@@ -69,7 +69,74 @@ let fill_hops g ~weights ~disabled ~d u ~into ~at =
     end
   done
 
-(* Reachable non-destination nodes by decreasing distance.  [Array.sort] is
+(* The stdlib's ternary heapsort ([Array.sort]), specialised to sorting
+   node ids by decreasing int key.  It makes the same comparisons in the
+   same sequence as [Array.sort (fun a b -> Int.compare keys.(b) keys.(a))],
+   so it returns the same permutation, ties included — which pins the node
+   order, and with it the float summation order of [route_dest], to code in
+   this repository rather than to the stdlib's unspecified internals.  The
+   comparator is inlined and [maxson]'s child selection is branch-free: for
+   keys in [0, max_int / 2], [(x - y) lsr sign_bit] is 1 when [x < y], else
+   0. *)
+let sign_bit = Sys.int_size - 1
+
+(* Index of the child of [i] that sorts first (smallest key; leftmost on
+   ties), or -1 when [i] has no child below [l]. *)
+let maxson keys a l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let k0 = keys.(a.(i31)) and k1 = keys.(a.(i31 + 1)) in
+    let c1 = (k1 - k0) lsr sign_bit in
+    let x = i31 + c1 and kx = k0 + (c1 * (k1 - k0)) in
+    let c2 = (keys.(a.(i31 + 2)) - kx) lsr sign_bit in
+    x + (c2 * (i31 + 2 - x))
+  end
+  else if i31 + 1 < l && keys.(a.(i31 + 1)) < keys.(a.(i31)) then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let rec trickle keys a l i e ke =
+  let j = maxson keys a l i in
+  if j >= 0 && keys.(a.(j)) < ke then begin
+    a.(i) <- a.(j);
+    trickle keys a l j e ke
+  end
+  else a.(i) <- e
+
+let rec bubble keys a l i =
+  let j = maxson keys a l i in
+  if j < 0 then i
+  else begin
+    a.(i) <- a.(j);
+    bubble keys a l j
+  end
+
+let rec trickleup keys a i e ke =
+  let father = (i - 1) / 3 in
+  if ke < keys.(a.(father)) then begin
+    a.(i) <- a.(father);
+    if father > 0 then trickleup keys a father e ke else a.(0) <- e
+  end
+  else a.(i) <- e
+
+let sort_decreasing ~keys a =
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    let e = a.(i) in
+    trickle keys a l i e keys.(e)
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickleup keys a (bubble keys a i 0) e keys.(e)
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
+(* Reachable non-destination nodes by decreasing distance.  The sort is
    deterministic, so identical distances always yield an identical
    permutation — including tie order — whichever path built [d]. *)
 let order_row ~scratch ~d ~dest =
@@ -82,7 +149,7 @@ let order_row ~scratch ~d ~dest =
     end
   done;
   let ord = Array.sub scratch 0 !reachable in
-  Array.sort (fun a b -> Int.compare d.(b) d.(a)) ord;
+  sort_decreasing ~keys:d ord;
   ord
 
 (* Per-destination routing state: distances, the CSR ECMP hop rows, and the
@@ -110,6 +177,7 @@ let compute_dest g ~weights ~disabled ~heap ~scratch dest =
   { dist = d; hop_off; hop_ids; order }
 
 let compute g ~weights ?buffers ?disabled () =
+  Dijkstra.check_weights g weights;
   let n = Graph.num_nodes g in
   let { heap; scratch; _ } =
     match buffers with Some b -> b | None -> make_buffers g
@@ -152,31 +220,28 @@ let uses_arc t ~dest id =
 
 let shares_dest a b ~dest = a.dests.(dest) == b.dests.(dest)
 
-(* Dynamic-SPF derivation of one destination's post-failure state: repair the
-   affected distance cone, then rebuild exactly the settled nodes' hop rows
-   (and the traversal order, only when a distance changed) with the same code
-   the from-scratch path uses.  Unchanged rows are blitted verbatim from the
-   base CSR.  Bit-identical to [compute_dest] with the failure mask, several
-   times cheaper when the cone is small. *)
-let repair_dest g ~weights ~disabled ~failed ~buffers base dest =
-  let bst = base.dests.(dest) in
-  let outcome =
-    Spf_delta.repair g ~weights ~mask:disabled ~failed ~dist:bst.dist
-      ~hop_off:bst.hop_off ~hop_ids:bst.hop_ids ~heap:buffers.heap
-      ~scratch:buffers.delta
-  in
-  let d = outcome.Spf_delta.dist in
+(* The one place incremental paths build a destination's state, from a
+   {!Spf_delta} outcome: rows of the nodes it lists are recomputed from its
+   distances with the from-scratch criteria, every other row is blitted
+   verbatim from [bst], and the traversal order is re-sorted only when a
+   distance changed.  Each repair lists a set that provably contains every
+   node whose row differs (see DESIGN.md), so the result is bit-identical
+   to [compute_dest]. *)
+let repaired_dest g ~weights ~disabled ~buffers ~dest bst
+    (outcome : Spf_delta.outcome) =
   let n = Graph.num_nodes g in
-  let rebuild = outcome.Spf_delta.rebuild in
-  let flag = buffers.rebuilt in
-  List.iter (fun u -> flag.(u) <- true) rebuild;
-  let some_disabled = Some disabled in
+  let dist = outcome.dist and flag = buffers.rebuilt in
+  List.iter (fun u -> flag.(u) <- true) outcome.rebuild;
+  let order =
+    if outcome.changed_dist then order_row ~scratch:buffers.scratch ~d:dist ~dest
+    else bst.order
+  in
   let hop_off = Array.make (n + 1) 0 in
   for u = 0 to n - 1 do
     let len =
       if flag.(u) then
-        if u <> dest && d.(u) < Dijkstra.infinity then
-          count_hops g ~weights ~disabled:some_disabled ~d u
+        if u <> dest && dist.(u) < Dijkstra.infinity then
+          count_hops g ~weights ~disabled ~d:dist u
         else 0
       else bst.hop_off.(u + 1) - bst.hop_off.(u)
     in
@@ -186,20 +251,14 @@ let repair_dest g ~weights ~disabled ~failed ~buffers base dest =
   for u = 0 to n - 1 do
     let len = hop_off.(u + 1) - hop_off.(u) in
     if flag.(u) then begin
+      flag.(u) <- false;
       if len > 0 then
-        fill_hops g ~weights ~disabled:some_disabled ~d u ~into:hop_ids
-          ~at:hop_off.(u)
+        fill_hops g ~weights ~disabled ~d:dist u ~into:hop_ids ~at:hop_off.(u)
     end
     else if len > 0 then
       Array.blit bst.hop_ids bst.hop_off.(u) hop_ids hop_off.(u) len
   done;
-  List.iter (fun u -> flag.(u) <- false) rebuild;
-  let order =
-    if outcome.Spf_delta.changed_dist then
-      order_row ~scratch:buffers.scratch ~d ~dest
-    else bst.order
-  in
-  { dist = d; hop_off; hop_ids; order }
+  { dist; hop_off; hop_ids; order }
 
 let with_failed_arcs ?buffers ?changed base ~weights ~disabled ~failed =
   let g = base.graph in
@@ -228,6 +287,7 @@ let with_failed_arcs ?buffers ?changed base ~weights ~disabled ~failed =
             true
         | _ -> false)
   in
+  let some_disabled = Some disabled in
   let dests = Array.make n base.dests.(0) in
   for dest = 0 to n - 1 do
     (* Arcs on no shortest path towards [dest] can be removed without
@@ -235,9 +295,13 @@ let with_failed_arcs ?buffers ?changed base ~weights ~disabled ~failed =
     dests.(dest) <-
       (if is_changed dest then
          if use_repair then
-           repair_dest g ~weights ~disabled ~failed ~buffers:b base dest
+           let bst = base.dests.(dest) in
+           repaired_dest g ~weights ~disabled:some_disabled ~buffers:b ~dest bst
+             (Spf_delta.repair g ~weights ~failed ~relax_cut:false
+                ~dist:bst.dist ~hop_off:bst.hop_off ~hop_ids:bst.hop_ids
+                ~heap:b.heap ~scratch:b.delta)
          else
-           compute_dest g ~weights ~disabled:(Some disabled) ~heap:b.heap
+           compute_dest g ~weights ~disabled:some_disabled ~heap:b.heap
              ~scratch:b.scratch dest
        else base.dests.(dest))
   done;
@@ -245,11 +309,19 @@ let with_failed_arcs ?buffers ?changed base ~weights ~disabled ~failed =
 
 let with_changed_arc ?buffers base ~weights ~arc ~old_weight =
   let g = base.graph in
+  let m = Graph.num_arcs g in
+  (* Validate here, once: the repair paths never run [Dijkstra.check_weights],
+     and the other weights are [base]'s, already validated. *)
+  if Array.length weights <> m then
+    invalid_arg "Routing.with_changed_arc: weights length mismatch";
+  if arc < 0 || arc >= m then invalid_arg "Routing.with_changed_arc: bad arc id";
   let new_w = weights.(arc) in
+  if new_w <= 0 then invalid_arg "Routing.with_changed_arc: weights must be positive";
   if new_w = old_weight then (base, [])
   else begin
     let n = Graph.num_nodes g in
     let a_src = (Graph.arc_sources g).(arc) and a_dst = (Graph.arc_dests g).(arc) in
+    let raised = new_w > old_weight in
     (* A destination is affected only if the changed arc can alter its
        shortest paths: for an increase, the arc must currently lie on one
        (otherwise its slack only grows); for a decrease, the relaxed arc must
@@ -259,19 +331,30 @@ let with_changed_arc ?buffers base ~weights ~arc ~old_weight =
        [max_int / 4]: adding a weight never overflows, and an unreachable
        [a_dst] keeps the sum above any finite (or infinite) [a_src]. *)
     let affected dest =
-      if new_w > old_weight then uses_arc base ~dest arc
+      if raised then uses_arc base ~dest arc
       else
         let d = base.dests.(dest).dist in
         new_w + d.(a_dst) <= d.(a_src)
     in
-    let { heap; scratch; _ } =
-      match buffers with Some b -> b | None -> make_buffers g
+    let b = match buffers with Some b -> b | None -> make_buffers g in
+    let failed = [ arc ] in
+    (* Every affected destination is repaired from its base state: the
+       increase as a cone search with the arc kept relaxable, the decrease by
+       lowering the nodes upstream of the arc's tail. *)
+    let update dest =
+      let bst = base.dests.(dest) in
+      repaired_dest g ~weights ~disabled:None ~buffers:b ~dest bst
+        (if raised then
+           Spf_delta.repair g ~weights ~failed ~relax_cut:true ~dist:bst.dist
+             ~hop_off:bst.hop_off ~hop_ids:bst.hop_ids ~heap:b.heap
+             ~scratch:b.delta
+         else Spf_delta.lower g ~weights ~arc ~dist:bst.dist ~heap:b.heap ~scratch:b.delta)
     in
     let dests = Array.make n base.dests.(0) in
     let changed = ref [] in
     for dest = n - 1 downto 0 do
       if affected dest then begin
-        dests.(dest) <- compute_dest g ~weights ~disabled:None ~heap ~scratch dest;
+        dests.(dest) <- update dest;
         changed := dest :: !changed
       end
       else dests.(dest) <- base.dests.(dest)

@@ -31,7 +31,7 @@ val make_buffers : Graph.t -> buffers
 val compute :
   Graph.t -> weights:int array -> ?buffers:buffers -> ?disabled:bool array -> unit -> t
 (** Runs one reverse Dijkstra per destination and derives the ECMP DAGs.
-    @raise Invalid_argument on malformed weights. *)
+    @raise Invalid_argument on malformed weights (checked once per call). *)
 
 val uses_arc : t -> dest:Graph.node -> Graph.arc_id -> bool
 (** Whether the arc lies on some shortest path towards [dest] (i.e. belongs
@@ -74,16 +74,35 @@ val with_changed_arc :
   t -> weights:int array -> arc:Graph.arc_id -> old_weight:int -> t
   * Graph.node list
 (** [with_changed_arc base ~weights ~arc ~old_weight] is the routing state
-    for [weights], given that [base] was computed for the same weight vector
-    except that arc [arc] previously weighed [old_weight].  Only the
-    destinations the change can actually affect rerun Dijkstra — for a
-    weight increase, destinations whose ECMP DAG uses [arc]; for a decrease,
-    destinations where the relaxed arc matches or beats the current distance
-    through its tail — every other destination shares [base]'s arrays
-    untouched.  Returns the new state plus the recomputed destinations in
+    for [weights], given that [base] was computed (every arc enabled) for
+    the same weight vector except that arc [arc] previously weighed
+    [old_weight].  Only the destinations the change can actually affect are
+    updated — for a weight increase, destinations whose ECMP DAG uses [arc];
+    for a decrease, destinations where the relaxed arc matches or beats the
+    current distance through its tail — and every other destination shares
+    [base]'s arrays untouched.  Each affected destination is {e repaired}
+    from its base state, bit-identically to a from-scratch {!compute}: an
+    increase re-settles the cone of nodes that lose every shortest path
+    ({!Spf_delta.repair}, with the arc still relaxable at its new weight); a
+    strict decrease lowers the nodes upstream of the arc's tail with a
+    bounded Dijkstra, and a decrease to an exact tie only adds the arc to
+    the tail's hop row ({!Spf_delta.lower}).  Only the rows that can change
+    are rebuilt.  Returns the new state plus the affected destinations in
     increasing order (empty, with [base] returned as-is, when the weight did
     not change).  The single-arc moves of the local search, the optimizer's
-    innermost loop, typically touch a handful of destinations. *)
+    innermost loop, typically touch a handful of destinations.
+    @raise Invalid_argument if [weights] does not have one entry per arc,
+    [arc] is out of range, or the new weight is not positive — checked on
+    entry, before any repair. *)
+
+val sort_decreasing : keys:int array -> Graph.node array -> unit
+(** [sort_decreasing ~keys a] sorts the node ids in [a] in place by
+    decreasing [keys.(a.(i))]: the order in which every destination's DAG
+    is traversed.  It is a copy of the stdlib's heapsort specialised to int
+    keys, and returns exactly the permutation of
+    [Array.sort (fun x y -> Int.compare keys.(y) keys.(x)) a], ties
+    included.  Keys must be non-negative and at most [max_int / 2]
+    (distances are). *)
 
 val reachable : t -> src:Graph.node -> dst:Graph.node -> bool
 (** Whether the pair is connected in the routed (surviving) topology. *)

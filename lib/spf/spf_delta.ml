@@ -34,6 +34,8 @@ type scratch = {
      hop rows must be rebuilt *)
   mutable n_processed : int;
   mutable affected_rev : Graph.node list;
+  cut : bool array;
+  (* the arcs of [failed] during one [repair] call, all false at rest *)
 }
 
 let make_scratch g =
@@ -45,7 +47,20 @@ let make_scratch g =
     processed = Array.make n 0;
     n_processed = 0;
     affected_rev = [];
+    cut = Array.make (Graph.num_arcs g) false;
   }
+
+let mark_touched scratch v =
+  scratch.touched.(scratch.n_touched) <- v;
+  scratch.n_touched <- scratch.n_touched + 1
+
+let reset scratch =
+  for i = 0 to scratch.n_touched - 1 do
+    scratch.state.(scratch.touched.(i)) <- untouched
+  done;
+  scratch.n_touched <- 0;
+  scratch.n_processed <- 0;
+  scratch.affected_rev <- []
 
 type outcome = {
   dist : int array;
@@ -64,19 +79,16 @@ let in_row hop_ids ~lo ~hi id =
    the support test runs.  Nodes never enqueued keep their distance {e and}
    their hop row: none of their hop arcs failed (else they would be seeds) and
    none lead to an affected head (else the predecessor scan of that head would
-   have enqueued them), and arc deletion never decreases a distance, so no new
-   arc can join their DAG row.  Hop rows arrive as the destination's CSR pair
-   ([hop_off]/[hop_ids]); all per-arc lookups go through the graph's flat
-   arrays. *)
-let repair g ~weights ~mask ~failed ~dist:base_dist ~hop_off ~hop_ids ~heap
+   have enqueued them), and neither arc deletion nor a weight increase ever
+   decreases a distance, so no new arc can join their DAG row.  Hop rows
+   arrive as the destination's CSR pair ([hop_off]/[hop_ids]); all per-arc
+   lookups go through the graph's flat arrays. *)
+let repair g ~weights ~failed ~relax_cut ~dist:base_dist ~hop_off ~hop_ids ~heap
     ~scratch =
   let arc_src = Graph.arc_sources g and arc_dst = Graph.arc_dests g in
   let in_off = Graph.in_offsets g and in_ids = Graph.in_csr g in
-  let st = scratch.state in
-  let mark_touched v =
-    scratch.touched.(scratch.n_touched) <- v;
-    scratch.n_touched <- scratch.n_touched + 1
-  in
+  let st = scratch.state and mask = scratch.cut in
+  List.iter (fun id -> mask.(id) <- true) failed;
   Int_heap.clear heap;
   (* Seeds: tails of failed arcs that lie on some old shortest path. *)
   List.iter
@@ -88,7 +100,7 @@ let repair g ~weights ~mask ~failed ~dist:base_dist ~hop_off ~hop_ids ~heap
         && in_row hop_ids ~lo:hop_off.(s) ~hi:hop_off.(s + 1) id
       then begin
         st.(s) <- queued;
-        mark_touched s;
+        mark_touched scratch s;
         Int_heap.push heap base_dist.(s) s
       end)
     failed;
@@ -117,7 +129,7 @@ let repair g ~weights ~mask ~failed ~dist:base_dist ~hop_off ~hop_ids ~heap
         if st.(p) = untouched && weights.(id) + base_dist.(x) = base_dist.(p)
         then begin
           st.(p) <- queued;
-          mark_touched p;
+          mark_touched scratch p;
           Int_heap.push heap base_dist.(p) p
         end
       done
@@ -128,8 +140,10 @@ let repair g ~weights ~mask ~failed ~dist:base_dist ~hop_off ~hop_ids ~heap
     if affected_nodes = [] then (base_dist, false)
     else begin
       let d = Array.copy base_dist in
-      Dijkstra.repair_arc_removal g ~weights ~disabled:(Some mask) ~dist:d
-        ~heap
+      (* A failed arc is absent from the repaired graph; a heavier one stays
+         relaxable at its new weight. *)
+      let disabled = if relax_cut then None else Some mask in
+      Dijkstra.repair_arc_removal g ~weights ~disabled ~dist:d ~heap
         ~is_affected:(fun v -> st.(v) = affected)
         ~affected:affected_nodes;
       (d, true)
@@ -140,10 +154,50 @@ let repair g ~weights ~mask ~failed ~dist:base_dist ~hop_off ~hop_ids ~heap
     rebuild := scratch.processed.(i) :: !rebuild
   done;
   (* Reset the scratch for the next destination. *)
-  for i = 0 to scratch.n_touched - 1 do
-    st.(scratch.touched.(i)) <- untouched
-  done;
-  scratch.n_touched <- 0;
-  scratch.n_processed <- 0;
-  scratch.affected_rev <- [];
+  List.iter (fun id -> mask.(id) <- false) failed;
+  reset scratch;
   { dist; rebuild = !rebuild; changed_dist }
+
+(* Decrease repair.  On an exact tie no distance moves and only the tail's
+   row gains the arc.  On a strict decrease a Dijkstra from the tail over
+   in-arcs, accepting only strict improvements, lowers exactly the nodes
+   whose shortest paths now run through the arc; it flags them and every
+   in-neighbour it scans, the only rows that can change (DESIGN.md). *)
+let lower g ~weights ~arc ~dist:base_dist ~heap ~scratch =
+  let arc_src = Graph.arc_sources g in
+  let tail = arc_src.(arc) in
+  let through = weights.(arc) + base_dist.((Graph.arc_dests g).(arc)) in
+  if through = base_dist.(tail) then
+    { dist = base_dist; rebuild = [ tail ]; changed_dist = false }
+  else begin
+    let st = scratch.state in
+    let rebuild = ref [ tail ] in
+    st.(tail) <- queued;
+    mark_touched scratch tail;
+    let d = Array.copy base_dist in
+    let in_off = Graph.in_offsets g and in_ids = Graph.in_csr g in
+    Int_heap.clear heap;
+    d.(tail) <- through;
+    Int_heap.push heap through tail;
+    while not (Int_heap.is_empty heap) do
+      let key = Int_heap.min_key heap in
+      let u = Int_heap.pop_min heap in
+      if key = d.(u) then
+        for i = in_off.(u) to in_off.(u + 1) - 1 do
+          let id = in_ids.(i) in
+          let p = arc_src.(id) in
+          if st.(p) = untouched then begin
+            st.(p) <- queued;
+            mark_touched scratch p;
+            rebuild := p :: !rebuild
+          end;
+          let alt = key + weights.(id) in
+          if alt < d.(p) then begin
+            d.(p) <- alt;
+            Int_heap.push heap alt p
+          end
+        done
+    done;
+    reset scratch;
+    { dist = d; rebuild = !rebuild; changed_dist = true }
+  end

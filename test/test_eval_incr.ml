@@ -82,44 +82,131 @@ let prop_bit_identical =
       done;
       !ok)
 
-(* with_changed_arc must agree exactly with a from-scratch compute, for both
-   weight increases and decreases. *)
+(* The branches of [Routing.with_changed_arc]'s repair the property below
+   must reach.  [Unreachable] runs one of the other four on a graph with
+   two components, so some destinations are unreachable from some nodes. *)
+type branch = Raise_supported | Raise_cone | Lower_tie | Lower_strict | Unreachable
+
+let branches = [| Raise_supported; Raise_cone; Lower_tie; Lower_strict; Unreachable |]
+
+let branch_name = function
+  | Raise_supported -> "increase, tail stays supported"
+  | Raise_cone -> "increase, cone grows"
+  | Lower_tie -> "decrease to a tie"
+  | Lower_strict -> "strict decrease"
+  | Unreachable -> "unreachable component"
+
+(* Two random components side by side, arcs relabelled consecutively. *)
+let disjoint_union g1 g2 =
+  let n1 = Graph.num_nodes g1 in
+  let edges ~shift g =
+    Array.to_list (Graph.arcs g)
+    |> List.filter (fun (a : Graph.arc) -> a.Graph.src < a.Graph.dst)
+    |> List.map (fun (a : Graph.arc) ->
+           Graph.
+             { u = a.src + shift; v = a.dst + shift; cap = a.capacity; prop = a.delay })
+  in
+  Graph.of_edges ~n:(n1 + Graph.num_nodes g2) (edges ~shift:0 g1 @ edges ~shift:n1 g2)
+
+(* A move of [arc] that reaches [branch] for at least one destination of
+   [base]: scans (destination, arc) pairs from a random offset, returning
+   the arc and its new weight. *)
+let find_move rng g base weights branch =
+  let n = Graph.num_nodes g and m = Graph.num_arcs g in
+  let arc_src = Graph.arc_sources g and arc_dst = Graph.arc_dests g in
+  let inf = Dtr_spf.Dijkstra.infinity in
+  let move dest arc =
+    let s = arc_src.(arc) and t = arc_dst.(arc) in
+    let ds = Routing.distance base ~src:s ~dst:dest in
+    let dt = Routing.distance base ~src:t ~dst:dest in
+    let slack = ds - dt and w = weights.(arc) in
+    let on_dag = Routing.uses_arc base ~dest arc in
+    let hops = Routing.num_next_hops base ~dest ~node:s in
+    let raise_by () = Some (w + 1 + Rng.int rng 5) in
+    match branch with
+    | Raise_supported when on_dag && hops >= 2 -> raise_by ()
+    | Raise_cone when on_dag && hops = 1 -> raise_by ()
+    | Lower_tie when ds < inf && dt < inf && 1 <= slack && slack < w -> Some slack
+    | Lower_strict when ds < inf && dt < inf && slack >= 2 ->
+        Some (1 + Rng.int rng (slack - 1))
+    | _ -> None
+  in
+  let d0 = Rng.int rng n and a0 = Rng.int rng m in
+  let rec scan k =
+    if k >= n * m then None
+    else
+      let dest = (d0 + (k / m)) mod n and arc = (a0 + (k mod m)) mod m in
+      match move dest arc with Some w -> Some (arc, w) | None -> scan (k + 1)
+  in
+  scan 0
+
+(* Every observable of one destination's routing state: distances, each
+   node's hop row, and the [iter_dag_arcs] visit sequence (which exposes
+   the traversal order). *)
+let dest_state r ~n ~dest =
+  let dist = List.init n (fun src -> Routing.distance r ~src ~dst:dest) in
+  let rows = List.init n (fun node -> Routing.next_hops r ~dest ~node) in
+  let visits = ref [] in
+  Routing.iter_dag_arcs r ~dest (fun id -> visits := id :: !visits);
+  (dist, rows, List.rev !visits)
+
+(* with_changed_arc must agree exactly with a from-scratch compute, state by
+   state, on every branch of its repair.  Each of the 500 cases draws a
+   branch and then searches for a move that reaches it; every input the
+   generator can draw has such a move. *)
 let prop_changed_arc_equivalence =
-  QCheck.Test.make ~name:"with_changed_arc equals recompute" ~count:40
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
+  QCheck.Test.make ~name:"with_changed_arc equals recompute"
+    ~count:500
+    QCheck.(pair (int_range 0 4) (int_range 0 100_000))
+    (fun (b, seed) ->
+      let branch = branches.(b) in
       let rng = Rng.create seed in
-      let n = 8 + Rng.int rng 10 in
-      let g = Gen.rand rng ~nodes:n ~degree:4. in
-      let m = Graph.num_arcs g in
-      let weights = Array.init m (fun _ -> 1 + Rng.int rng 12) in
-      let base = Routing.compute g ~weights () in
-      let arc = Rng.int rng m in
-      let old_weight = weights.(arc) in
-      weights.(arc) <- 1 + Rng.int rng 12;
-      let inc, affected = Routing.with_changed_arc base ~weights ~arc ~old_weight in
-      let scratch = Routing.compute g ~weights () in
-      let ok = ref true in
-      for dest = 0 to n - 1 do
-        for src = 0 to n - 1 do
-          if Routing.distance inc ~src ~dst:dest <> Routing.distance scratch ~src ~dst:dest
-          then ok := false
-        done
-      done;
-      let demands = Array.make_matrix n n 1. in
-      for i = 0 to n - 1 do
-        demands.(i).(i) <- 0.
-      done;
-      let l1, _ = Routing.loads inc ~graph:g ~demands () in
-      let l2, _ = Routing.loads scratch ~graph:g ~demands () in
-      if not (Array.for_all2 (fun a b -> a = b) l1 l2) then ok := false;
-      (* the affected list is sound: unaffected destinations share the base
-         state physically, not just by value *)
-      for dest = 0 to n - 1 do
-        if not (List.mem dest affected) then
-          if not (Routing.shares_dest inc base ~dest) then ok := false
-      done;
-      !ok)
+      let rand_graph () = Gen.rand rng ~nodes:(5 + Rng.int rng 9) ~degree:3. in
+      let g, branch =
+        match branch with
+        | Unreachable ->
+            let g = disjoint_union (rand_graph ()) (rand_graph ()) in
+            (g, branches.(Rng.int rng 4))
+        | _ -> (rand_graph (), branch)
+      in
+      let n = Graph.num_nodes g and m = Graph.num_arcs g in
+      let buffers = Routing.make_buffers g in
+      (* Small weights make ECMP ties, and so every branch, common; a draw
+         without the wanted configuration is redrawn. *)
+      let rec draw tries =
+        let weights = Array.init m (fun _ -> 1 + Rng.int rng 3) in
+        let base = Routing.compute g ~weights ~buffers () in
+        match find_move rng g base weights branch with
+        | Some move -> Some (weights, base, move)
+        | None -> if tries > 1 then draw (tries - 1) else None
+      in
+      match draw 20 with
+      | None ->
+          QCheck.Test.fail_reportf "seed %d: no move for branch %s" seed
+            (branch_name branch)
+      | Some (weights, base, (arc, new_w)) ->
+          let old_weight = weights.(arc) in
+          weights.(arc) <- new_w;
+          let inc, affected =
+            Routing.with_changed_arc ~buffers base ~weights ~arc ~old_weight
+          in
+          let scratch = Routing.compute g ~weights () in
+          for dest = 0 to n - 1 do
+            if dest_state inc ~n ~dest <> dest_state scratch ~n ~dest then
+              QCheck.Test.fail_reportf "seed %d (%s): arc %d %d -> %d, destination %d differs"
+                seed (branch_name branch) arc old_weight new_w dest;
+            (* the affected list is sound: unaffected destinations share the
+               base state physically, not just by value *)
+            if (not (List.mem dest affected)) && not (Routing.shares_dest inc base ~dest)
+            then QCheck.Test.fail_reportf "seed %d: destination %d not shared" seed dest
+          done;
+          let demands = Array.make_matrix n n 1. in
+          for i = 0 to n - 1 do
+            demands.(i).(i) <- 0.
+          done;
+          let l1, u1 = Routing.loads inc ~graph:g ~demands () in
+          let l2, u2 = Routing.loads scratch ~graph:g ~demands () in
+          Array.for_all2 (fun a b -> a = b) l1 l2 && u1 = u2)
 
 let test_protocol_errors () =
   let scenario = Fixtures.diamond_scenario () in

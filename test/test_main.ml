@@ -41,4 +41,5 @@ let () =
       ("extensions", Test_extensions.suite);
       ("edge-cases", Test_edge_cases.suite);
       ("integration", Test_integration.suite);
+      ("core.golden", Test_golden.suite);
     ]

@@ -173,6 +173,71 @@ let test_incremental_failure_equivalence () =
     done
   done
 
+(* Weights are validated once, at the entry of each routing call: [compute]
+   checks the whole vector before its per-destination loop, and
+   [with_changed_arc] checks the length and the new weight before any
+   repair (the repair paths never reach [Dijkstra.check_weights]). *)
+let test_weight_validation () =
+  let g = ecmp_diamond () in
+  let m = Graph.num_arcs g in
+  Alcotest.check_raises "compute: wrong length"
+    (Invalid_argument "Dijkstra: weights length mismatch") (fun () ->
+      ignore (Routing.compute g ~weights:(Array.make (m + 1) 1) () : Routing.t));
+  Alcotest.check_raises "compute: zero weight"
+    (Invalid_argument "Dijkstra: weights must be positive") (fun () ->
+      let weights = Array.make m 1 in
+      weights.(m - 1) <- 0;
+      ignore (Routing.compute g ~weights () : Routing.t));
+  let base = Routing.compute g ~weights:(Array.make m 1) () in
+  let changed weights ~arc =
+    ignore
+      (Routing.with_changed_arc base ~weights ~arc ~old_weight:1
+        : Routing.t * Graph.node list)
+  in
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises
+        (Printf.sprintf "with_changed_arc: new weight %d" bad)
+        (Invalid_argument "Routing.with_changed_arc: weights must be positive")
+        (fun () ->
+          let weights = Array.make m 1 in
+          weights.(0) <- bad;
+          changed weights ~arc:0))
+    [ 0; -3 ];
+  Alcotest.check_raises "with_changed_arc: short weight vector"
+    (Invalid_argument "Routing.with_changed_arc: weights length mismatch")
+    (fun () -> changed (Array.make (m - 1) 2) ~arc:0);
+  Alcotest.check_raises "with_changed_arc: arc out of range"
+    (Invalid_argument "Routing.with_changed_arc: bad arc id") (fun () ->
+      changed (Array.make m 1) ~arc:m)
+
+(* The DAG order's sort must reproduce [Array.sort]'s permutation exactly,
+   tie order included: it fixes the summation order of the node flows.
+   Keys come from a small pool (heavy ties) that reaches the largest finite
+   distance. *)
+let prop_sort_matches_stdlib =
+  QCheck.Test.make ~name:"sort_decreasing = Array.sort permutation" ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = Rng.int rng 64 in
+      let top = Dijkstra.infinity - 1 in
+      let pool =
+        Array.init (1 + Rng.int rng 6) (fun _ ->
+            match Rng.int rng 4 with
+            | 0 -> Rng.int rng 4
+            | 1 -> top - Rng.int rng 3
+            | _ -> Rng.int rng top)
+      in
+      let keys = Array.init n (fun _ -> pool.(Rng.int rng (Array.length pool))) in
+      let ids = Array.init n Fun.id in
+      Rng.shuffle rng ids;
+      let ids = Array.sub ids 0 (Rng.int rng (n + 1)) in
+      let expected = Array.copy ids in
+      Array.sort (fun a b -> Int.compare keys.(b) keys.(a)) expected;
+      Routing.sort_decreasing ~keys ids;
+      ids = expected)
+
 let suite =
   [
     Alcotest.test_case "ECMP even split" `Quick test_ecmp_split;
@@ -184,4 +249,6 @@ let suite =
     Alcotest.test_case "bottleneck DP" `Quick test_bottleneck;
     Alcotest.test_case "incremental failure equals recompute" `Quick
       test_incremental_failure_equivalence;
+    Alcotest.test_case "weights validated once, at entry" `Quick test_weight_validation;
+    QCheck_alcotest.to_alcotest prop_sort_matches_stdlib;
   ]

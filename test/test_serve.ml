@@ -534,6 +534,42 @@ let test_stats_telemetry_fields () =
         [ "window_seconds"; "events_per_second"; "cache_hit_rate"; "abort_rate" ]
   | None -> Alcotest.fail "rolling missing"
 
+(* stats' latency summary is read from the per-kind latency histograms,
+   so it stays bounded in memory.  The count is exact and per daemon (every
+   request this daemon handled, the stats request itself included once it
+   is answered), even though the histograms are shared by every daemon of
+   the process; the quantiles are ordered bucket bounds. *)
+let test_stats_latency_from_histograms () =
+  let seed = 33 in
+  let scenario = build_scenario ~seed ~nodes:8 in
+  let d =
+    make_daemon ~scenario
+      ~incumbent:(Weights.create ~num_arcs:(Scenario.num_arcs scenario) ~init:1)
+      ~critical:[] ~seed ~exec:(Exec.of_jobs 1) ()
+  in
+  let latency id =
+    let j = ok_line d (Printf.sprintf {|{"id": %d, "event": "stats"}|} id) in
+    let lat =
+      Option.get (Json.member "latency_ms" (Option.get (Json.member "result" j)))
+    in
+    let field k =
+      match Json.member k lat with
+      | Some (Json.Num x) -> x
+      | _ -> Alcotest.failf "latency_ms.%s missing" k
+    in
+    (int_of_float (field "count"), field "p50", field "p99", field "max")
+  in
+  let before, _, _, _ = latency 1 in
+  Alcotest.(check int) "a new daemon has handled nothing" 0 before;
+  List.iter
+    (fun id -> ignore (ok_line d (Printf.sprintf {|{"id": %d, "event": "eval"}|} id)))
+    [ 2; 3; 4 ];
+  (* a line that does not parse is an event but not a timed request *)
+  ignore (Daemon.handle_line d "not json" : string * bool);
+  let after, p50, p99, max = latency 5 in
+  Alcotest.(check int) "three evals and one stats counted" 4 after;
+  Alcotest.(check bool) "0 < p50 <= p99 <= max" true (0. < p50 && p50 <= p99 && p99 <= max)
+
 (* The PR-4 invariant extended to the new telemetry: a daemon with the
    OpenMetrics sink dumping after every event and the JSONL log attached
    answers a fixed-seed event stream identically to an uninstrumented
@@ -616,6 +652,8 @@ let suite =
       test_metrics_request;
     Alcotest.test_case "stats: cache and rolling telemetry fields" `Quick
       test_stats_telemetry_fields;
+    Alcotest.test_case "stats: latency summary from the histograms" `Quick
+      test_stats_latency_from_histograms;
     Alcotest.test_case "telemetry never perturbs (fixed-seed identity)" `Quick
       test_telemetry_never_perturbs;
   ]
