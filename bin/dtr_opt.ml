@@ -148,22 +148,25 @@ let print_prune_breakdown (solution : Optimizer.solution) =
   let p2 = solution.Optimizer.phase2.Dtr_core.Phase2.stats in
   Format.printf
     "prune breakdown: phase1 %d trials early-aborted; phase2 %d \
-     early-aborted, %d proposals skipped, delta cache %d hits / %d misses \
-     (pruning %s)@."
+     early-aborted, %d proposals skipped, delta cache %d hits / %d misses; \
+     %d bounded trials stopped by the propagation-delay floor (pruning %s)@."
     p1.Dtr_core.Phase1.pruned p2.Dtr_core.Phase2.pruned
     p2.Dtr_core.Phase2.skipped p2.Dtr_core.Phase2.cache_hits
     p2.Dtr_core.Phase2.cache_misses
+    (Dtr_core.Prune.floor_aborts ())
     (if Dtr_core.Prune.enabled () then "on" else "off")
 
 let print_sweep_breakdown () =
   let { Dtr_core.Eval.Sweep_stats.sweeps; cache_builds; cached_evals; full_evals;
-        seconds } =
+        resident_reused; dests_repaired; seconds } =
     Dtr_core.Eval.Sweep_stats.snapshot ()
   in
   Format.printf
     "sweep breakdown: %d sweeps, %.2fs wall; %d failure evaluations via the \
-     dynamic-SPF cache, %d from scratch; %d cache builds (engine %s)@."
-    sweeps seconds cached_evals full_evals cache_builds
+     dynamic-SPF cache, %d from scratch; %d cache builds; %d re-routed \
+     destinations taken from resident states, %d repaired (engine %s)@."
+    sweeps seconds cached_evals full_evals cache_builds resident_reused
+    dests_repaired
     (if Dtr_spf.Spf_delta.enabled () then "on" else "off")
 
 let report_path =

@@ -130,6 +130,8 @@ type sweep_scratch = {
   mask : bool array;
   touched : bool array;  (* per-arc: some replaced row differs here *)
   dest_flag : bool array;  (* per-destination mark set, false between uses *)
+  keep_d : bool array;  (* per-destination: take the resident state (false between uses) *)
+  keep_t : bool array;
 }
 
 let make_sweep_scratch g =
@@ -139,6 +141,8 @@ let make_sweep_scratch g =
     mask = Array.make m false;
     touched = Array.make m false;
     dest_flag = Array.make n false;
+    keep_d = Array.make n false;
+    keep_t = Array.make n false;
   }
 
 let sweep_slot : (Graph.t * sweep_scratch) list ref Scratch.t =
@@ -212,6 +216,8 @@ module Sweep_stats = struct
     cache_builds : int;
     cached_evals : int;
     full_evals : int;
+    resident_reused : int;
+    dests_repaired : int;
     seconds : float;
   }
 
@@ -219,6 +225,8 @@ module Sweep_stats = struct
   let cache_builds = Metric.Counter.create "eval.sweep.cache_builds"
   let cached_evals = Metric.Counter.create "eval.sweep.cached_evals"
   let full_evals = Metric.Counter.create "eval.sweep.full_evals"
+  let resident_reused = Metric.Counter.create "eval.sweep.resident_reused"
+  let dests_repaired = Metric.Counter.create "eval.sweep.dests_repaired"
   let seconds = Metric.Accum.create "eval.sweep.seconds"
 
   let reset () =
@@ -226,6 +234,8 @@ module Sweep_stats = struct
     Metric.Counter.reset cache_builds;
     Metric.Counter.reset cached_evals;
     Metric.Counter.reset full_evals;
+    Metric.Counter.reset resident_reused;
+    Metric.Counter.reset dests_repaired;
     Metric.Accum.reset seconds
 
   let snapshot () =
@@ -234,8 +244,15 @@ module Sweep_stats = struct
       cache_builds = Metric.Counter.value cache_builds;
       cached_evals = Metric.Counter.value cached_evals;
       full_evals = Metric.Counter.value full_evals;
+      resident_reused = Metric.Counter.value resident_reused;
+      dests_repaired = Metric.Counter.value dests_repaired;
       seconds = Metric.Accum.value seconds;
     }
+
+  (* Once per sweep: the per-destination tallies of its cached pricings. *)
+  let add_reuse ~reused ~repaired =
+    Metric.Counter.add resident_reused reused;
+    Metric.Counter.add dests_repaired repaired
 end
 
 (* --- Cached failure pricing (the dynamic-SPF sweep engine) --------------
@@ -349,18 +366,159 @@ let build_sweep_cache (scenario : Scenario.t) ~base_d ~base_t ~dense_rd ~dense_r
     base_unreach;
   }
 
+(* --- Resident post-failure states --------------------------------------
+
+   The incremental engine's sweeps (Phase 2, the warm start) price one
+   single-arc trial after another against the same fixed failure list, and
+   a one-arc move rarely reaches a post-failure route.  So the engine keeps,
+   for the committed incumbent, each failure's post-failure state per class:
+   the routing its last sweep produced and the load row of every
+   destination the failure re-routed.  A trial's cached pricing takes that
+   state and row in place of the repair and the re-route of destination
+   [t] when both
+
+   - the trial's base state for [t] is physically the incumbent's
+     ([Routing.with_changed_arc] left it shared), and
+   - the move cannot reach the resident route: the moved arc is one of the
+     failure's arcs, this class's weight did not change, an increased arc is
+     off [t]'s post-failure DAG, or a decreased arc still loses,
+     [w' + d_f(head) > d_f(tail)] on the resident distances.
+
+   That is [with_changed_arc]'s own affected test, applied to the
+   failure-reduced graph: a move it clears leaves every shortest distance
+   and the ECMP DAG towards [t] there unchanged, so the resident state is
+   the repair and its row the re-route, bit for bit.  Invariant: every
+   committed entry equals a from-scratch repair under the committed
+   weights.  A trial stages the states its sweep computed; [commit] installs
+   the staged failures and, for the rest (a delta-cache hit, an aborted
+   sweep), keeps only the entries the committed move cannot reach. *)
+
+type resident_class = {
+  r_routing : Routing.t;  (* the post-failure routing of the sweep that made it *)
+  r_rows : float array array;  (* load row per re-routed destination, else [||] *)
+}
+
+type resident = { r_failed : int list; r_d : resident_class; r_t : resident_class }
+
+type move = {
+  arc : int;
+  tail : int;
+  head : int;
+  old_wd : int;
+  new_wd : int;
+  old_wt : int;
+  new_wt : int;
+  inc_d : Routing.t;  (* the incumbent's no-failure bases *)
+  inc_t : Routing.t;
+}
+
+(* The move cannot reach [rc]'s state for [dest]: this class's weight on the
+   arc went from [old_w] to [new_w]. *)
+let unreached mv ~failed ~old_w ~new_w rc ~dest =
+  old_w = new_w
+  || List.mem mv.arc failed
+  ||
+  let r = rc.r_routing in
+  if new_w > old_w then not (Routing.uses_arc r ~dest mv.arc)
+  else
+    new_w + Routing.distance r ~src:mv.head ~dst:dest
+    > Routing.distance r ~src:mv.tail ~dst:dest
+
+module Residents = struct
+  type t = {
+    mutable key : Failure.t list;  (* the failure list the slots follow *)
+    mutable committed : resident option array;  (* per failure *)
+    mutable staged : resident option array;
+    mutable move : move option;  (* the pending trial's *)
+  }
+
+  let create () = { key = []; committed = [||]; staged = [||]; move = None }
+
+  (* Slots follow one failure list, by identity; another list starts empty. *)
+  let bind t failures =
+    if t.key != failures then begin
+      let k = List.length failures in
+      t.key <- failures;
+      t.committed <- Array.make k None;
+      t.staged <- Array.make k None
+    end
+
+  let drop_staged t =
+    Array.fill t.staged 0 (Array.length t.staged) None;
+    t.move <- None
+
+  let clear t =
+    Array.fill t.committed 0 (Array.length t.committed) None;
+    drop_staged t
+
+  let begin_trial t g ~arc ~old_wd ~new_wd ~old_wt ~new_wt ~inc_d ~inc_t =
+    Array.fill t.staged 0 (Array.length t.staged) None;
+    t.move <-
+      Some
+        {
+          arc;
+          tail = (Graph.arc_sources g).(arc);
+          head = (Graph.arc_dests g).(arc);
+          old_wd;
+          new_wd;
+          old_wt;
+          new_wt;
+          inc_d;
+          inc_t;
+        }
+
+  let rollback = drop_staged
+
+  let keep_unreached mv ~failed ~old_w ~new_w rc =
+    Array.iteri
+      (fun dest row ->
+        if Array.length row > 0 && not (unreached mv ~failed ~old_w ~new_w rc ~dest)
+        then rc.r_rows.(dest) <- [||])
+      rc.r_rows
+
+  let commit t =
+    (match t.move with
+    | None -> ()
+    | Some mv ->
+        Array.iteri
+          (fun i staged ->
+            match (staged, t.committed.(i)) with
+            | Some _, _ -> t.committed.(i) <- staged
+            | None, Some r ->
+                keep_unreached mv ~failed:r.r_failed ~old_w:mv.old_wd ~new_w:mv.new_wd
+                  r.r_d;
+                keep_unreached mv ~failed:r.r_failed ~old_w:mv.old_wt ~new_w:mv.new_wt
+                  r.r_t
+            | None, None -> ())
+          t.staged);
+    drop_staged t
+
+  (* A sweep's fresh state for failure [i]: committed outright when it
+     priced the committed state, staged when it priced a trial. *)
+  let store t i fresh =
+    match fresh with
+    | None -> ()
+    | Some _ ->
+        if Option.is_none t.move then t.committed.(i) <- fresh else t.staged.(i) <- fresh
+end
+
 (* One failure priced from the sweep cache.  Only valid when the failure
    excludes no node (a node failure also drops the node's demands, which
    invalidates the cached rows — those fall back to [assess_failure]).  The
-   scratch's [touched] and [dest_flag] arrays must be (and are left)
-   all-false between calls. *)
+   scratch's [touched], [dest_flag] and [keep_*] arrays must be (and are
+   left) all-false between calls.  [resident] is the failure's committed
+   resident state and [move] the pending trial's move ([None]: pricing the
+   committed state itself); with [track] the pricing also returns its own
+   post-failure state for the resident store.  Returns the detail, that
+   state, and how many destination re-routes were taken from [resident]
+   versus repaired. *)
 let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_t
-    ~dense_rd ~dense_rt ~sinks w f =
+    ~dense_rd ~dense_rt ~sinks ?resident ?move ~track w f =
   let g = scenario.Scenario.graph in
   let params = scenario.Scenario.params in
   let cap = Graph.arc_capacities g and prop = Graph.arc_prop_delays g in
   let n = Graph.num_nodes g and m = Graph.num_arcs g in
-  let { buffers; mask; touched; dest_flag } = scratch in
+  let { buffers; mask; touched; dest_flag; keep_d; keep_t } = scratch in
   Failure.set_mask g f mask;
   let failed = failed_arcs_of_mask mask in
   (* Destinations whose DAG uses a failed arc, read off the cache's per-arc
@@ -383,12 +541,44 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
   (* The delay-class marks stay set: the SLA pass below extends them with the
      destinations whose DAG reads a changed arc delay. *)
   let changed_d = changed_from cache.users_d in
+  (* Flag the re-routed destinations whose resident state this pricing
+     takes (see the resident section above). *)
+  let reused = ref 0 in
+  (* [pick] gives the move as this class sees it: the incumbent's base and
+     the arc's old and new weight. *)
+  let hook keep changed ~base rc ~pick =
+    let takes =
+      match move with
+      | None -> fun _ -> true
+      | Some mv ->
+          let inc, old_w, new_w = pick mv in
+          fun dest ->
+            Routing.shares_dest base inc ~dest && unreached mv ~failed ~old_w ~new_w rc ~dest
+    in
+    List.iter
+      (fun dest ->
+        if Array.length rc.r_rows.(dest) > 0 && takes dest then begin
+          keep.(dest) <- true;
+          incr reused
+        end)
+      changed;
+    Some (rc.r_routing, fun dest -> keep.(dest))
+  in
+  let hook_d, hook_t =
+    match resident with
+    | None -> (None, None)
+    | Some r ->
+        ( hook keep_d changed_d ~base:base_d r.r_d ~pick:(fun mv ->
+              (mv.inc_d, mv.old_wd, mv.new_wd)),
+          hook keep_t changed_t ~base:base_t r.r_t ~pick:(fun mv ->
+              (mv.inc_t, mv.old_wt, mv.new_wt)) )
+  in
   let routing_d =
-    Routing.with_failed_arcs ~buffers ~changed:changed_d base_d
+    Routing.with_failed_arcs ~buffers ~changed:changed_d ?resident:hook_d base_d
       ~weights:(Weights.delay_of w) ~disabled:mask ~failed
   in
   let routing_t =
-    Routing.with_failed_arcs ~buffers ~changed:changed_t base_t
+    Routing.with_failed_arcs ~buffers ~changed:changed_t ?resident:hook_t base_t
       ~weights:(Weights.throughput_of w) ~disabled:mask ~failed
   in
   let touched_list = ref [] in
@@ -399,12 +589,23 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
     end
   in
   (* A replaced row can differ from the cached one only on the union of the
-     old and new DAG supports: contributions are zero everywhere else. *)
-  let replace_rows rows base routing demands changed =
+     old and new DAG supports: contributions are zero everywhere else.  A
+     destination flagged in [keep] takes the resident row (and clears its
+     flag) instead of re-routing. *)
+  let replace_rows rows base routing demands changed keep resident_rows =
     List.map
       (fun dest ->
-        let row = Array.make m 0. in
-        let (_ : float) = Routing.add_loads_dest routing ~demands ~dest ~into:row in
+        let row =
+          if keep.(dest) then begin
+            keep.(dest) <- false;
+            resident_rows.(dest)
+          end
+          else begin
+            let row = Array.make m 0. in
+            let (_ : float) = Routing.add_loads_dest routing ~demands ~dest ~into:row in
+            row
+          end
+        in
         let old = rows.(dest) in
         let cmp a = if row.(a) <> old.(a) then mark_touched a in
         Routing.iter_dag_arcs base ~dest cmp;
@@ -412,8 +613,11 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
         (dest, row))
       changed
   in
-  let new_t = replace_rows cache.rows_t base_t routing_t dense_rt changed_t in
-  let new_d = replace_rows cache.rows_d base_d routing_d dense_rd changed_d in
+  let rd, rt =
+    match resident with None -> ([||], [||]) | Some r -> (r.r_d.r_rows, r.r_t.r_rows)
+  in
+  let new_t = replace_rows cache.rows_t base_t routing_t dense_rt changed_t keep_t rt in
+  let new_d = replace_rows cache.rows_d base_d routing_d dense_rd changed_d keep_d rd in
   let tloads = Array.copy cache.base_tloads in
   let loads = Array.copy cache.base_loads in
   let cur_t = Array.copy cache.rows_t in
@@ -488,14 +692,32 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
   done;
   List.iter (fun a -> touched.(a) <- false) !touched_list;
   Array.fill dest_flag 0 n false;
-  {
-    cost = Lexico.make ~lambda:!lambda ~phi:!phi;
-    violations = !violations;
-    unreachable_pairs = !unreachable;
-    loads;
-    throughput_loads = tloads;
-    pair_delays = [||];
-  }
+  let fresh =
+    if not track then None
+    else
+      let rows news =
+        let a = Array.make n [||] in
+        List.iter (fun (dest, row) -> a.(dest) <- row) news;
+        a
+      in
+      Some
+        {
+          r_failed = failed;
+          r_d = { r_routing = routing_d; r_rows = rows new_d };
+          r_t = { r_routing = routing_t; r_rows = rows new_t };
+        }
+  in
+  ( {
+      cost = Lexico.make ~lambda:!lambda ~phi:!phi;
+      violations = !violations;
+      unreachable_pairs = !unreachable;
+      loads;
+      throughput_loads = tloads;
+      pair_delays = [||];
+    },
+    fresh,
+    !reused,
+    List.length changed_d + List.length changed_t - !reused )
 
 (* Order-preserving parallel sweep core: failure [i]'s detail lands at index
    [i] whatever domain computed it, so the result — and any in-order
@@ -503,9 +725,11 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
    count.  Each domain prices its share with its own cached scratch.  With
    the dynamic-SPF engine enabled the sweep cache is built once (about the
    price of one normal assessment) and shared read-only across domains;
-   [DTR_NO_DSPF=1] forces every failure back onto the from-scratch path. *)
-let sweep_array (scenario : Scenario.t) ~exec ~base_d ~base_t ~dense_rd ~dense_rt
-    ~sinks w failures =
+   [DTR_NO_DSPF=1] forces every failure back onto the from-scratch path.
+   With [residents], failure [i] reads and produces only slot [i], so the
+   resident reuse is the same at every job count. *)
+let sweep_array (scenario : Scenario.t) ~exec ?residents ~base_d ~base_t ~dense_rd
+    ~dense_rt ~sinks w failures =
   let g = scenario.Scenario.graph in
   let t0 = Unix.gettimeofday () in
   (* Scenario id for the flight recorder: a structural hash is stable within
@@ -522,23 +746,41 @@ let sweep_array (scenario : Scenario.t) ~exec ~base_d ~base_t ~dense_rd ~dense_r
       Some (build_sweep_cache scenario ~base_d ~base_t ~dense_rd ~dense_rt ~sinks)
     else None
   in
-  let price ~scratch f =
+  let resident i =
+    match residents with Some r -> r.Residents.committed.(i) | None -> None
+  in
+  let move = Option.bind residents (fun r -> r.Residents.move) in
+  let track = residents <> None in
+  let price ~scratch i f =
     match cache with
     | Some cache when Failure.excluded_node f = None ->
         assess_failure_cached scenario ~cache ~scratch ~base_d ~base_t ~dense_rd
-          ~dense_rt ~sinks w f
+          ~dense_rt ~sinks ?resident:(resident i) ?move ~track w f
     | _ ->
-        assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask ~base_d
-          ~base_t ~dense_rd ~dense_rt ~sinks w f
+        ( assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask ~base_d
+            ~base_t ~dense_rd ~dense_rt ~sinks w f,
+          None,
+          0,
+          0 )
   in
-  let details =
+  let priced =
     match Exec.jobs exec with
     | 1 ->
         let scratch = make_sweep_scratch g in
-        Array.map (fun f -> price ~scratch f) failures
+        Array.mapi (fun i f -> price ~scratch i f) failures
     | _ ->
         Exec.map exec ~n:(Array.length failures) ~f:(fun i ->
-            price ~scratch:(sweep_scratch_for g) failures.(i))
+            price ~scratch:(sweep_scratch_for g) i failures.(i))
+  in
+  let reused = ref 0 and repaired = ref 0 in
+  let details =
+    Array.mapi
+      (fun i (detail, fresh, r, p) ->
+        (match residents with Some rs -> Residents.store rs i fresh | None -> ());
+        reused := !reused + r;
+        repaired := !repaired + p;
+        detail)
+      priced
   in
   Dtr_obs.Metric.Counter.incr Sweep_stats.sweeps;
   (if use_cache then begin
@@ -550,7 +792,8 @@ let sweep_array (scenario : Scenario.t) ~exec ~base_d ~base_t ~dense_rd ~dense_r
      in
      Dtr_obs.Metric.Counter.add Sweep_stats.cached_evals cached;
      Dtr_obs.Metric.Counter.add Sweep_stats.full_evals
-       (Array.length failures - cached)
+       (Array.length failures - cached);
+     Sweep_stats.add_reuse ~reused:!reused ~repaired:!repaired
    end
    else
      Dtr_obs.Metric.Counter.add Sweep_stats.full_evals (Array.length failures));
@@ -585,17 +828,23 @@ let sweep scenario ?exec w failures =
    where the bases come out of the evaluation engine's cache.  The reduce
    folds per-failure costs in scenario order, so the sum is bit-identical
    for every job count. *)
-let compound_sweep_from (scenario : Scenario.t) ?exec ~routing_d ~routing_t w
+let sweep_from (scenario : Scenario.t) ?exec ?residents ~routing_d ~routing_t w
     ~failures =
   let exec = resolve_exec exec in
   let dense_rd = scenario.Scenario.dense_rd
   and dense_rt = scenario.Scenario.dense_rt
   and sinks = scenario.Scenario.delay_sinks in
+  Option.iter (fun r -> Residents.bind r failures) residents;
   let details =
-    sweep_array scenario ~exec ~base_d:routing_d ~base_t:routing_t ~dense_rd ~dense_rt
-      ~sinks w (Array.of_list failures)
+    sweep_array scenario ~exec ?residents ~base_d:routing_d ~base_t:routing_t ~dense_rd
+      ~dense_rt ~sinks w (Array.of_list failures)
   in
-  Array.fold_left (fun acc d -> Lexico.add acc d.cost) Lexico.zero details
+  Array.map (fun d -> d.cost) details
+
+let compound costs = Array.fold_left Lexico.add Lexico.zero costs
+
+let compound_sweep_from scenario ?exec ?residents ~routing_d ~routing_t w ~failures =
+  compound (sweep_from scenario ?exec ?residents ~routing_d ~routing_t w ~failures)
 
 type bounded_sweep =
   | Swept of Lexico.t
@@ -614,8 +863,8 @@ type bounded_sweep =
    the same vector can be rejected without re-pricing.  At jobs > 1 the
    sweep prices everything in parallel and tests the exact total — the
    accept/reject decision is identical, just without the serial saving. *)
-let compound_sweep_bounded (scenario : Scenario.t) ?exec ~routing_d ~routing_t
-    ?(init = Lexico.zero) ~prune w ~failures =
+let compound_sweep_bounded (scenario : Scenario.t) ?exec ?residents ~routing_d
+    ~routing_t ?(init = Lexico.zero) ~prune w ~failures =
   let exec = resolve_exec exec in
   match Exec.jobs exec with
   | 1 ->
@@ -623,6 +872,7 @@ let compound_sweep_bounded (scenario : Scenario.t) ?exec ~routing_d ~routing_t
       let dense_rd = scenario.Scenario.dense_rd
       and dense_rt = scenario.Scenario.dense_rt
       and sinks = scenario.Scenario.delay_sinks in
+      Option.iter (fun r -> Residents.bind r failures) residents;
       let failures = Array.of_list failures in
       let num = Array.length failures in
       let t0 = Unix.gettimeofday () in
@@ -651,12 +901,25 @@ let compound_sweep_bounded (scenario : Scenario.t) ?exec ~routing_d ~routing_t
             c
       in
       let scratch = make_sweep_scratch g in
+      let move = Option.bind residents (fun r -> r.Residents.move) in
+      let track = residents <> None in
       let cached_prices = ref 0 and full_prices = ref 0 in
-      let price f =
+      let reused = ref 0 and repaired = ref 0 in
+      let price i f =
         if use_cache && Failure.excluded_node f = None then begin
           incr cached_prices;
-          assess_failure_cached scenario ~cache:(get_cache ()) ~scratch
-            ~base_d:routing_d ~base_t:routing_t ~dense_rd ~dense_rt ~sinks w f
+          let resident =
+            match residents with Some r -> r.Residents.committed.(i) | None -> None
+          in
+          let detail, fresh, r, p =
+            assess_failure_cached scenario ~cache:(get_cache ()) ~scratch
+              ~base_d:routing_d ~base_t:routing_t ~dense_rd ~dense_rt ~sinks ?resident
+              ?move ~track w f
+          in
+          Option.iter (fun rs -> Residents.store rs i fresh) residents;
+          reused := !reused + r;
+          repaired := !repaired + p;
+          detail
         end
         else begin
           incr full_prices;
@@ -668,20 +931,23 @@ let compound_sweep_bounded (scenario : Scenario.t) ?exec ~routing_d ~routing_t
       let i = ref 0 in
       let aborted = ref false in
       while (not !aborted) && !i < num do
-        acc := Lexico.add !acc (price failures.(!i)).cost;
+        acc := Lexico.add !acc (price !i failures.(!i)).cost;
         if prune (Lexico.add init !acc) then aborted := true;
         incr i
       done;
       Dtr_obs.Metric.Counter.incr Sweep_stats.sweeps;
       Dtr_obs.Metric.Counter.add Sweep_stats.cached_evals !cached_prices;
       Dtr_obs.Metric.Counter.add Sweep_stats.full_evals !full_prices;
+      if !cached_prices > 0 then Sweep_stats.add_reuse ~reused:!reused ~repaired:!repaired;
       Dtr_obs.Metric.Accum.add Sweep_stats.seconds (Unix.gettimeofday () -. t0);
       if Dtr_obs.Trace.enabled () then
         Dtr_obs.Trace.emit_sweep_end ~scenario:trace_id ~failures:num;
       if !aborted then Aborted_at (Lexico.add init !acc)
       else Swept (Lexico.add init !acc)
   | _ ->
-      let total = compound_sweep_from scenario ~exec ~routing_d ~routing_t w ~failures in
+      let total =
+        compound_sweep_from scenario ~exec ?residents ~routing_d ~routing_t w ~failures
+      in
       Swept (Lexico.add init total)
 
 let normal_and_sweep (scenario : Scenario.t) ?exec w ~failures ~feasible =
@@ -721,8 +987,6 @@ let evaluate_from (scenario : Scenario.t) ~routing_d ~routing_t ?failure w =
       let scratch = sweep_scratch_for scenario.Scenario.graph in
       assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask
         ~base_d:routing_d ~base_t:routing_t ~dense_rd ~dense_rt ~sinks w f
-
-let compound costs = Array.fold_left Lexico.add Lexico.zero costs
 
 module Internal = struct
   let dest_sla = dest_sla

@@ -83,20 +83,97 @@ val normal_and_sweep :
     failure sweep, reusing the normal routing state for both steps.
     Returns [(normal cost, compounded failure cost if feasible)]. *)
 
+(** Resident post-failure states: the incremental engine's memory of its
+    committed incumbent under a fixed failure list.  For each failure and
+    traffic class an entry holds the post-failure routing state and load
+    row of every destination the failure re-routes.  A sweep given the
+    store (the [?residents] of {!sweep_from} and
+    {!compound_sweep_bounded}) prices a failure as usual, except that a
+    re-routed destination [t] takes its resident state and row instead of
+    a dynamic-SPF repair and a re-route when
+
+    - the sweep's base state for [t] is physically the incumbent's (the
+      single-arc move left it shared), and
+    - the move cannot reach the resident route: the moved arc is one of
+      the failure's arcs, the class's weight did not change, an increased
+      arc is off [t]'s post-failure DAG, or a decreased arc still loses,
+      [w' + d_f(head) > d_f(tail)] on the resident distances.
+
+    That is {!Dtr_spf.Routing.with_changed_arc}'s affected test applied to
+    the failure-reduced graph, so reuse is exact: costs are bit-identical
+    to pricing without the store.  Every committed entry equals a
+    from-scratch repair under the committed weights.  Only cached pricing
+    uses the store: node failures, single-failure sweeps and
+    [DTR_NO_DSPF=1] never read or fill it.
+
+    Lifecycle, mirroring {!Eval_incr}'s trial protocol (which drives it):
+    a sweep with no trial begun prices the committed state and fills the
+    committed slots; after {!begin_trial} a sweep {e stages} the states it
+    computed; {!commit} installs the staged failures and, for the others
+    (a delta-cache hit, an aborted sweep), keeps only the entries the
+    committed move cannot reach; {!rollback} drops the staged states.
+    Slots follow one failure list, by physical identity; a sweep over
+    another list starts empty.  Failure [i] reads and writes only slot
+    [i], so parallel sweeps reuse exactly what serial ones do. *)
+module Residents : sig
+  type t
+
+  val create : unit -> t
+  (** An empty store. *)
+
+  val clear : t -> unit
+  (** Drops every entry (the engine re-anchored). *)
+
+  val begin_trial :
+    t ->
+    Dtr_topology.Graph.t ->
+    arc:int ->
+    old_wd:int ->
+    new_wd:int ->
+    old_wt:int ->
+    new_wt:int ->
+    inc_d:Dtr_spf.Routing.t ->
+    inc_t:Dtr_spf.Routing.t ->
+    unit
+  (** A single-arc trial starts: [arc]'s weights move from
+      [(old_wd, old_wt)] to [(new_wd, new_wt)]; [inc_d]/[inc_t] are the
+      incumbent's no-failure bases.  Drops anything staged. *)
+
+  val commit : t -> unit
+  (** The trial's move was kept (a no-op when no trial was begun). *)
+
+  val rollback : t -> unit
+  (** The trial's move was discarded. *)
+end
+
+val sweep_from :
+  Scenario.t ->
+  ?exec:Dtr_exec.Exec.t ->
+  ?residents:Residents.t ->
+  routing_d:Dtr_spf.Routing.t ->
+  routing_t:Dtr_spf.Routing.t ->
+  Weights.t ->
+  failures:Failure.t list ->
+  Lexico.t array
+(** Per-failure costs of [w], in order, starting from already-computed
+    no-failure routing bases for both classes (the scenario's own traffic
+    matrices).  With [residents], cached pricing reuses and refreshes the
+    store's resident post-failure states (see {!Residents}). *)
+
 val compound_sweep_from :
   Scenario.t ->
   ?exec:Dtr_exec.Exec.t ->
+  ?residents:Residents.t ->
   routing_d:Dtr_spf.Routing.t ->
   routing_t:Dtr_spf.Routing.t ->
   Weights.t ->
   failures:Failure.t list ->
   Lexico.t
-(** Compounded failure-sweep cost of [w] starting from already-computed
-    no-failure routing bases for both classes (the scenario's own traffic
-    matrices).  {!normal_and_sweep} is this plus the normal assessment; the
-    Phase-2 incremental path calls it directly with the evaluation engine's
-    cached bases, so a single-arc move never recomputes the no-failure
-    routing from scratch. *)
+(** [compound (sweep_from ...)]: the compounded failure-sweep cost.
+    {!normal_and_sweep} is this plus the normal assessment; the
+    incremental engine ({!Eval_incr.sweep}) starts it from its cached
+    bases, so a single-arc move never recomputes the no-failure routing
+    from scratch. *)
 
 type bounded_sweep =
   | Swept of Lexico.t  (** the exact compound, all failures priced *)
@@ -107,6 +184,7 @@ type bounded_sweep =
 val compound_sweep_bounded :
   Scenario.t ->
   ?exec:Dtr_exec.Exec.t ->
+  ?residents:Residents.t ->
   routing_d:Dtr_spf.Routing.t ->
   routing_t:Dtr_spf.Routing.t ->
   ?init:Lexico.t ->
@@ -128,7 +206,8 @@ val compound_sweep_bounded :
     pure [Kfail] objective); the warm-start path passes the normal cost so
     the partial bounds [J = normal + Kfail].
     Serial execution aborts mid-sweep; at jobs > 1 the full parallel sweep
-    runs and only the final total is tested. *)
+    runs and only the final total is tested.  [residents] as in
+    {!sweep_from}; an aborted sweep stages only the failures it priced. *)
 
 val evaluate_from :
   Scenario.t ->
@@ -159,7 +238,9 @@ val compound : Lexico.t array -> Lexico.t
     A thin compatibility view over per-domain sharded [Dtr_obs.Metric]
     counters ([eval.sweeps], [eval.sweep.cache_builds],
     [eval.sweep.cached_evals], [eval.sweep.full_evals],
-    [eval.sweep.seconds]): totals stay exact even when sweeps overlap
+    [eval.sweep.resident_reused], [eval.sweep.dests_repaired],
+    [eval.sweep.seconds], each bumped once per sweep): totals stay exact
+    even when sweeps overlap
     across domains.  {!reset} and {!snapshot} are meant for quiescent
     points, as before. *)
 module Sweep_stats : sig
@@ -168,6 +249,12 @@ module Sweep_stats : sig
     cache_builds : int;  (** sweeps that built a dynamic-SPF cache *)
     cached_evals : int;  (** failure states priced from the cache *)
     full_evals : int;  (** failure states priced from scratch *)
+    resident_reused : int;
+        (** re-routed destinations (per class) whose cached pricing took a
+            resident post-failure state ({!Residents}) *)
+    dests_repaired : int;
+        (** re-routed destinations (per class) whose cached pricing ran the
+            dynamic-SPF repair and the re-route *)
     seconds : float;  (** wall time inside sweeps *)
   }
 

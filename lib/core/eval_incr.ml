@@ -3,6 +3,7 @@ module Routing = Dtr_spf.Routing
 module Lexico = Dtr_cost.Lexico
 module Delay_model = Dtr_cost.Delay_model
 module Congestion = Dtr_cost.Congestion
+module Failure = Dtr_topology.Failure
 
 (* The engine caches, per traffic class, the routing state and each
    destination's arc-load contribution, plus each destination's SLA subtotal.
@@ -21,7 +22,23 @@ module Congestion = Dtr_cost.Congestion
 
    The trial result is staged in [pending] and only installed by [commit];
    [rollback] simply drops it, mirroring [Weights.save_arc]/[restore_arc] on
-   the caller's side. *)
+   the caller's side.
+
+   Two more caches ride on the same protocol:
+
+   - the resident post-failure states of the engine's failure sweeps
+     ([Eval.Residents]): each trial's move is recorded before any pricing,
+     its sweep stages what it computed, and commit/rollback/anchor drive
+     the store;
+   - the propagation-delay floor of Lambda: per destination, the SLA
+     subtotal of the delay-class routing with every arc at its
+     propagation delay.  A bounded trial re-routes the delay class first
+     and folds this floor in destination order (fresh subtotals for the
+     re-routed destinations, committed ones elsewhere); queueing only adds
+     delay, the delay DP and the pair penalty are monotone in arc delays
+     and reachability is the same, so the floor is at most the trial's
+     Lambda and a pruning floor certifies what the SLA stage would decide
+     — before any throughput-class work. *)
 
 type pending = {
   p_arc : int;
@@ -35,6 +52,9 @@ type pending = {
   p_loads : float array;
   p_arc_delay : float array;
   p_sla : (int * (float * int * int)) list;
+  p_floors : ((int * float) list * float) option;
+      (** fresh floors of the re-routed delay-class destinations and the
+          floor total; [None] when the trial computed none (unbounded) *)
   p_lambda : float;
   p_phi : float;
   p_violations : int;
@@ -56,6 +76,10 @@ type t = {
   lambda_dest : float array;  (** per-destination SLA subtotals *)
   viol_dest : int array;
   unreach_dest : int array;
+  floor_dest : float array;
+      (** per-destination SLA subtotals at propagation-only arc delays *)
+  mutable floor : float;  (** their destination-order total *)
+  residents : Eval.Residents.t;  (** resident post-failure states *)
   mutable lambda : float;
   mutable phi : float;
   mutable violations : int;
@@ -115,12 +139,31 @@ let phi_of t ~tloads ~loads =
   Congestion.total t.scenario.Scenario.graph ~loads ~carries_throughput:(fun id ->
       tloads.(id) > 1e-9)
 
+(* One destination's Lambda floor: its SLA subtotal with every arc at its
+   propagation delay, the least delay the queueing model can give it. *)
+let floor_value t ~routing_d ~dest =
+  if t.scenario.Scenario.delay_sinks.(dest) then begin
+    let lam, _, _ =
+      sla_values t ~routing_d
+        ~arc_delay:(Graph.arc_prop_delays t.scenario.Scenario.graph)
+        ~dest
+    in
+    lam
+  end
+  else 0.
+
+let floor_total t =
+  let acc = ref 0. in
+  Array.iter (fun f -> acc := !acc +. f) t.floor_dest;
+  !acc
+
 let anchor t w =
   let g = t.scenario.Scenario.graph in
   let n = Graph.num_nodes g and m = Graph.num_arcs g in
   if Weights.num_arcs w <> m then invalid_arg "Eval_incr.anchor: weight vector size";
   t.pending <- None;
   t.aborted <- false;
+  Eval.Residents.clear t.residents;
   Array.blit w.Weights.wd 0 t.committed.Weights.wd 0 m;
   Array.blit w.Weights.wt 0 t.committed.Weights.wt 0 m;
   t.routing_d <-
@@ -150,8 +193,10 @@ let anchor t w =
     in
     t.lambda_dest.(dest) <- lam;
     t.viol_dest.(dest) <- viol;
-    t.unreach_dest.(dest) <- unreach
+    t.unreach_dest.(dest) <- unreach;
+    t.floor_dest.(dest) <- floor_value t ~routing_d:t.routing_d ~dest
   done;
+  t.floor <- floor_total t;
   let lambda, violations, unreachable = finish_cost t ~sla_rows:[] in
   t.lambda <- lambda;
   t.violations <- violations;
@@ -178,6 +223,9 @@ let create (scenario : Scenario.t) =
       lambda_dest = Array.make n 0.;
       viol_dest = Array.make n 0;
       unreach_dest = Array.make n 0;
+      floor_dest = Array.make n 0.;
+      floor = 0.;
+      residents = Eval.Residents.create ();
       lambda = 0.;
       phi = 0.;
       violations = 0;
@@ -212,26 +260,14 @@ let phi_bounded t ~tloads ~loads ~lambda ~prune =
   done;
   if !aborted then None else Some !acc
 
-(* [prune], when given, must answer [true] only for partial costs no
-   completion of which the caller could accept (see {!Lexico.prunes}).  The
-   partial sums fed to it accumulate in the same fixed destination (then
-   arc) order as the full evaluation, so a completed bounded trial is
-   bit-identical to the unbounded one. *)
-let try_arc_impl t ~prune w ~arc =
-  if t.pending <> None then invalid_arg "Eval_incr.try_arc: a trial is already pending";
-  if t.aborted then invalid_arg "Eval_incr.try_arc: an aborted trial awaits rollback";
+(* The rest of a trial once its delay class is re-routed (and, when
+   bounded, its Lambda floor did not prune): the throughput class, the
+   re-routes and re-sums, Lambda and Phi, then staging. *)
+let finish_trial t ~prune w ~arc ~routing_d ~aff_d ~floors =
   let g = t.scenario.Scenario.graph in
   let n = Graph.num_nodes g and m = Graph.num_arcs g in
-  if Weights.num_arcs w <> m then invalid_arg "Eval_incr.try_arc: weight vector size";
-  if arc < 0 || arc >= m then invalid_arg "Eval_incr.try_arc: bad arc id";
-  let old_wd = t.committed.Weights.wd.(arc) and old_wt = t.committed.Weights.wt.(arc) in
+  let old_wt = t.committed.Weights.wt.(arc) in
   let new_wd = w.Weights.wd.(arc) and new_wt = w.Weights.wt.(arc) in
-  let routing_d, aff_d =
-    if new_wd = old_wd then (t.routing_d, [])
-    else
-      Routing.with_changed_arc ~buffers:t.buffers t.routing_d
-        ~weights:(Weights.delay_of w) ~arc ~old_weight:old_wd
-  in
   let routing_t, aff_t =
     if new_wt = old_wt then (t.routing_t, [])
     else
@@ -356,6 +392,7 @@ let try_arc_impl t ~prune w ~arc =
                 p_loads = loads;
                 p_arc_delay = arc_delay;
                 p_sla = sla_rows;
+                p_floors = floors;
                 p_lambda = lambda;
                 p_phi = phi;
                 p_violations = violations;
@@ -363,6 +400,66 @@ let try_arc_impl t ~prune w ~arc =
                 p_cost = cost;
               };
           Some cost)
+
+(* [prune], when given, must answer [true] only for partial costs no
+   completion of which the caller could accept (see {!Lexico.prunes}).  The
+   partial sums fed to it accumulate in the same fixed destination (then
+   arc) order as the full evaluation, so a completed bounded trial is
+   bit-identical to the unbounded one. *)
+let try_arc_impl t ~prune w ~arc =
+  if t.pending <> None then invalid_arg "Eval_incr.try_arc: a trial is already pending";
+  if t.aborted then invalid_arg "Eval_incr.try_arc: an aborted trial awaits rollback";
+  let g = t.scenario.Scenario.graph in
+  let n = Graph.num_nodes g and m = Graph.num_arcs g in
+  if Weights.num_arcs w <> m then invalid_arg "Eval_incr.try_arc: weight vector size";
+  if arc < 0 || arc >= m then invalid_arg "Eval_incr.try_arc: bad arc id";
+  let old_wd = t.committed.Weights.wd.(arc) and old_wt = t.committed.Weights.wt.(arc) in
+  let new_wd = w.Weights.wd.(arc) and new_wt = w.Weights.wt.(arc) in
+  Eval.Residents.begin_trial t.residents g ~arc ~old_wd ~new_wd ~old_wt ~new_wt
+    ~inc_d:t.routing_d ~inc_t:t.routing_t;
+  let routing_d, aff_d =
+    if new_wd = old_wd then (t.routing_d, [])
+    else
+      Routing.with_changed_arc ~buffers:t.buffers t.routing_d
+        ~weights:(Weights.delay_of w) ~arc ~old_weight:old_wd
+  in
+  (* Lambda floor, bounded trials only: the committed floor for every
+     destination the move did not re-route, a fresh one for those it did,
+     folded and tested in destination order.  [floor <= Lambda] of the
+     trial and [prune] is monotone, so a pruning floor is a trial the SLA
+     stage below would prune anyway.  [None]: the floor prunes; [Some
+     None]: an unbounded trial, which computes none. *)
+  let floors =
+    match prune with
+    | None -> Some None
+    | Some p when aff_d = [] ->
+        if p (Lexico.make ~lambda:t.floor ~phi:0.) then None else Some (Some ([], t.floor))
+    | Some p ->
+        let rows = ref [] and rest = ref aff_d in
+        let acc = ref 0. and dest = ref 0 and aborted = ref false in
+        while (not !aborted) && !dest < n do
+          let d = !dest in
+          let f =
+            match !rest with
+            | r :: tl when r = d ->
+                rest := tl;
+                let f = floor_value t ~routing_d ~dest:d in
+                rows := (d, f) :: !rows;
+                f
+            | _ -> t.floor_dest.(d)
+          in
+          acc := !acc +. f;
+          if p (Lexico.make ~lambda:!acc ~phi:0.) then aborted := true;
+          incr dest
+        done;
+        if !aborted then None else Some (Some (!rows, !acc))
+  in
+  match floors with
+  | None ->
+      Prune.note_floor_abort ();
+      t.aborted <- true;
+      None
+  | Some floors -> finish_trial t ~prune w ~arc ~routing_d ~aff_d ~floors
 
 let try_arc t w ~arc =
   match try_arc_impl t ~prune:None w ~arc with
@@ -388,6 +485,19 @@ let commit t =
           t.viol_dest.(dest) <- viol;
           t.unreach_dest.(dest) <- unreach)
         p.p_sla;
+      (* Floors the trial did not compute (it was unbounded) are filled in
+         here, for the destinations whose delay-class routing it changed. *)
+      (match p.p_floors with
+      | Some (rows, total) ->
+          List.iter (fun (dest, f) -> t.floor_dest.(dest) <- f) rows;
+          t.floor <- total
+      | None when p.p_rows_d <> [] ->
+          List.iter
+            (fun (dest, _) ->
+              t.floor_dest.(dest) <- floor_value t ~routing_d:p.p_routing_d ~dest)
+            p.p_rows_d;
+          t.floor <- floor_total t
+      | None -> ());
       t.lambda <- p.p_lambda;
       t.phi <- p.p_phi;
       t.violations <- p.p_violations;
@@ -395,14 +505,20 @@ let commit t =
       t.cost <- p.p_cost;
       t.committed.Weights.wd.(p.p_arc) <- p.p_wd;
       t.committed.Weights.wt.(p.p_arc) <- p.p_wt;
+      Eval.Residents.commit t.residents;
       t.pending <- None
 
 let rollback t =
-  if t.aborted then t.aborted <- false
+  if t.aborted then begin
+    t.aborted <- false;
+    Eval.Residents.rollback t.residents
+  end
   else
     match t.pending with
     | None -> invalid_arg "Eval_incr.rollback: no pending trial"
-    | Some _ -> t.pending <- None
+    | Some _ ->
+        t.pending <- None;
+        Eval.Residents.rollback t.residents
 
 let cost t = match t.pending with Some p -> p.p_cost | None -> t.cost
 
@@ -416,7 +532,36 @@ let loads t = Array.copy (match t.pending with Some p -> p.p_loads | None -> t.l
 let throughput_loads t =
   Array.copy (match t.pending with Some p -> p.p_tloads | None -> t.tloads)
 
+let lambda_floor t =
+  match t.pending with
+  | None -> t.floor
+  | Some { p_floors = Some (_, total); _ } -> total
+  | Some p ->
+      let acc = ref 0. in
+      Array.iteri
+        (fun dest f ->
+          acc :=
+            !acc
+            +.
+            if List.mem_assoc dest p.p_rows_d then
+              floor_value t ~routing_d:p.p_routing_d ~dest
+            else f)
+        t.floor_dest;
+      !acc
+
 let current_routing t =
   match t.pending with
   | Some p -> (p.p_routing_d, p.p_routing_t)
   | None -> (t.routing_d, t.routing_t)
+
+(* The failure sweeps of the engine's current state, reusing and refreshing
+   the resident post-failure states. *)
+let sweep t ?exec w ~failures =
+  let routing_d, routing_t = current_routing t in
+  Eval.sweep_from t.scenario ?exec ~residents:t.residents ~routing_d ~routing_t w
+    ~failures
+
+let sweep_bounded t ?exec ?init ~prune w ~failures =
+  let routing_d, routing_t = current_routing t in
+  Eval.compound_sweep_bounded t.scenario ?exec ~residents:t.residents ~routing_d
+    ~routing_t ?init ~prune w ~failures

@@ -20,13 +20,28 @@
     routing with {!Dtr_spf.Spf_delta} and re-summing only the destinations
     that failure touches — see the dynamic-SPF section of [DESIGN.md].
 
+    The engine also serves the failure sweeps of Phase 2 and the warm start
+    ({!sweep}, {!sweep_bounded}).  For its committed incumbent it keeps, per
+    failure of the sweeps' fixed list and per class, the post-failure
+    routing state and load row of every destination the failure re-routes
+    ({!Eval.Residents}); a trial's sweep takes them wherever the single-arc
+    move cannot reach the resident route, instead of repairing and
+    re-routing.  Bounded trials ({!try_arc_bounded}) additionally test a
+    propagation-delay floor of [Lambda] before any throughput-class work.
+    Both are exact: costs, verdicts and every search counter are
+    bit-identical to pricing without them.
+
     Protocol: {!anchor} at a known weight setting, then for each trial call
     {!try_arc} followed by {e exactly one} of {!commit} / {!rollback} —
     mirroring [Weights.save_arc]/[restore_arc] on the caller's side.
     Accessors ({!cost}, {!violations}, {!loads}, {!current_routing}) reflect
-    the pending trial when one is staged, the committed state otherwise. *)
+    the pending trial when one is staged, the committed state otherwise.
+    Sweeps price the same state: between {!anchor} and the first trial they
+    price (and fill the resident states of) the committed setting; during a
+    trial they stage the trial's states, which {!commit} installs. *)
 
 module Lexico = Dtr_cost.Lexico
+module Failure = Dtr_topology.Failure
 
 type t
 
@@ -59,7 +74,22 @@ val try_arc_bounded :
     bit-identical {!try_arc} result and [None] certifies the candidate
     would have been rejected.  After [None] nothing is staged, but the
     engine still requires the {!rollback} of the usual trial protocol
-    (commit is invalid). *)
+    (commit is invalid).
+
+    Before the throughput class is touched, the trial re-routes the delay
+    class and folds a {e floor} of [Lambda] in destination order: each
+    destination's SLA subtotal with every arc at its propagation delay
+    (the committed floor where the move did not re-route the destination,
+    a fresh one where it did).  Queueing delay is non-negative, the
+    expected-delay DP and {!Dtr_cost.Sla.pair_penalty} are monotone in the
+    arc delays over a fixed routing, and float addition is monotone, so the
+    floor never exceeds the trial's [Lambda].  When [prune ⟨floor, 0⟩]
+    holds the trial is abandoned there, before the throughput-class
+    repair, the re-routes and the re-sums.  [prune] must be monotone in
+    [Lambda] (every caller's is), so such a trial is one the SLA stage
+    would prune anyway: results and pruned counts do not change.
+    Unbounded trials compute no floor; {!commit} fills in the floors a
+    committed trial did not compute. *)
 
 val commit : t -> unit
 (** Installs the pending trial as the new committed state.
@@ -76,6 +106,12 @@ val violations : t -> int
 
 val unreachable_pairs : t -> int
 
+val lambda_floor : t -> float
+(** The propagation-delay floor of [Lambda] for the current state: the
+    destination-order total of the SLA subtotals with every arc at its
+    propagation delay (see {!try_arc_bounded}); never above {!cost}'s
+    [Lambda]. *)
+
 val loads : t -> float array
 (** Copy of the current total per-arc loads (both classes). *)
 
@@ -86,3 +122,23 @@ val current_routing : t -> Dtr_spf.Routing.t * Dtr_spf.Routing.t
     the pending trial's if staged.  Phase 2 feeds these to
     {!Eval.compound_sweep_from} so a failure sweep after a single-arc move
     starts from the cached bases instead of recomputing them. *)
+
+val sweep :
+  t -> ?exec:Dtr_exec.Exec.t -> Weights.t -> failures:Failure.t list -> Lexico.t array
+(** Per-failure costs of the current state ({!current_routing}'s bases, and
+    [w], which must be the current setting) under [failures]:
+    {!Eval.sweep_from} with the engine's resident post-failure states.
+    Pass the same (physically equal) list every time: the states are kept
+    per failure of one list.  Bit-identical to {!Eval.sweep_from} without
+    them. *)
+
+val sweep_bounded :
+  t ->
+  ?exec:Dtr_exec.Exec.t ->
+  ?init:Lexico.t ->
+  prune:(Lexico.t -> bool) ->
+  Weights.t ->
+  failures:Failure.t list ->
+  Eval.bounded_sweep
+(** {!Eval.compound_sweep_bounded} from the current state, with the
+    engine's resident post-failure states, like {!sweep}. *)

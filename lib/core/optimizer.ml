@@ -124,17 +124,12 @@ let warm_start ~rng ?exec ?(failures = []) ?(budget = default_warm_budget)
   let p = scenario.Scenario.params in
   let num_arcs = Scenario.num_arcs scenario in
   let e = Eval_incr.create scenario in
-  let sweep w =
-    let routing_d, routing_t = Eval_incr.current_routing e in
-    Eval.compound_sweep_from scenario ~exec ~routing_d ~routing_t w ~failures
-  in
+  let sweep w = Eval.compound (Eval_incr.sweep e ~exec w ~failures) in
   (* J(W) = K_normal + Kfail, bounded mid-sweep against the incumbent:
      [init] seeds the partial with the normal cost, so the abort test sees
      a monotone lower bound of J itself. *)
   let sweep_bounded w ~normal ~than =
-    let routing_d, routing_t = Eval_incr.current_routing e in
-    Eval.compound_sweep_bounded scenario ~exec ~routing_d ~routing_t
-      ~init:normal
+    Eval_incr.sweep_bounded e ~exec ~init:normal
       ~prune:(fun partial -> Lexico.prunes partial ~than)
       w ~failures
   in

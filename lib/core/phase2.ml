@@ -46,7 +46,8 @@ let run ~rng ?(incremental = true) ?exec ?(fast = false) (scenario : Scenario.t)
      before the expensive sweep.  The incremental engine additionally prices
      the normal-conditions gate with a single-arc patch and starts every
      per-failure [with_failed_arcs] from its cached no-failure bases, so a
-     move never recomputes the normal routing from scratch. *)
+     move never recomputes the normal routing from scratch; its resident
+     post-failure states spare the repairs a move cannot reach. *)
   let cache = Delta_cache.create ~capacity:128 in
   let engine =
     if incremental then begin
@@ -57,13 +58,9 @@ let run ~rng ?(incremental = true) ?exec ?(fast = false) (scenario : Scenario.t)
       let base = ref None in
       let cur_hash = ref 0 in
       let pend = ref None in
-      let sweep w =
-        let routing_d, routing_t = Eval_incr.current_routing e in
-        Eval.compound_sweep_from scenario ~exec ~routing_d ~routing_t w ~failures
-      in
+      let sweep w = Eval.compound (Eval_incr.sweep e ~exec w ~failures) in
       let sweep_bounded w ~than =
-        let routing_d, routing_t = Eval_incr.current_routing e in
-        Eval.compound_sweep_bounded scenario ~exec ~routing_d ~routing_t
+        Eval_incr.sweep_bounded e ~exec
           ~prune:(fun partial -> Lexico.prunes partial ~than)
           w ~failures
       in

@@ -23,6 +23,7 @@ let c_aborts = Metric.Counter.create "prune.aborts"
 let c_skips = Metric.Counter.create "prune.skips"
 let c_cache_hits = Metric.Counter.create "prune.cache_hits"
 let c_cache_misses = Metric.Counter.create "prune.cache_misses"
+let c_floor_aborts = Metric.Counter.create "prune.floor_aborts"
 
 let note_abort () = if Metric.enabled () then Metric.Counter.incr c_aborts
 let note_skip () = if Metric.enabled () then Metric.Counter.incr c_skips
@@ -30,3 +31,6 @@ let note_cache_hit () = if Metric.enabled () then Metric.Counter.incr c_cache_hi
 
 let note_cache_miss () =
   if Metric.enabled () then Metric.Counter.incr c_cache_misses
+
+let note_floor_abort () = if Metric.enabled () then Metric.Counter.incr c_floor_aborts
+let floor_aborts () = Metric.Counter.value c_floor_aborts

@@ -24,3 +24,13 @@ val note_skip : unit -> unit
 
 val note_cache_hit : unit -> unit
 val note_cache_miss : unit -> unit
+
+val note_floor_abort : unit -> unit
+(** A bounded single-arc trial was abandoned on its propagation-delay
+    floor of Lambda, before any throughput-class work
+    ({!Eval_incr.try_arc_bounded}).  The search that priced it counts the
+    trial as pruned (Phase 1, the warm start) or infeasible (Phase 2's
+    normal-conditions gate), exactly as without the floor. *)
+
+val floor_aborts : unit -> int
+(** Total {!note_floor_abort}s since the last metrics reset. *)

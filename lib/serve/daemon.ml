@@ -775,17 +775,33 @@ let handle_line t line =
 
 (* --- event loops --------------------------------------------------------- *)
 
+(* A peer that hangs up must not take the daemon down: with SIGPIPE's
+   default action the first reply written to it would kill the process,
+   dropping every other client and the shutdown artifacts.  Ignored, the
+   write fails with EPIPE instead, which the loops below handle. *)
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
+
 let run_pipe t ic oc =
+  ignore_sigpipe ();
   let rec loop () =
     match input_line ic with
     | exception End_of_file -> ()
     | line when String.trim line = "" -> loop ()
-    | line ->
+    | line -> (
         let resp, continue = handle_line t line in
-        output_string oc resp;
-        output_char oc '\n';
-        flush oc;
-        if continue then loop ()
+        match
+          output_string oc resp;
+          output_char oc '\n';
+          flush oc
+        with
+        | () -> if continue then loop ()
+        | exception Sys_error _ ->
+            (* Nobody reads the replies any more: end the session as at end
+               of input, so the caller still writes its shutdown artifacts.
+               Closing drops the unwritable bytes, which a flush at exit
+               would otherwise raise on again. *)
+            close_out_noerr oc)
   in
   loop ()
 
@@ -822,6 +838,7 @@ let split_lines peer data =
       go parts
 
 let run_socket t ~socket ?stdio () =
+  ignore_sigpipe ();
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket);
@@ -835,9 +852,14 @@ let run_socket t ~socket ?stdio () =
           pending = "";
           reply =
             (fun s ->
-              output_string oc s;
-              output_char oc '\n';
-              flush oc);
+              try
+                output_string oc s;
+                output_char oc '\n';
+                flush oc
+              with Sys_error _ as e ->
+                (* as in [run_pipe]: drop the unwritable bytes *)
+                close_out_noerr oc;
+                raise e);
         })
       stdio
   in
@@ -847,15 +869,28 @@ let run_socket t ~socket ?stdio () =
     peers := List.filter (fun p -> p.fd != peer.fd) !peers;
     try Unix.close peer.fd with Unix.Unix_error _ -> ()
   in
+  let hang_up peer =
+    match stdio_peer with
+    | Some p when p.fd = peer.fd -> stdio_open := false
+    | _ -> drop peer
+  in
+  (* A reply that cannot be written (EPIPE: the peer closed without reading
+     its replies) drops the peer and the rest of its buffered requests;
+     every other client keeps being served. *)
   let serve_lines peer data =
-    List.iter
-      (fun line ->
-        if (not !stop) && String.trim line <> "" then begin
-          let resp, continue = handle_line t line in
-          (try peer.reply resp with Sys_error _ | Unix.Unix_error _ -> ());
-          if not continue then stop := true
-        end)
-      (split_lines peer data)
+    let rec serve = function
+      | [] -> ()
+      | line :: rest ->
+          if (not !stop) && String.trim line <> "" then begin
+            let resp, continue = handle_line t line in
+            if not continue then stop := true;
+            match peer.reply resp with
+            | () -> serve rest
+            | exception (Sys_error _ | Unix.Unix_error _) -> hang_up peer
+          end
+          else serve rest
+    in
+    serve (split_lines peer data)
   in
   let chunk = Bytes.create 65536 in
   Fun.protect
@@ -894,11 +929,7 @@ let run_socket t ~socket ?stdio () =
           let n = try Unix.read fd chunk 0 (Bytes.length chunk) with
             | Unix.Unix_error _ -> 0
           in
-          if n = 0 then begin
-            match stdio_peer with
-            | Some p when p.fd = fd -> stdio_open := false
-            | _ -> drop peer
-          end
+          if n = 0 then hang_up peer
           else serve_lines peer (Bytes.sub_string chunk 0 n)
         end)
       readable

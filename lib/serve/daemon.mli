@@ -58,10 +58,16 @@ val handle_line : t -> string -> string * bool
 
 val run_pipe : t -> in_channel -> out_channel -> unit
 (** Blocking request/response loop until EOF or [shutdown]; each response
-    is flushed before the next read. *)
+    is flushed before the next read.  Ignores SIGPIPE for the process, and
+    a reply that cannot be written (the reader closed the output) closes
+    the output channel and ends the loop like end of input, so the
+    caller's shutdown artifacts are still written. *)
 
 val run_socket : t -> socket:string -> ?stdio:in_channel * out_channel -> unit -> unit
 (** Serve a Unix-domain socket at [socket] (unlinking any stale file), and
     optionally a stdio pipe pair alongside it, with one [select] loop.
     Clients are newline-delimited as in pipe mode; a [shutdown] from any
-    client stops the daemon.  EOF on stdio merely stops watching it. *)
+    client stops the daemon.  EOF on stdio merely stops watching it.
+    Ignores SIGPIPE for the process: a client that disconnects before
+    reading its replies is dropped, with its remaining requests, on the
+    first failed write (EPIPE), and the others keep being served. *)

@@ -260,7 +260,7 @@ let repaired_dest g ~weights ~disabled ~buffers ~dest bst
   done;
   { dist; hop_off; hop_ids; order }
 
-let with_failed_arcs ?buffers ?changed base ~weights ~disabled ~failed =
+let with_failed_arcs ?buffers ?changed ?resident base ~weights ~disabled ~failed =
   let g = base.graph in
   let n = Graph.num_nodes g in
   let b = match buffers with Some b -> b | None -> make_buffers g in
@@ -294,15 +294,21 @@ let with_failed_arcs ?buffers ?changed base ~weights ~disabled ~failed =
        changing any shortest path, so the base state is reused verbatim. *)
     dests.(dest) <-
       (if is_changed dest then
-         if use_repair then
-           let bst = base.dests.(dest) in
-           repaired_dest g ~weights ~disabled:some_disabled ~buffers:b ~dest bst
-             (Spf_delta.repair g ~weights ~failed ~relax_cut:false
-                ~dist:bst.dist ~hop_off:bst.hop_off ~hop_ids:bst.hop_ids
-                ~heap:b.heap ~scratch:b.delta)
-         else
-           compute_dest g ~weights ~disabled:some_disabled ~heap:b.heap
-             ~scratch:b.scratch dest
+         match resident with
+         | Some (r, keep) when keep dest ->
+             (* the caller vouches that an earlier post-failure state for
+                the same failure equals this destination's repair *)
+             r.dests.(dest)
+         | _ ->
+             if use_repair then
+               let bst = base.dests.(dest) in
+               repaired_dest g ~weights ~disabled:some_disabled ~buffers:b ~dest bst
+                 (Spf_delta.repair g ~weights ~failed ~relax_cut:false
+                    ~dist:bst.dist ~hop_off:bst.hop_off ~hop_ids:bst.hop_ids
+                    ~heap:b.heap ~scratch:b.delta)
+             else
+               compute_dest g ~weights ~disabled:some_disabled ~heap:b.heap
+                 ~scratch:b.scratch dest
        else base.dests.(dest))
   done;
   { graph = g; dests }

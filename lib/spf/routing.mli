@@ -51,6 +51,7 @@ val iter_dag_arcs : t -> dest:Graph.node -> (Graph.arc_id -> unit) -> unit
 val with_failed_arcs :
   ?buffers:buffers ->
   ?changed:Graph.node list ->
+  ?resident:t * (Graph.node -> bool) ->
   t -> weights:int array -> disabled:bool array -> failed:Graph.arc_id list -> t
 (** [with_failed_arcs base ~weights ~disabled ~failed] is the routing state
     after the arcs in [failed] go down, computed incrementally from [base]
@@ -67,7 +68,14 @@ val with_failed_arcs :
     destinations satisfying the [uses_arc] criterion, in increasing order —
     callers that already know the set (the sweep cache keeps per-arc
     destination lists) skip the scan.  Single-failure sweeps, the
-    optimizer's dominant cost, become several times cheaper. *)
+    optimizer's dominant cost, become several times cheaper.
+
+    [?resident:(r, keep)] hands in an earlier state for the same failure:
+    every re-routed destination with [keep dest] takes [r]'s state for it
+    verbatim instead of being repaired.  The caller vouches that [r]'s
+    state for each kept destination equals the repair under [weights] —
+    the incremental engine's resident post-failure states, kept for the
+    destinations a single-arc move provably cannot reach. *)
 
 val with_changed_arc :
   ?buffers:buffers ->

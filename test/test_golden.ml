@@ -7,7 +7,15 @@
    drift in the last bit of any load, which would move the whole search
    trajectory, fails here rather than only in the benchmark's quality
    metrics.  Every execution mode (DTR_JOBS, DTR_NO_DSPF, DTR_NO_PRUNE) must
-   reproduce them. *)
+   reproduce them.
+
+   The search counters are pinned too, with values recorded before the
+   resident post-failure states and the Lambda floor: a change that prunes
+   or reuses differently but lands on the same weights still fails.  The
+   trial, sample, sweep and round counts hold in every mode; the two
+   phases' pruned counts only in the default serial mode, since turning
+   pruning off or running Phase-2 sweeps at jobs > 1 legitimately changes
+   them. *)
 
 module Rng = Dtr_util.Rng
 module Gen = Dtr_topology.Gen
@@ -15,6 +23,10 @@ module Lexico = Dtr_cost.Lexico
 module Scenario = Dtr_core.Scenario
 module Weights = Dtr_core.Weights
 module Optimizer = Dtr_core.Optimizer
+module Phase1 = Dtr_core.Phase1
+module Phase2 = Dtr_core.Phase2
+module Prune = Dtr_core.Prune
+module Exec = Dtr_exec.Exec
 
 type golden = {
   kind : Gen.kind;
@@ -26,6 +38,10 @@ type golden = {
   costs : string;
       (** regular, robust-normal and robust-failure <Lambda, Phi> as [%h] *)
   critical : string;
+  counters : string;
+      (** Phase 1 evals, samples, sweeps and Phase-1b sweeps; Phase 2 evals,
+          sweeps and rounds *)
+  pruned : int * int;  (** Phase 1 and Phase 2 pruned trials, default mode *)
 }
 
 let rand_topo =
@@ -40,6 +56,8 @@ let rand_topo =
       "0x1.e58cc89742eap+9 0x1.e26438b72ff74p+14 | 0x1.e58cc89742eap+9 \
        0x1.e6748749fb031p+14 | 0x1.2fbdcb9682996p+12 0x1.3cd8789c44d3bp+17";
     critical = "4 5 6 26 27";
+    counters = "8375 993 260 2 | 5752 180 6";
+    pruned = (6952, 3230);
   }
 
 let near_topo =
@@ -54,6 +72,8 @@ let near_topo =
       "0x0p+0 0x1.54bd9b2c0777ap+14 | 0x0p+0 0x1.7b8f037445efdp+14 | \
        0x1.438e94b0ba00ap+12 0x1.432a7c58070cp+22";
     critical = "9 10 16 23 26";
+    counters = "25622 1100 800 2 | 4382 137 5";
+    pruned = (21310, 1276);
   }
 
 let pl_topo =
@@ -68,6 +88,8 @@ let pl_topo =
       "0x1.9p+6 0x1.0812002e9c9cap+13 | 0x1.9p+6 0x1.1005b50fbaacp+13 | \
        0x1.79059d3e1ce51p+11 0x1.5a39cc2a2b539p+19";
     critical = "1 9 11 21";
+    counters = "7758 874 296 3 | 3118 120 4";
+    pruned = (6415, 1287);
   }
 
 let isp =
@@ -94,6 +116,8 @@ let isp =
       "0x0p+0 0x1.7e2683c933668p+14 | 0x0p+0 0x1.acbd4b2e1639bp+14 | \
        0x1.9162f238e3059p+6 0x1.5b9393a9b17cbp+18";
     critical = "18 20 22 24 26 30 34 35 37 64 68";
+    counters = "33940 3281 480 6 | 8386 120 4";
+    pruned = (27741, 3111);
   }
 
 let ints a = String.concat " " (List.map string_of_int (Array.to_list a))
@@ -119,7 +143,16 @@ let check_golden g () =
   check "robust wd" g.robust_wd (ints sol.Optimizer.robust.Weights.wd);
   check "robust wt" g.robust_wt (ints sol.Optimizer.robust.Weights.wt);
   check "costs (%h)" g.costs (costs sol);
-  check "critical set" g.critical (ints (Array.of_list sol.Optimizer.critical))
+  check "critical set" g.critical (ints (Array.of_list sol.Optimizer.critical));
+  let s1 = sol.Optimizer.phase1.Phase1.stats and s2 = sol.Optimizer.phase2.Phase2.stats in
+  check "search counters" g.counters
+    (Printf.sprintf "%d %d %d %d | %d %d %d" s1.Phase1.evals s1.Phase1.samples
+       s1.Phase1.sweeps s1.Phase1.phase1b_sweeps s2.Phase2.evals s2.Phase2.sweeps
+       s2.Phase2.rounds);
+  if Prune.enabled () && Exec.jobs (Exec.default ()) = 1 then
+    Alcotest.(check (pair int int))
+      "pruned (phase 1, phase 2)" g.pruned
+      (s1.Phase1.pruned, s2.Phase2.pruned)
 
 let suite =
   [

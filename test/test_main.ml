@@ -33,6 +33,7 @@ let () =
       ("core.metrics", Test_metrics.suite);
       ("core.annealing", Test_annealing.suite);
       ("core.prune", Test_prune.suite);
+      ("core.resident", Test_resident.suite);
       ("core.joint", Test_joint.suite);
       ("spf.paths", Test_paths.suite);
       ("spf.oracle", Test_oracle.suite);

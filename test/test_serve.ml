@@ -630,6 +630,183 @@ let test_telemetry_never_perturbs () =
   Alcotest.(check bool) "two instrumented runs agree" true
     (Weights.equal on_w on2_w && on_resp = on2_resp)
 
+(* --- peers that hang up ----------------------------------------------------
+
+   These drive the real dtr-serve binary: a client that closes its socket
+   (or the reader of stdout) before reading the replies used to kill the
+   daemon with SIGPIPE, dropping every other client and never writing the
+   shutdown artifacts. *)
+
+let serve_exe () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../bin/dtr_serve.exe"; "_build/default/bin/dtr_serve.exe" ]
+  with
+  | Some p -> p
+  | None -> Alcotest.fail "dtr_serve.exe is not built"
+
+let with_temp_dir f =
+  let d = Filename.temp_file "dtr_serve_hangup" "" in
+  Sys.remove d;
+  Sys.mkdir d 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat d e)) (Sys.readdir d);
+      Sys.rmdir d)
+    (fun () -> f d)
+
+(* Unit weights for [-t isp], so the daemon starts without optimizing. *)
+let isp_weights dir =
+  let path = Filename.concat dir "w.txt" in
+  let m = Graph.num_arcs (Gen.isp_backbone ()) in
+  Dtr_io.Weights_io.save (Weights.create ~num_arcs:m ~init:1) ~path;
+  path
+
+(* The test's own writes may hit a dead daemon, so it ignores SIGPIPE; the
+   daemon must start with the default action, as from a shell (an ignored
+   signal stays ignored across exec). *)
+let with_sigpipe_ignored f =
+  let old = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe old) f
+
+let spawn args stdin stdout stderr =
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  let pid = Unix.create_process (serve_exe ()) args stdin stdout stderr in
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  pid
+
+let write_string fd s =
+  let b = Bytes.of_string s in
+  let off = ref 0 in
+  while !off < Bytes.length b do
+    off := !off + Unix.write fd b !off (Bytes.length b - !off)
+  done
+
+(* One reply line, or [None] after [timeout] seconds or on EOF. *)
+let read_line_timeout fd ~timeout =
+  let buf = Buffer.create 256 and byte = Bytes.create 1 in
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then None
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> None
+      | _ -> (
+          match Unix.read fd byte 0 1 with
+          | 0 -> None
+          | _ when Bytes.get byte 0 = '\n' -> Some (Buffer.contents buf)
+          | _ ->
+              Buffer.add_char buf (Bytes.get byte 0);
+              go ())
+  in
+  go ()
+
+let wait_exit pid ~timeout =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+        if Unix.gettimeofday () > deadline then begin
+          Unix.kill pid Sys.sigkill;
+          snd (Unix.waitpid [] pid)
+        end
+        else begin
+          Unix.sleepf 0.02;
+          go ()
+        end
+    | _, status -> status
+  in
+  go ()
+
+let check_exited_cleanly status =
+  Alcotest.(check string) "daemon exit status" "exited 0"
+    (match status with
+    | Unix.WEXITED c -> Printf.sprintf "exited %d" c
+    | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
+    | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s)
+
+let ends_with_eof path =
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  let eof = "# EOF\n" in
+  String.length s >= String.length eof
+  && String.sub s (String.length s - String.length eof) (String.length eof) = eof
+
+let test_socket_peer_hangup () =
+  with_sigpipe_ignored @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  let sock = Filename.concat dir "s" and metrics = Filename.concat dir "m.txt" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  let pid =
+    spawn
+      [| "dtr-serve"; "-t"; "isp"; "-w"; isp_weights dir; "--socket"; sock;
+         "--metrics"; metrics |]
+      null null null
+  in
+  Unix.close null;
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    fd
+  in
+  let rec wait_socket k =
+    if Sys.file_exists sock then ()
+    else if k = 0 then Alcotest.fail "daemon never listened"
+    else begin
+      Unix.sleepf 0.02;
+      wait_socket (k - 1)
+    end
+  in
+  wait_socket 500;
+  (* a client that asks 2,000 times and leaves without reading *)
+  let rude = connect () in
+  write_string rude (String.concat "" (List.init 2000 (fun _ -> {|{"event": "stats"}|} ^ "\n")));
+  Unix.close rude;
+  (* everyone else is still served, and the shutdown goes through *)
+  let reply =
+    try
+      let fd = connect () in
+      write_string fd ({|{"id": 1, "event": "stats"}|} ^ "\n");
+      let stats = read_line_timeout fd ~timeout:20. in
+      write_string fd ({|{"id": 2, "event": "shutdown"}|} ^ "\n");
+      let bye = read_line_timeout fd ~timeout:20. in
+      Unix.close fd;
+      (stats, bye)
+    with Unix.Unix_error _ -> (None, None)
+  in
+  let status = wait_exit pid ~timeout:20. in
+  let ok = function
+    | Some l -> (match Json.parse l with Ok j -> Json.member "ok" j = Some (Json.Bool true) | Error _ -> false)
+    | None -> false
+  in
+  check_exited_cleanly status;
+  Alcotest.(check bool) "second client served" true (ok (fst reply));
+  Alcotest.(check bool) "shutdown acknowledged" true (ok (snd reply));
+  Alcotest.(check bool) "final metrics written" true (ends_with_eof metrics)
+
+let test_stdout_hangup () =
+  with_sigpipe_ignored @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  let metrics = Filename.concat dir "m.txt" in
+  (* close-on-exec, or the daemon would inherit the read end of its own
+     stdout and never see the hang-up *)
+  let in_r, in_w = Unix.pipe ~cloexec:true () and out_r, out_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  let pid =
+    spawn
+      [| "dtr-serve"; "-t"; "isp"; "-w"; isp_weights dir; "--metrics"; metrics |]
+      in_r out_w null
+  in
+  List.iter Unix.close [ in_r; out_w; null ];
+  (* nobody reads the replies *)
+  Unix.close out_r;
+  (try write_string in_w (String.concat "" (List.init 200 (fun _ -> {|{"event": "stats"}|} ^ "\n")))
+   with Unix.Unix_error _ -> ());
+  Unix.close in_w;
+  let status = wait_exit pid ~timeout:20. in
+  check_exited_cleanly status;
+  Alcotest.(check bool) "final metrics written" true (ends_with_eof metrics)
+
 let suite =
   [
     Alcotest.test_case "warm-vs-cold identity (jobs 1 and 2)" `Slow
@@ -656,4 +833,8 @@ let suite =
       test_stats_latency_from_histograms;
     Alcotest.test_case "telemetry never perturbs (fixed-seed identity)" `Quick
       test_telemetry_never_perturbs;
+    Alcotest.test_case "socket client hanging up unread is dropped" `Quick
+      test_socket_peer_hangup;
+    Alcotest.test_case "closed stdout ends the session cleanly" `Quick
+      test_stdout_hangup;
   ]
