@@ -157,16 +157,20 @@ let print_prune_breakdown (solution : Optimizer.solution) =
     (if Dtr_core.Prune.enabled () then "on" else "off")
 
 let print_sweep_breakdown () =
-  let { Dtr_core.Eval.Sweep_stats.sweeps; cache_builds; cached_evals; full_evals;
-        resident_reused; dests_repaired; seconds } =
-    Dtr_core.Eval.Sweep_stats.snapshot ()
+  let counters = Dtr_obs.Metric.all_counters () in
+  let count name = Option.value (List.assoc_opt name counters) ~default:0 in
+  let seconds =
+    Option.value
+      (List.assoc_opt "eval.sweep.seconds" (Dtr_obs.Metric.all_accums ()))
+      ~default:0.
   in
   Format.printf
     "sweep breakdown: %d sweeps, %.2fs wall; %d failure evaluations via the \
      dynamic-SPF cache, %d from scratch; %d cache builds; %d re-routed \
      destinations taken from resident states, %d repaired (engine %s)@."
-    sweeps seconds cached_evals full_evals cache_builds resident_reused
-    dests_repaired
+    (count "eval.sweeps") seconds (count "eval.sweep.cached_evals")
+    (count "eval.sweep.full_evals") (count "eval.sweep.cache_builds")
+    (count "eval.sweep.resident_reused") (count "eval.sweep.dests_repaired")
     (if Dtr_spf.Spf_delta.enabled () then "on" else "off")
 
 let report_path =

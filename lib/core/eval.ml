@@ -9,6 +9,8 @@ module Congestion = Dtr_cost.Congestion
 module Exec = Dtr_exec.Exec
 module Scratch = Dtr_exec.Scratch
 module Spf_delta = Dtr_spf.Spf_delta
+module Metric = Dtr_obs.Metric
+module Trace = Dtr_obs.Trace
 
 type detail = {
   cost : Lexico.t;
@@ -182,8 +184,8 @@ let evaluate (scenario : Scenario.t) ?failure ?rd ?rt ?(want_pair_delays = false
 let cost scenario ?failure w = (evaluate scenario ?failure w).cost
 
 (* One failure scenario priced against shared (read-only) no-failure bases,
-   with caller-supplied working memory.  This is the unit of work both the
-   serial loops and the domain pool execute; it allocates only the
+   with caller-supplied working memory: the sweep loop's from-scratch unit
+   of work, serial or on the domain pool.  It allocates only the
    per-failure routing views and load arrays, never scratch. *)
 let assess_failure (scenario : Scenario.t) ~buffers ~mask ~base_d ~base_t ~dense_rd
     ~dense_rt ~sinks w f =
@@ -201,59 +203,18 @@ let assess_failure (scenario : Scenario.t) ~buffers ~mask ~base_d ~base_t ~dense
   assess scenario ~routing_d ~routing_t ~exclude_node:(Failure.excluded_node f)
     ~dense_rd ~dense_rt ~sinks ~want_pair_delays:false
 
-(* Aggregate sweep instrumentation for the CLI's --verbose breakdown.  A
-   thin compatibility view over per-domain sharded dtr_obs metrics: each
-   sweeping domain bumps only its own shard, so overlapping sweeps
-   (concurrent callers, nested exec contexts) can never lose updates — the
-   old [Atomic.set (Atomic.get + dt)] pair here dropped wall time whenever
-   two sweeps raced.  These counters stay on unconditionally: they cost one
-   DLS lookup and a few array writes per *sweep*, not per evaluation. *)
-module Sweep_stats = struct
-  module Metric = Dtr_obs.Metric
-
-  type snapshot = {
-    sweeps : int;
-    cache_builds : int;
-    cached_evals : int;
-    full_evals : int;
-    resident_reused : int;
-    dests_repaired : int;
-    seconds : float;
-  }
-
-  let sweeps = Metric.Counter.create "eval.sweeps"
-  let cache_builds = Metric.Counter.create "eval.sweep.cache_builds"
-  let cached_evals = Metric.Counter.create "eval.sweep.cached_evals"
-  let full_evals = Metric.Counter.create "eval.sweep.full_evals"
-  let resident_reused = Metric.Counter.create "eval.sweep.resident_reused"
-  let dests_repaired = Metric.Counter.create "eval.sweep.dests_repaired"
-  let seconds = Metric.Accum.create "eval.sweep.seconds"
-
-  let reset () =
-    Metric.Counter.reset sweeps;
-    Metric.Counter.reset cache_builds;
-    Metric.Counter.reset cached_evals;
-    Metric.Counter.reset full_evals;
-    Metric.Counter.reset resident_reused;
-    Metric.Counter.reset dests_repaired;
-    Metric.Accum.reset seconds
-
-  let snapshot () =
-    {
-      sweeps = Metric.Counter.value sweeps;
-      cache_builds = Metric.Counter.value cache_builds;
-      cached_evals = Metric.Counter.value cached_evals;
-      full_evals = Metric.Counter.value full_evals;
-      resident_reused = Metric.Counter.value resident_reused;
-      dests_repaired = Metric.Counter.value dests_repaired;
-      seconds = Metric.Accum.value seconds;
-    }
-
-  (* Once per sweep: the per-destination tallies of its cached pricings. *)
-  let add_reuse ~reused ~repaired =
-    Metric.Counter.add resident_reused reused;
-    Metric.Counter.add dests_repaired repaired
-end
+(* Sweep telemetry for [--verbose] and [--report], read through
+   [Dtr_obs.Metric]: the sweep loop bumps these once per sweep, not per
+   failure, so they stay on whether or not instrumentation is enabled.
+   Each domain bumps only its own shard, so overlapping sweeps never lose
+   updates. *)
+let c_sweeps = Metric.Counter.create "eval.sweeps"
+let c_cache_builds = Metric.Counter.create "eval.sweep.cache_builds"
+let c_cached_evals = Metric.Counter.create "eval.sweep.cached_evals"
+let c_full_evals = Metric.Counter.create "eval.sweep.full_evals"
+let c_resident_reused = Metric.Counter.create "eval.sweep.resident_reused"
+let c_dests_repaired = Metric.Counter.create "eval.sweep.dests_repaired"
+let a_seconds = Metric.Accum.create "eval.sweep.seconds"
 
 (* --- Cached failure pricing (the dynamic-SPF sweep engine) --------------
 
@@ -719,256 +680,142 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
     !reused,
     List.length changed_d + List.length changed_t - !reused )
 
-(* Order-preserving parallel sweep core: failure [i]'s detail lands at index
-   [i] whatever domain computed it, so the result — and any in-order
-   reduction of it — is bit-identical to the serial loop for every job
-   count.  Each domain prices its share with its own cached scratch.  With
-   the dynamic-SPF engine enabled the sweep cache is built once (about the
-   price of one normal assessment) and shared read-only across domains;
-   [DTR_NO_DSPF=1] forces every failure back onto the from-scratch path.
-   With [residents], failure [i] reads and produces only slot [i], so the
-   resident reuse is the same at every job count. *)
-let sweep_array (scenario : Scenario.t) ~exec ?residents ~base_d ~base_t ~dense_rd
-    ~dense_rt ~sinks w failures =
-  let g = scenario.Scenario.graph in
-  let t0 = Unix.gettimeofday () in
-  (* Scenario id for the flight recorder: a structural hash is stable within
-     a run, so traced sweeps of the same instance correlate. *)
-  let trace_id =
-    if Dtr_obs.Trace.enabled () then Hashtbl.hash scenario land 0x3FFFFFFF else 0
-  in
-  if Dtr_obs.Trace.enabled () then
-    Dtr_obs.Trace.emit_sweep_begin ~scenario:trace_id
-      ~failures:(Array.length failures);
-  let use_cache = Spf_delta.enabled () && Array.length failures >= 2 in
-  let cache =
-    if use_cache then
-      Some (build_sweep_cache scenario ~base_d ~base_t ~dense_rd ~dense_rt ~sinks)
-    else None
-  in
-  let resident i =
-    match residents with Some r -> r.Residents.committed.(i) | None -> None
-  in
-  let move = Option.bind residents (fun r -> r.Residents.move) in
-  let track = residents <> None in
-  let price ~scratch i f =
-    match cache with
-    | Some cache when Failure.excluded_node f = None ->
-        assess_failure_cached scenario ~cache ~scratch ~base_d ~base_t ~dense_rd
-          ~dense_rt ~sinks ?resident:(resident i) ?move ~track w f
-    | _ ->
-        ( assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask ~base_d
-            ~base_t ~dense_rd ~dense_rt ~sinks w f,
-          None,
-          0,
-          0 )
-  in
-  let priced =
-    match Exec.jobs exec with
-    | 1 ->
-        let scratch = make_sweep_scratch g in
-        Array.mapi (fun i f -> price ~scratch i f) failures
-    | _ ->
-        Exec.map exec ~n:(Array.length failures) ~f:(fun i ->
-            price ~scratch:(sweep_scratch_for g) i failures.(i))
-  in
-  let reused = ref 0 and repaired = ref 0 in
-  let details =
-    Array.mapi
-      (fun i (detail, fresh, r, p) ->
-        (match residents with Some rs -> Residents.store rs i fresh | None -> ());
-        reused := !reused + r;
-        repaired := !repaired + p;
-        detail)
-      priced
-  in
-  Dtr_obs.Metric.Counter.incr Sweep_stats.sweeps;
-  (if use_cache then begin
-     Dtr_obs.Metric.Counter.incr Sweep_stats.cache_builds;
-     let cached =
-       Array.fold_left
-         (fun acc f -> if Failure.excluded_node f = None then acc + 1 else acc)
-         0 failures
-     in
-     Dtr_obs.Metric.Counter.add Sweep_stats.cached_evals cached;
-     Dtr_obs.Metric.Counter.add Sweep_stats.full_evals
-       (Array.length failures - cached);
-     Sweep_stats.add_reuse ~reused:!reused ~repaired:!repaired
-   end
-   else
-     Dtr_obs.Metric.Counter.add Sweep_stats.full_evals (Array.length failures));
-  Dtr_obs.Metric.Accum.add Sweep_stats.seconds (Unix.gettimeofday () -. t0);
-  if Dtr_obs.Trace.enabled () then
-    Dtr_obs.Trace.emit_sweep_end ~scenario:trace_id
-      ~failures:(Array.length failures);
-  details
-
-(* Failure sweeps compute the no-failure routing once and re-route only the
-   destinations whose ECMP DAG lost an arc (see Routing.with_failed_arcs);
-   serial sweeps share one buffer set across every per-failure
-   recomputation, parallel sweeps give each domain its own. *)
-let sweep_details (scenario : Scenario.t) ?exec ?rd ?rt w failures =
-  let exec = resolve_exec exec in
-  let g = scenario.Scenario.graph in
-  let rd = match rd with Some m -> m | None -> scenario.Scenario.rd in
-  let rt = match rt with Some m -> m | None -> scenario.Scenario.rt in
-  let dense_rd, dense_rt, sinks = dense_inputs scenario ~rd ~rt in
-  let buffers = Routing.make_buffers g in
-  let base_d = Routing.compute g ~weights:(Weights.delay_of w) ~buffers () in
-  let base_t = Routing.compute g ~weights:(Weights.throughput_of w) ~buffers () in
-  Array.to_list
-    (sweep_array scenario ~exec ~base_d ~base_t ~dense_rd ~dense_rt ~sinks w
-       (Array.of_list failures))
-
-let sweep scenario ?exec w failures =
-  Array.of_list (List.map (fun d -> d.cost) (sweep_details scenario ?exec w failures))
-
-(* Compound failure cost starting from already-computed no-failure routing
-   bases — shared by [normal_and_sweep] and the Phase-2 incremental path,
-   where the bases come out of the evaluation engine's cache.  The reduce
-   folds per-failure costs in scenario order, so the sum is bit-identical
-   for every job count. *)
-let sweep_from (scenario : Scenario.t) ?exec ?residents ~routing_d ~routing_t w
-    ~failures =
-  let exec = resolve_exec exec in
-  let dense_rd = scenario.Scenario.dense_rd
-  and dense_rt = scenario.Scenario.dense_rt
-  and sinks = scenario.Scenario.delay_sinks in
-  Option.iter (fun r -> Residents.bind r failures) residents;
-  let details =
-    sweep_array scenario ~exec ?residents ~base_d:routing_d ~base_t:routing_t ~dense_rd
-      ~dense_rt ~sinks w (Array.of_list failures)
-  in
-  Array.map (fun d -> d.cost) details
-
-let compound costs = Array.fold_left Lexico.add Lexico.zero costs
-
-let compound_sweep_from scenario ?exec ?residents ~routing_d ~routing_t w ~failures =
-  compound (sweep_from scenario ?exec ?residents ~routing_d ~routing_t w ~failures)
-
 type bounded_sweep =
   | Swept of Lexico.t
   | Aborted_at of Lexico.t
 
-(* Bounded compound sweep: failures are priced lazily in scenario order and
-   the sweep is abandoned as soon as the monotone partial [init + sum so
-   far] satisfies [prune] — per-failure costs are componentwise
-   non-negative, so the partial only grows towards the final compound.  The
-   per-failure sum accumulates from [Lexico.zero] and [init] is added {e
-   outside} the fold, exactly as the unbounded callers compute
-   [add init (compound_sweep_from ...)]: float addition is not associative,
-   so folding from [init] directly would break bit-identity.  On abort the
-   partial itself is returned — it is a certified componentwise lower bound
-   on the full compound, which the delta cache stores so a repeat probe of
-   the same vector can be rejected without re-pricing.  At jobs > 1 the
-   sweep prices everything in parallel and tests the exact total — the
-   accept/reject decision is identical, just without the serial saving. *)
-let compound_sweep_bounded (scenario : Scenario.t) ?exec ?residents ~routing_d
-    ~routing_t ?(init = Lexico.zero) ~prune w ~failures =
-  let exec = resolve_exec exec in
-  match Exec.jobs exec with
-  | 1 ->
-      let g = scenario.Scenario.graph in
-      let dense_rd = scenario.Scenario.dense_rd
-      and dense_rt = scenario.Scenario.dense_rt
-      and sinks = scenario.Scenario.delay_sinks in
-      Option.iter (fun r -> Residents.bind r failures) residents;
-      let failures = Array.of_list failures in
-      let num = Array.length failures in
-      let t0 = Unix.gettimeofday () in
-      let trace_id =
-        if Dtr_obs.Trace.enabled () then Hashtbl.hash scenario land 0x3FFFFFFF
-        else 0
-      in
-      if Dtr_obs.Trace.enabled () then
-        Dtr_obs.Trace.emit_sweep_begin ~scenario:trace_id ~failures:num;
-      let use_cache = Spf_delta.enabled () && num >= 2 in
-      (* The sweep cache costs about one full assessment to build, so it is
-         built lazily on the first cache-eligible pricing: a probe that the
-         bound rejects on its first (or only) full-priced failure — or that
-         never prices a cacheable failure at all — pays nothing for it. *)
-      let cache = ref None in
-      let get_cache () =
-        match !cache with
-        | Some c -> c
-        | None ->
-            let c =
-              build_sweep_cache scenario ~base_d:routing_d ~base_t:routing_t
-                ~dense_rd ~dense_rt ~sinks
-            in
-            cache := Some c;
-            Dtr_obs.Metric.Counter.incr Sweep_stats.cache_builds;
-            c
-      in
-      let scratch = make_sweep_scratch g in
-      let move = Option.bind residents (fun r -> r.Residents.move) in
-      let track = residents <> None in
-      let cached_prices = ref 0 and full_prices = ref 0 in
-      let reused = ref 0 and repaired = ref 0 in
-      let price i f =
-        if use_cache && Failure.excluded_node f = None then begin
-          incr cached_prices;
-          let resident =
-            match residents with Some r -> r.Residents.committed.(i) | None -> None
-          in
-          let detail, fresh, r, p =
-            assess_failure_cached scenario ~cache:(get_cache ()) ~scratch
-              ~base_d:routing_d ~base_t:routing_t ~dense_rd ~dense_rt ~sinks ?resident
-              ?move ~track w f
-          in
-          Option.iter (fun rs -> Residents.store rs i fresh) residents;
-          reused := !reused + r;
-          repaired := !repaired + p;
-          detail
-        end
-        else begin
-          incr full_prices;
-          assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask
-            ~base_d:routing_d ~base_t:routing_t ~dense_rd ~dense_rt ~sinks w f
-        end
-      in
-      let acc = ref Lexico.zero in
-      let i = ref 0 in
-      let aborted = ref false in
-      while (not !aborted) && !i < num do
-        acc := Lexico.add !acc (price !i failures.(!i)).cost;
-        if prune (Lexico.add init !acc) then aborted := true;
-        incr i
-      done;
-      Dtr_obs.Metric.Counter.incr Sweep_stats.sweeps;
-      Dtr_obs.Metric.Counter.add Sweep_stats.cached_evals !cached_prices;
-      Dtr_obs.Metric.Counter.add Sweep_stats.full_evals !full_prices;
-      if !cached_prices > 0 then Sweep_stats.add_reuse ~reused:!reused ~repaired:!repaired;
-      Dtr_obs.Metric.Accum.add Sweep_stats.seconds (Unix.gettimeofday () -. t0);
-      if Dtr_obs.Trace.enabled () then
-        Dtr_obs.Trace.emit_sweep_end ~scenario:trace_id ~failures:num;
-      if !aborted then Aborted_at (Lexico.add init !acc)
-      else Swept (Lexico.add init !acc)
-  | _ ->
-      let total =
-        compound_sweep_from scenario ~exec ?residents ~routing_d ~routing_t w ~failures
-      in
-      Swept (Lexico.add init total)
+(* The failure-sweep loop behind every sweep entry point.  Failures are
+   priced in list order against the shared no-failure bases: a link failure
+   from the sweep cache, a node failure (its dropped demands invalidate the
+   cached rows), a single-failure sweep or any failure under
+   [DTR_NO_DSPF=1] from scratch.  The cache costs about one full
+   assessment, so it is built just before the first failure that reads it:
+   a sweep that prices no link failure, or that [prune] stops first, never
+   pays for it.
 
-let normal_and_sweep (scenario : Scenario.t) ?exec w ~failures ~feasible =
+   The compound is summed as failures are priced, from [Lexico.zero] in list
+   order, and a serial sweep stops at the first partial [init + sum] that
+   [prune] accepts.  Per-failure costs are componentwise non-negative, so
+   the partial only grows towards the final compound: it is a certified
+   lower bound, which the delta cache stores so a repeat probe of the same
+   vector is rejected without re-pricing.  [init] is added outside the sum
+   because float addition is not associative; [add init (compound costs)]
+   is what an unbounded caller computes.
+
+   At jobs > 1 the cache is built before the pool map and shared read-only,
+   each domain prices its share with its own cached scratch, and the results
+   are taken back in list order, so details, sums and resident slots are
+   bit-identical to the serial loop for every job count.  Those sweeps price
+   every failure and never consult [prune].  With [residents], failure [i]
+   reads and writes only slot [i].
+
+   Returns the details of the priced failures, in order, and the outcome. *)
+let run_sweep (scenario : Scenario.t) ?exec ?residents ?rd ?rt ~base_d ~base_t
+    ?(init = Lexico.zero) ?prune w failure_list =
   let exec = resolve_exec exec in
   let g = scenario.Scenario.graph in
-  let dense_rd = scenario.Scenario.dense_rd
-  and dense_rt = scenario.Scenario.dense_rt
-  and sinks = scenario.Scenario.delay_sinks in
+  let rd = Option.value rd ~default:scenario.Scenario.rd in
+  let rt = Option.value rt ~default:scenario.Scenario.rt in
+  let dense_rd, dense_rt, sinks = dense_inputs scenario ~rd ~rt in
+  Option.iter (fun r -> Residents.bind r failure_list) residents;
+  let failures = Array.of_list failure_list in
+  let num = Array.length failures in
+  let t0 = Unix.gettimeofday () in
+  (* Scenario id for the flight recorder: a structural hash is stable within
+     a run, so traced sweeps of the same instance correlate. *)
+  let trace_id = if Trace.enabled () then Hashtbl.hash scenario land 0x3FFFFFFF else 0 in
+  if Trace.enabled () then Trace.emit_sweep_begin ~scenario:trace_id ~failures:num;
+  let use_cache = Spf_delta.enabled () && num >= 2 in
+  let cached f = use_cache && Failure.excluded_node f = None in
+  let cache = ref None in
+  let get_cache () =
+    match !cache with
+    | Some c -> c
+    | None ->
+        let c = build_sweep_cache scenario ~base_d ~base_t ~dense_rd ~dense_rt ~sinks in
+        cache := Some c;
+        Metric.Counter.incr c_cache_builds;
+        c
+  in
+  let move = Option.bind residents (fun r -> r.Residents.move) in
+  let track = residents <> None in
+  let price ~scratch i f =
+    if cached f then
+      let resident = Option.bind residents (fun r -> r.Residents.committed.(i)) in
+      assess_failure_cached scenario ~cache:(get_cache ()) ~scratch ~base_d ~base_t
+        ~dense_rd ~dense_rt ~sinks ?resident ?move ~track w f
+    else
+      ( assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask ~base_d
+          ~base_t ~dense_rd ~dense_rt ~sinks w f,
+        None,
+        0,
+        0 )
+  in
+  let details = ref [] and sum = ref Lexico.zero in
+  let n_cached = ref 0 and reused = ref 0 and repaired = ref 0 in
+  let take i (detail, fresh, r, p) =
+    Option.iter (fun rs -> Residents.store rs i fresh) residents;
+    if cached failures.(i) then incr n_cached;
+    reused := !reused + r;
+    repaired := !repaired + p;
+    details := detail :: !details;
+    sum := Lexico.add !sum detail.cost
+  in
+  let stopped =
+    match Exec.jobs exec with
+    | 1 ->
+        let scratch = make_sweep_scratch g in
+        let stop = ref false and i = ref 0 in
+        while (not !stop) && !i < num do
+          take !i (price ~scratch !i failures.(!i));
+          (match prune with Some p -> stop := p (Lexico.add init !sum) | None -> ());
+          incr i
+        done;
+        !stop
+    | _ ->
+        if Array.exists cached failures then ignore (get_cache () : sweep_cache);
+        Array.iteri take
+          (Exec.map exec ~n:num ~f:(fun i ->
+               price ~scratch:(sweep_scratch_for g) i failures.(i)));
+        false
+  in
+  let details = List.rev !details in
+  Metric.Counter.incr c_sweeps;
+  Metric.Counter.add c_cached_evals !n_cached;
+  Metric.Counter.add c_full_evals (List.length details - !n_cached);
+  Metric.Counter.add c_resident_reused !reused;
+  Metric.Counter.add c_dests_repaired !repaired;
+  Metric.Accum.add a_seconds (Unix.gettimeofday () -. t0);
+  if Trace.enabled () then Trace.emit_sweep_end ~scenario:trace_id ~failures:num;
+  let total = Lexico.add init !sum in
+  (details, if stopped then Aborted_at total else Swept total)
+
+let costs details = Array.of_list (List.map (fun d -> d.cost) details)
+
+(* Failure sweeps compute the no-failure routing once and re-route only the
+   destinations whose ECMP DAG lost an arc (see Routing.with_failed_arcs). *)
+let sweep_details (scenario : Scenario.t) ?exec ?rd ?rt w failures =
+  let g = scenario.Scenario.graph in
   let buffers = Routing.make_buffers g in
   let base_d = Routing.compute g ~weights:(Weights.delay_of w) ~buffers () in
   let base_t = Routing.compute g ~weights:(Weights.throughput_of w) ~buffers () in
-  let normal =
-    assess scenario ~routing_d:base_d ~routing_t:base_t ~exclude_node:None ~dense_rd
-      ~dense_rt ~sinks ~want_pair_delays:false
-  in
-  if not (feasible normal.cost) then (normal.cost, None)
-  else
-    ( normal.cost,
-      Some
-        (compound_sweep_from scenario ~exec ~routing_d:base_d ~routing_t:base_t w
-           ~failures) )
+  fst (run_sweep scenario ?exec ?rd ?rt ~base_d ~base_t w failures)
+
+let sweep scenario ?exec w failures = costs (sweep_details scenario ?exec w failures)
+
+let sweep_from scenario ?exec ?residents ~routing_d ~routing_t w ~failures =
+  costs
+    (fst
+       (run_sweep scenario ?exec ?residents ~base_d:routing_d ~base_t:routing_t w
+          failures))
+
+let compound costs = Array.fold_left Lexico.add Lexico.zero costs
+
+let compound_sweep_bounded scenario ?exec ?residents ~routing_d ~routing_t ?init
+    ~prune w ~failures =
+  snd
+    (run_sweep scenario ?exec ?residents ~base_d:routing_d ~base_t:routing_t ?init
+       ~prune w failures)
 
 (* What-if pricing from resident bases: the daemon holds its incumbent's
    no-failure routing states alive across events, so a query needs no SPF at

@@ -59,7 +59,18 @@ val sweep :
     a parallel context the per-failure evaluations are distributed over a
     domain pool, each domain using its own cached scratch; results are
     written back by scenario index and reduced in order, so every cost is
-    {e bit-identical} to the serial path for any job count. *)
+    {e bit-identical} to the serial path for any job count.
+
+    Every sweep entry point runs the same loop, which keeps its telemetry
+    in {!Dtr_obs.Metric}, whether or not instrumentation is enabled:
+    counters [eval.sweeps], [eval.sweep.cache_builds] (sweeps that built
+    the dynamic-SPF pricing cache, which happens just before the first
+    link failure priced), [eval.sweep.cached_evals] and
+    [eval.sweep.full_evals] (failures priced from the cache and from
+    scratch), [eval.sweep.resident_reused] and [eval.sweep.dests_repaired]
+    (re-routed destinations per class that took a resident state, see
+    {!Residents}, or were repaired), and the accumulator
+    [eval.sweep.seconds] (wall time inside sweeps). *)
 
 val sweep_details :
   Scenario.t ->
@@ -70,18 +81,6 @@ val sweep_details :
   Failure.t list ->
   detail list
 (** Full per-scenario details of a sweep (without pair delays). *)
-
-val normal_and_sweep :
-  Scenario.t ->
-  ?exec:Dtr_exec.Exec.t ->
-  Weights.t ->
-  failures:Failure.t list ->
-  feasible:(Lexico.t -> bool) ->
-  Lexico.t * Lexico.t option
-(** Phase-2 fast path: computes the normal cost, applies the caller's
-    feasibility test (Eqs. (5)–(6)), and — only if feasible — compounds the
-    failure sweep, reusing the normal routing state for both steps.
-    Returns [(normal cost, compounded failure cost if feasible)]. *)
 
 (** Resident post-failure states: the incremental engine's memory of its
     committed incumbent under a fixed failure list.  For each failure and
@@ -160,21 +159,6 @@ val sweep_from :
     matrices).  With [residents], cached pricing reuses and refreshes the
     store's resident post-failure states (see {!Residents}). *)
 
-val compound_sweep_from :
-  Scenario.t ->
-  ?exec:Dtr_exec.Exec.t ->
-  ?residents:Residents.t ->
-  routing_d:Dtr_spf.Routing.t ->
-  routing_t:Dtr_spf.Routing.t ->
-  Weights.t ->
-  failures:Failure.t list ->
-  Lexico.t
-(** [compound (sweep_from ...)]: the compounded failure-sweep cost.
-    {!normal_and_sweep} is this plus the normal assessment; the
-    incremental engine ({!Eval_incr.sweep}) starts it from its cached
-    bases, so a single-arc move never recomputes the no-failure routing
-    from scratch. *)
-
 type bounded_sweep =
   | Swept of Lexico.t  (** the exact compound, all failures priced *)
   | Aborted_at of Lexico.t
@@ -192,8 +176,8 @@ val compound_sweep_bounded :
   Weights.t ->
   failures:Failure.t list ->
   bounded_sweep
-(** [Swept (add init (compound_sweep_from ...))] — bitwise, including the
-    summation order — unless some scenario-order partial [add init
+(** [Swept (add init (compound (sweep_from ...)))] — bitwise, including
+    the summation order — unless some scenario-order partial [add init
     (sum of the first k failure costs)] satisfies [prune], in which case
     the remaining failures are never priced and the result is
     [Aborted_at partial].  Per-failure costs are componentwise
@@ -205,9 +189,11 @@ val compound_sweep_bounded :
     without pricing anything.  [init] defaults to {!Lexico.zero} (Phase 2's
     pure [Kfail] objective); the warm-start path passes the normal cost so
     the partial bounds [J = normal + Kfail].
-    Serial execution aborts mid-sweep; at jobs > 1 the full parallel sweep
-    runs and only the final total is tested.  [residents] as in
-    {!sweep_from}; an aborted sweep stages only the failures it priced. *)
+    Serial execution aborts mid-sweep; at jobs > 1 every failure is priced
+    in parallel, [prune] is not consulted and the result is [Swept].  A
+    [prune] that never fires gives the unbounded compound.  [residents] as
+    in {!sweep_from}; an aborted sweep stages only the failures it
+    priced. *)
 
 val evaluate_from :
   Scenario.t ->
@@ -228,39 +214,6 @@ val evaluate_from :
 val compound : Lexico.t array -> Lexico.t
 (** Componentwise sum over scenarios — [Kfail] of Eq. (4) (or its
     critical-set restriction, Eq. (7)). *)
-
-(** Aggregate instrumentation over every sweep run since the last {!reset}:
-    how many sweeps ran, how many failure states were priced through the
-    dynamic-SPF sweep cache vs. the from-scratch path, and the total wall
-    time spent inside sweeps.  Feeds the CLI's [--verbose] timing
-    breakdown.
-
-    A thin compatibility view over per-domain sharded [Dtr_obs.Metric]
-    counters ([eval.sweeps], [eval.sweep.cache_builds],
-    [eval.sweep.cached_evals], [eval.sweep.full_evals],
-    [eval.sweep.resident_reused], [eval.sweep.dests_repaired],
-    [eval.sweep.seconds], each bumped once per sweep): totals stay exact
-    even when sweeps overlap
-    across domains.  {!reset} and {!snapshot} are meant for quiescent
-    points, as before. *)
-module Sweep_stats : sig
-  type snapshot = {
-    sweeps : int;  (** sweep calls (any entry point) *)
-    cache_builds : int;  (** sweeps that built a dynamic-SPF cache *)
-    cached_evals : int;  (** failure states priced from the cache *)
-    full_evals : int;  (** failure states priced from scratch *)
-    resident_reused : int;
-        (** re-routed destinations (per class) whose cached pricing took a
-            resident post-failure state ({!Residents}) *)
-    dests_repaired : int;
-        (** re-routed destinations (per class) whose cached pricing ran the
-            dynamic-SPF repair and the re-route *)
-    seconds : float;  (** wall time inside sweeps *)
-  }
-
-  val reset : unit -> unit
-  val snapshot : unit -> snapshot
-end
 
 (**/**)
 

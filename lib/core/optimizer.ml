@@ -125,14 +125,6 @@ let warm_start ~rng ?exec ?(failures = []) ?(budget = default_warm_budget)
   let num_arcs = Scenario.num_arcs scenario in
   let e = Eval_incr.create scenario in
   let sweep w = Eval.compound (Eval_incr.sweep e ~exec w ~failures) in
-  (* J(W) = K_normal + Kfail, bounded mid-sweep against the incumbent:
-     [init] seeds the partial with the normal cost, so the abort test sees
-     a monotone lower bound of J itself. *)
-  let sweep_bounded w ~normal ~than =
-    Eval_incr.sweep_bounded e ~exec ~init:normal
-      ~prune:(fun partial -> Lexico.prunes partial ~than)
-      w ~failures
-  in
   let objective w normal =
     if failures = [] then normal else Lexico.add normal (sweep w)
   in
@@ -228,19 +220,19 @@ let warm_start ~rng ?exec ?(failures = []) ?(budget = default_warm_budget)
                          can't beat the current incumbent — no pricing *)
                       Pruned
                   | (Some (Delta_cache.Lower _) | None), _ -> (
-                      match bound with
-                      | Some than when Prune.enabled () -> (
-                          match sweep_bounded w ~normal ~than with
-                          | Eval.Swept j ->
-                              cache_add ~hash:h w j;
-                              Cost j
-                          | Eval.Aborted_at lb ->
-                              cache_add_lower ~hash:h w lb;
-                              Pruned)
-                      | _ ->
-                          let j = Lexico.add normal (sweep w) in
+                      (* J(W) = K_normal + Kfail: [init] seeds the partial
+                         with the normal cost, so the abort test sees a
+                         monotone lower bound of J itself. *)
+                      match
+                        Eval_incr.sweep_bounded e ~exec ~init:normal
+                          ~prune:(Prune.against bound) w ~failures
+                      with
+                      | Eval.Swept j ->
                           cache_add ~hash:h w j;
-                          Cost j))
+                          Cost j
+                      | Eval.Aborted_at lb ->
+                          cache_add_lower ~hash:h w lb;
+                          Pruned))
             end);
         commit =
           (fun () ->

@@ -59,11 +59,6 @@ let run ~rng ?(incremental = true) ?exec ?(fast = false) (scenario : Scenario.t)
       let cur_hash = ref 0 in
       let pend = ref None in
       let sweep w = Eval.compound (Eval_incr.sweep e ~exec w ~failures) in
-      let sweep_bounded w ~than =
-        Eval_incr.sweep_bounded e ~exec
-          ~prune:(fun partial -> Lexico.prunes partial ~than)
-          w ~failures
-      in
       let cache_find ~hash w =
         if Prune.enabled () then Delta_cache.find cache ~hash w else None
       in
@@ -129,19 +124,16 @@ let run ~rng ?(incremental = true) ?exec ?(fast = false) (scenario : Scenario.t)
                   when Lexico.prunes lb ~than ->
                     Pruned
                 | ((Some (Delta_cache.Lower _) | None), _) -> (
-                    match bound with
-                    | Some than when Prune.enabled () -> (
-                        match sweep_bounded w ~than with
-                        | Eval.Swept c ->
-                            cache_add ~hash:h w c;
-                            Cost c
-                        | Eval.Aborted_at lb ->
-                            cache_add_lower ~hash:h w lb;
-                            Pruned)
-                    | _ ->
-                        let c = sweep w in
+                    match
+                      Eval_incr.sweep_bounded e ~exec ~prune:(Prune.against bound) w
+                        ~failures
+                    with
+                    | Eval.Swept c ->
                         cache_add ~hash:h w c;
-                        Cost c)
+                        Cost c
+                    | Eval.Aborted_at lb ->
+                        cache_add_lower ~hash:h w lb;
+                        Pruned)
               end);
           commit =
             (fun () ->
@@ -161,7 +153,9 @@ let run ~rng ?(incremental = true) ?exec ?(fast = false) (scenario : Scenario.t)
     end
     else
       Local_search.eval_engine (fun w ->
-          snd (Eval.normal_and_sweep scenario ~exec w ~failures ~feasible))
+          if feasible (Eval.cost scenario w) then
+            Some (Eval.compound (Eval.sweep scenario ~exec w failures))
+          else None)
   in
   (* --fast proposal filter: static per-arc importance — the larger of the
      Phase-1 normalised criticality (either class) and the utilisation of

@@ -43,13 +43,15 @@ val run :
   output
 (** [incremental] (default [true]): price the normal-conditions gate of each
     single-arc move with the {!Eval_incr} engine and start the failure sweep
-    from its cached no-failure routing bases; bit-identical to the full
-    {!Eval.normal_and_sweep} path, hence the same trajectory for a given
-    RNG.  The incremental engine additionally prunes: feasible moves are
-    priced with {!Eval.compound_sweep_bounded} against the search incumbent
-    (exact — the trajectory is unchanged) and memoized in a per-run
-    {!Delta_cache}, so revisited vectors skip the sweep entirely.  Both are
-    disabled by {!Prune.set_enabled}[ false] / [DTR_NO_PRUNE].
+    from its cached no-failure routing bases; bit-identical to pricing each
+    move from scratch ({!Eval.cost}, then {!Eval.sweep} when feasible),
+    hence the same trajectory for a given RNG.  The incremental engine
+    additionally prunes: feasible moves are priced with
+    {!Eval.compound_sweep_bounded} against the search incumbent (exact —
+    the trajectory is unchanged) and memoized in a per-run {!Delta_cache},
+    so revisited vectors skip the sweep entirely.  Both are disabled by
+    {!Prune.set_enabled}[ false] / [DTR_NO_PRUNE], which leaves the same
+    sweep with a prune that never fires.
 
     [fast] (default [false]) enables the criticality-gated proposal filter
     ({!Local_search.filter}): arcs scored by the larger of their Phase-1

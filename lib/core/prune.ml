@@ -15,6 +15,11 @@ let enabled_flag =
 let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b
 
+let against bound =
+  match bound with
+  | Some than when enabled () -> fun partial -> Dtr_cost.Lexico.prunes partial ~than
+  | _ -> fun _ -> false
+
 (* Effectiveness counters, mirrored into the observability report (additive
    dtr-obs-report/2 keys) when metrics are on.  The per-run ground truth
    lives in Local_search/Phase2/warm results — these are the profiler-free

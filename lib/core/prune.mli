@@ -11,6 +11,11 @@
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
+val against : Dtr_cost.Lexico.t option -> Dtr_cost.Lexico.t -> bool
+(** [against bound] is the prune a search trial applies to its partial
+    costs: {!Dtr_cost.Lexico.prunes} against the incumbent [bound], or a
+    prune that never fires when there is no bound or pruning is off. *)
+
 (** {1 Effectiveness counters}
 
     No-ops unless {!Dtr_obs.Metric.enabled}; searches additionally carry

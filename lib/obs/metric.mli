@@ -14,7 +14,7 @@
 
     The {!enabled} flag gates *optional* instrumentation (spans, per-move
     counters on hot paths). Cheap once-per-batch metrics — e.g. the sweep
-    counters behind [Eval.Sweep_stats] — stay on unconditionally. *)
+    counters [eval.sweeps] and [eval.sweep.*] — stay on unconditionally. *)
 
 val set_enabled : bool -> unit
 (** Turn optional instrumentation (spans, hot-path counters) on or off.

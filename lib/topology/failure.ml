@@ -36,8 +36,13 @@ let set_mask g t mask =
   | Node v ->
       if v < 0 || v >= Graph.num_nodes g then
         invalid_arg "Failure.set_mask: node out of range";
-      List.iter (fun id -> mask.(id) <- true) (Graph.out_arcs g v);
-      List.iter (fun id -> mask.(id) <- true) (Graph.in_arcs g v)
+      let mark off ids =
+        for k = off.(v) to off.(v + 1) - 1 do
+          mask.(ids.(k)) <- true
+        done
+      in
+      mark (Graph.out_offsets g) (Graph.out_csr g);
+      mark (Graph.in_offsets g) (Graph.in_csr g)
   | Arcs ids ->
       List.iter
         (fun id ->

@@ -13,15 +13,10 @@ type arc = {
 type t = {
   n : int;
   arcs : arc array;
-  out_arcs : arc_id list array;
-  in_arcs : arc_id list array;
-  out_arr : arc_id array array;
-  in_arr : arc_id array array;
-  (* CSR adjacency: node [v]'s out-arc ids are [out_ids.(out_off.(v)) ..
-     out_ids.(out_off.(v + 1) - 1)], in increasing arc id — the same order as
-     [out_arcs]/[out_arr].  Likewise for in-arcs.  The hot path (Dijkstra,
-     routing, pricing) iterates these contiguous slices instead of chasing
-     per-node structures. *)
+  (* CSR adjacency, the only copy: node [v]'s out-arc ids are
+     [out_ids.(out_off.(v)) .. out_ids.(out_off.(v + 1) - 1)], in increasing
+     arc id.  Likewise for in-arcs.  The hot path (Dijkstra, routing,
+     pricing) iterates these contiguous slices. *)
   out_off : int array;
   out_ids : arc_id array;
   in_off : int array;
@@ -65,35 +60,29 @@ let of_edges ?coords ~n edges =
       arcs.(fwd) <- { id = fwd; src = u; dst = v; capacity = cap; delay = prop; rev = bwd };
       arcs.(bwd) <- { id = bwd; src = v; dst = u; capacity = cap; delay = prop; rev = fwd })
     edges;
-  let out_arcs = Array.make n [] and in_arcs = Array.make n [] in
-  (* Iterate in reverse so adjacency lists come out in increasing arc id. *)
-  for id = (2 * m) - 1 downto 0 do
-    let a = arcs.(id) in
-    out_arcs.(a.src) <- id :: out_arcs.(a.src);
-    in_arcs.(a.dst) <- id :: in_arcs.(a.dst)
-  done;
-  let out_arr = Array.map Array.of_list out_arcs in
-  let in_arr = Array.map Array.of_list in_arcs in
-  let pack adj =
+  (* Count each node's arcs, prefix-sum the counts into row offsets, then
+     place the arcs in increasing id, so every row comes out sorted. *)
+  let pack endpoint =
     let off = Array.make (n + 1) 0 in
+    Array.iter (fun a -> off.(endpoint a + 1) <- off.(endpoint a + 1) + 1) arcs;
     for v = 0 to n - 1 do
-      off.(v + 1) <- off.(v) + Array.length adj.(v)
+      off.(v + 1) <- off.(v + 1) + off.(v)
     done;
-    let ids = Array.make off.(n) 0 in
-    for v = 0 to n - 1 do
-      Array.blit adj.(v) 0 ids off.(v) (Array.length adj.(v))
-    done;
+    let next = Array.sub off 0 n in
+    let ids = Array.make (Array.length arcs) 0 in
+    Array.iter
+      (fun a ->
+        let v = endpoint a in
+        ids.(next.(v)) <- a.id;
+        next.(v) <- next.(v) + 1)
+      arcs;
     (off, ids)
   in
-  let out_off, out_ids = pack out_arr in
-  let in_off, in_ids = pack in_arr in
+  let out_off, out_ids = pack (fun a -> a.src) in
+  let in_off, in_ids = pack (fun a -> a.dst) in
   {
     n;
     arcs;
-    out_arcs;
-    in_arcs;
-    out_arr;
-    in_arr;
     out_off;
     out_ids;
     in_off;
@@ -114,10 +103,9 @@ let arc g id =
   g.arcs.(id)
 
 let arcs g = g.arcs
-let out_arcs g v = g.out_arcs.(v)
-let in_arcs g v = g.in_arcs.(v)
-let out_arcs_array g v = g.out_arr.(v)
-let in_arcs_array g v = g.in_arr.(v)
+let row off ids v = List.init (off.(v + 1) - off.(v)) (fun k -> ids.(off.(v) + k))
+let out_arcs g v = row g.out_off g.out_ids v
+let in_arcs g v = row g.in_off g.in_ids v
 let out_offsets g = g.out_off
 let out_csr g = g.out_ids
 let in_offsets g = g.in_off
@@ -129,7 +117,12 @@ let arc_prop_delays g = g.arc_prop
 let arc_reverses g = g.arc_rev
 
 let find_arc g src dst =
-  List.find_opt (fun id -> g.arcs.(id).dst = dst) g.out_arcs.(src)
+  let rec from k =
+    if k = g.out_off.(src + 1) then None
+    else if g.arc_dst.(g.out_ids.(k)) = dst then Some g.out_ids.(k)
+    else from (k + 1)
+  in
+  from g.out_off.(src)
 
 let coords g = g.coords
 
@@ -161,7 +154,9 @@ let reachable_from ?disabled g s =
             end
           end
         in
-        List.iter visit g.out_arcs.(u);
+        for k = g.out_off.(u) to g.out_off.(u + 1) - 1 do
+          visit g.out_ids.(k)
+        done;
         walk ()
   in
   walk ();
@@ -189,7 +184,9 @@ let strongly_connected ?disabled g =
               end
             end
           in
-          List.iter visit g.in_arcs.(u);
+          for k = g.in_off.(u) to g.in_off.(u + 1) - 1 do
+            visit g.in_ids.(k)
+          done;
           walk ()
     in
     walk ();

@@ -55,24 +55,19 @@ val arcs : t -> arc array
 (** All arcs, indexed by id.  Do not mutate. *)
 
 val out_arcs : t -> node -> arc_id list
-(** Arc ids leaving a node. *)
+(** Arc ids leaving a node, in increasing id: a fresh list read off the CSR
+    row (see below), for cold paths. *)
 
 val in_arcs : t -> node -> arc_id list
-(** Arc ids entering a node. *)
-
-val out_arcs_array : t -> node -> arc_id array
-(** Same as {!out_arcs} as a shared array — the routing hot path uses these
-    to avoid list traversal.  Do not mutate. *)
-
-val in_arcs_array : t -> node -> arc_id array
-(** Shared array counterpart of {!in_arcs}.  Do not mutate. *)
+(** Arc ids entering a node, in increasing id, like {!out_arcs}. *)
 
 (** {2 Flat-CSR views}
 
     The routing core iterates adjacency and per-arc attributes as contiguous
     arrays: node [v]'s out-arcs occupy the slice
     [out_csr.(out_offsets.(v)) .. out_csr.(out_offsets.(v+1) - 1)], in
-    increasing arc id (the same order as {!out_arcs}).  The per-arc arrays
+    increasing arc id.  These slices are the graph's only adjacency
+    store; {!out_arcs} and {!in_arcs} read them.  The per-arc arrays
     are the structure-of-arrays view of {!arcs}; float arrays are unboxed.
     All returned arrays are shared — do not mutate. *)
 

@@ -110,7 +110,12 @@ let parse_number st =
   | Some f -> Num f
   | None -> fail st "bad number"
 
-let rec parse_value st =
+(* Arrays and objects recurse once per level, so a line of brackets could
+   exhaust the stack and take a reader such as dtr-serve down with it.  No
+   report, trace or BENCH file nests anywhere near this deep. *)
+let max_depth = 512
+
+let rec parse_value st ~depth =
   skip_ws st;
   match peek st with
   | None -> fail st "unexpected end of input"
@@ -118,6 +123,8 @@ let rec parse_value st =
   | Some 't' -> expect_word st "true" (Bool true)
   | Some 'f' -> expect_word st "false" (Bool false)
   | Some 'n' -> expect_word st "null" Null
+  | Some ('[' | '{') when depth >= max_depth ->
+      fail st (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some '[' ->
       st.pos <- st.pos + 1;
       skip_ws st;
@@ -127,7 +134,7 @@ let rec parse_value st =
       end
       else begin
         let rec items acc =
-          let v = parse_value st in
+          let v = parse_value st ~depth:(depth + 1) in
           skip_ws st;
           match peek st with
           | Some ',' ->
@@ -153,7 +160,7 @@ let rec parse_value st =
           let k = parse_string st in
           skip_ws st;
           expect st ':';
-          let v = parse_value st in
+          let v = parse_value st ~depth:(depth + 1) in
           skip_ws st;
           match peek st with
           | Some ',' ->
@@ -170,7 +177,7 @@ let rec parse_value st =
 
 let parse s =
   let st = { src = s; pos = 0 } in
-  match parse_value st with
+  match parse_value st ~depth:0 with
   | v ->
       skip_ws st;
       if st.pos <> String.length s then Error "trailing garbage after JSON value"

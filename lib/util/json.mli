@@ -20,7 +20,8 @@ type t =
 exception Parse_error of string
 
 val parse : string -> (t, string) result
-(** Parse one complete JSON document; trailing non-whitespace is an error. *)
+(** Parse one complete JSON document; trailing non-whitespace is an error,
+    and so is nesting arrays and objects more than 512 deep. *)
 
 val parse_exn : string -> t
 (** @raise Parse_error on malformed input. *)

@@ -44,3 +44,11 @@ let diamond_scenario ?(params = tiny_params) () =
   Scenario.make ~graph:g ~rd ~rt ~params
 
 let fresh_rng ?(seed = 1234) () = Rng.create seed
+
+(* A counter or accumulator as the reports read it, from the merged
+   [Dtr_obs.Metric] registry (0 for a name nothing registered). *)
+let counter name =
+  Option.value (List.assoc_opt name (Dtr_obs.Metric.all_counters ())) ~default:0
+
+let accum name =
+  Option.value (List.assoc_opt name (Dtr_obs.Metric.all_accums ())) ~default:0.

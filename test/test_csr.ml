@@ -1,8 +1,8 @@
 (* The flat-CSR refactor's observation-equivalence contract:
 
    - the Graph CSR views (offsets + packed arc ids, struct-of-arrays arc
-     fields) must describe exactly the same adjacency as the legacy
-     record/list API they sit beside;
+     fields) must describe exactly the adjacency of the arc records'
+     endpoints, and the list API must read the same rows;
    - the Routing state built over them must agree with an independent naive
      oracle — Bellman-Ford distances, criterion hop sets, even-split loads
      pushed in decreasing-distance order — on random topologies;
@@ -29,7 +29,7 @@ let random_graph rng =
   Gen.generate rng kind ~nodes ~degree:(3. +. Rng.float rng 2.)
 
 (* ------------------------------------------------------------------ *)
-(* CSR adjacency views vs the legacy list API                          *)
+(* CSR adjacency views vs the arc table                               *)
 (* ------------------------------------------------------------------ *)
 
 let row off ids v = Array.to_list (Array.sub ids off.(v) (off.(v + 1) - off.(v)))
@@ -51,9 +51,18 @@ let prop_csr_adjacency =
       check (Array.length out_off = n + 1 && Array.length in_off = n + 1);
       check (out_off.(0) = 0 && out_off.(n) = m);
       check (in_off.(0) = 0 && in_off.(n) = m);
+      (* each row is exactly the arcs with that endpoint, in increasing id,
+         read off the arc table *)
+      let with_endpoint endpoint v =
+        Array.to_list (Graph.arcs g)
+        |> List.filter (fun a -> endpoint a = v)
+        |> List.map (fun a -> a.Graph.id)
+      in
       for v = 0 to n - 1 do
-        check (row out_off out_ids v = Graph.out_arcs g v);
-        check (row in_off in_ids v = Graph.in_arcs g v)
+        check (row out_off out_ids v = with_endpoint (fun a -> a.Graph.src) v);
+        check (row in_off in_ids v = with_endpoint (fun a -> a.Graph.dst) v);
+        check (Graph.out_arcs g v = row out_off out_ids v);
+        check (Graph.in_arcs g v = row in_off in_ids v)
       done;
       for a = 0 to m - 1 do
         let arc = Graph.arc g a in

@@ -16,6 +16,7 @@ module Weights = Dtr_core.Weights
 module Eval = Dtr_core.Eval
 module Optimizer = Dtr_core.Optimizer
 module Exec = Dtr_exec.Exec
+module Metric = Dtr_obs.Metric
 
 let with_engine enabled f =
   let was = Spf_delta.enabled () in
@@ -189,34 +190,48 @@ let test_e2e_engine_identity () =
   check "jobs=1 vs jobs=2" on jobs2
 
 (* The escape hatch: disabling the engine routes every sweep through the
-   from-scratch path (visible in the sweep statistics). *)
+   from-scratch path, and a sweep with no link failure never builds the
+   cache it would not read (both visible in the sweep counters). *)
 let test_stats_report_engine_state () =
   let scenario = Fixtures.small ~seed:5 ~nodes:8 () in
   let rng = Rng.create 11 in
   let w = Weights.random rng ~num_arcs:(Scenario.num_arcs scenario) ~wmax:16 in
   let failures = Failure.all_single_arcs scenario.Scenario.graph in
-  Eval.Sweep_stats.reset ();
+  let counter = Fixtures.counter in
+  Metric.reset_all ();
   let (_ : Eval.detail list) =
     with_engine true (fun () -> Eval.sweep_details scenario ~exec:Exec.serial w failures)
   in
-  let s = Eval.Sweep_stats.snapshot () in
-  Alcotest.(check int) "one sweep recorded" 1 s.Eval.Sweep_stats.sweeps;
-  Alcotest.(check int) "one cache build" 1 s.Eval.Sweep_stats.cache_builds;
+  Alcotest.(check int) "one sweep recorded" 1 (counter "eval.sweeps");
+  Alcotest.(check int) "one cache build" 1 (counter "eval.sweep.cache_builds");
   Alcotest.(check int)
     "every arc failure priced from the cache"
     (List.length failures)
-    s.Eval.Sweep_stats.cached_evals;
-  Eval.Sweep_stats.reset ();
+    (counter "eval.sweep.cached_evals");
+  Metric.reset_all ();
   let (_ : Eval.detail list) =
     with_engine false (fun () ->
         Eval.sweep_details scenario ~exec:Exec.serial w failures)
   in
-  let s = Eval.Sweep_stats.snapshot () in
-  Alcotest.(check int) "no cache build when disabled" 0 s.Eval.Sweep_stats.cache_builds;
+  Alcotest.(check int) "no cache build when disabled" 0 (counter "eval.sweep.cache_builds");
   Alcotest.(check int)
     "every failure priced from scratch"
     (List.length failures)
-    s.Eval.Sweep_stats.full_evals
+    (counter "eval.sweep.full_evals");
+  let nodes = Failure.all_single_nodes scenario.Scenario.graph in
+  List.iter
+    (fun exec ->
+      Metric.reset_all ();
+      let (_ : Eval.detail list) =
+        with_engine true (fun () -> Eval.sweep_details scenario ~exec w nodes)
+      in
+      Alcotest.(check int) "no cache build for a node sweep" 0
+        (counter "eval.sweep.cache_builds");
+      Alcotest.(check int)
+        "every node failure priced from scratch"
+        (List.length nodes)
+        (counter "eval.sweep.full_evals"))
+    [ Exec.serial; Exec.of_jobs 2 ]
 
 let suite =
   [

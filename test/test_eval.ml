@@ -114,24 +114,6 @@ let test_sweep_nodes_matches_pointwise () =
       Alcotest.(check bool) "node scenario matches" true (Lexico.equal slow fast.(i)))
     failures
 
-let test_normal_and_sweep () =
-  let scenario = Fixtures.small ~seed:79 () in
-  let rng = Rng.create 7 in
-  let w = Weights.random rng ~num_arcs:(Scenario.num_arcs scenario) ~wmax:20 in
-  let failures = Failure.all_single_arcs scenario.Scenario.graph in
-  let normal, compounded = Eval.normal_and_sweep scenario w ~failures ~feasible:(fun _ -> true) in
-  Alcotest.(check bool) "normal agrees" true (Lexico.equal normal (Eval.cost scenario w));
-  (match compounded with
-  | Some total ->
-      let expected = Eval.compound (Eval.sweep scenario w failures) in
-      Alcotest.(check bool) "compound agrees" true
-        (Float.abs (total.Lexico.lambda -. expected.Lexico.lambda) < 1e-6
-        && Float.abs (total.Lexico.phi -. expected.Lexico.phi) < 1e-6 *. (1. +. expected.Lexico.phi))
-  | None -> Alcotest.fail "feasible eval returned None");
-  (* infeasible short-circuits *)
-  let _, none = Eval.normal_and_sweep scenario w ~failures ~feasible:(fun _ -> false) in
-  Alcotest.(check bool) "infeasible gives None" true (none = None)
-
 let test_compound () =
   let c = Eval.compound [| Lexico.make ~lambda:1. ~phi:2.; Lexico.make ~lambda:3. ~phi:4. |] in
   Alcotest.(check (float 0.)) "lambda" 4. c.Lexico.lambda;
@@ -147,6 +129,5 @@ let suite =
     Alcotest.test_case "matrix override" `Quick test_matrix_override;
     Alcotest.test_case "sweep equals pointwise (arcs)" `Quick test_sweep_matches_pointwise;
     Alcotest.test_case "sweep equals pointwise (nodes)" `Quick test_sweep_nodes_matches_pointwise;
-    Alcotest.test_case "normal_and_sweep fast path" `Quick test_normal_and_sweep;
     Alcotest.test_case "compound" `Quick test_compound;
   ]

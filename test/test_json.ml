@@ -62,6 +62,21 @@ let test_errors () =
   | exception Json.Parse_error _ -> ()
   | _ -> Alcotest.fail "parse_exn must raise on malformed input"
 
+(* Nesting is capped, so a hostile line of brackets is a parse error rather
+   than a stack overflow; the cap sits at 512 levels. *)
+let test_depth_cap () =
+  let nested k = String.make k '[' ^ String.make k ']' in
+  let is_ok = function Ok _ -> true | Error _ -> false in
+  Alcotest.(check bool) "512 levels parse" true (is_ok (Json.parse (nested 512)));
+  Alcotest.(check bool) "600 levels rejected" false (is_ok (Json.parse (nested 600)));
+  let objects k =
+    String.concat "" (List.init k (fun _ -> {|{"a":|})) ^ "1" ^ String.make k '}'
+  in
+  Alcotest.(check bool) "600 nested objects rejected" false
+    (is_ok (Json.parse (objects 600)));
+  Alcotest.(check bool) "100,000 open brackets rejected" false
+    (is_ok (Json.parse (String.make 100_000 '[')))
+
 let test_accessors () =
   let j = Json.parse_exn {| {"i": 3, "f": 3.5, "s": "t", "b": false} |} in
   Alcotest.(check (option int)) "int member" (Some 3)
@@ -188,6 +203,7 @@ let suite =
     Alcotest.test_case "arrays and objects" `Quick test_structures;
     Alcotest.test_case "string escapes" `Quick test_escapes;
     Alcotest.test_case "malformed input is rejected" `Quick test_errors;
+    Alcotest.test_case "nesting depth is capped" `Quick test_depth_cap;
     Alcotest.test_case "typed accessors" `Quick test_accessors;
     Alcotest.test_case "reads the project's own reports" `Quick
       test_reads_own_report;

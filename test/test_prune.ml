@@ -19,6 +19,7 @@ module Prune = Dtr_core.Prune
 module Phase1 = Dtr_core.Phase1
 module Phase2 = Dtr_core.Phase2
 module Optimizer = Dtr_core.Optimizer
+module Exec = Dtr_exec.Exec
 
 let scenario_of_seed seed =
   let rng = Rng.create seed in
@@ -95,13 +96,15 @@ let prop_try_arc_bounded_exact =
       (* settled states agree after the mixed walk *)
       !ok && same_cost (Eval_incr.cost e_ref) (Eval_incr.cost e_b))
 
+(* Over serial and 2-job sweeps, and over failure lists that mix node
+   failures (priced from scratch) into the cached link failures. *)
 let prop_sweep_bounded_exact =
   QCheck.Test.make ~name:"compound_sweep_bounded = add init full sweep"
-    ~count:20
-    QCheck.(pair (int_range 0 100_000) (int_range 0 2))
-    (fun (seed, mode) ->
+    ~count:40
+    QCheck.(triple (int_range 0 100_000) (int_range 0 2) (pair bool bool))
+    (fun (seed, mode, (parallel, mixed)) ->
       let scenario = scenario_of_seed seed in
-      let m = Scenario.num_arcs scenario in
+      let m = Scenario.num_arcs scenario and n = Scenario.num_nodes scenario in
       let p = scenario.Scenario.params in
       let rng = Rng.create (seed + 3) in
       let w = Weights.random rng ~num_arcs:m ~wmax:p.Scenario.wmax in
@@ -109,11 +112,14 @@ let prop_sweep_bounded_exact =
       let normal = Eval_incr.anchor e w in
       let routing_d, routing_t = Eval_incr.current_routing e in
       let failures =
-        List.init (min m 6) (fun _ -> Failure.Arc (Rng.int rng m))
+        List.init (min m 6) (fun _ ->
+            if mixed && Rng.bool rng then Failure.Node (Rng.int rng n)
+            else Failure.Arc (Rng.int rng m))
         |> List.sort_uniq compare
       in
+      let exec = if parallel then Exec.of_jobs 2 else Exec.serial in
       let full =
-        Eval.compound_sweep_from scenario ~routing_d ~routing_t w ~failures
+        Eval.compound (Eval.sweep_from scenario ~routing_d ~routing_t w ~failures)
       in
       (* three bound regimes: prune nothing, prune everything, realistic *)
       let init, bound =
@@ -126,7 +132,7 @@ let prop_sweep_bounded_exact =
                 ~phi:(full.Lexico.phi /. 2.) )
       in
       let bounded =
-        Eval.compound_sweep_bounded scenario ~routing_d ~routing_t ~init
+        Eval.compound_sweep_bounded scenario ~exec ~routing_d ~routing_t ~init
           ~prune:(fun partial -> Lexico.prunes partial ~than:bound)
           w ~failures
       in
@@ -134,9 +140,11 @@ let prop_sweep_bounded_exact =
       match bounded with
       | Eval.Swept c -> same_cost c expected
       | Eval.Aborted_at partial ->
-          (* the abort partial is a certified componentwise lower bound,
-             and the abort itself proves the full compound can't win *)
-          partial.Lexico.lambda <= expected.Lexico.lambda
+          (* only serial sweeps stop early; the abort partial is a
+             certified componentwise lower bound, and the abort itself
+             proves the full compound can't win *)
+          (not parallel)
+          && partial.Lexico.lambda <= expected.Lexico.lambda
           && partial.Lexico.phi <= expected.Lexico.phi
           && not (Lexico.is_better expected ~than:bound))
 

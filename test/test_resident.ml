@@ -253,14 +253,14 @@ let test_reuse_engages () =
   let scenario = Fixtures.small ~seed:5 ~nodes:10 () in
   let phase1 = Phase1.run ~rng:(Rng.create 3) scenario in
   let failures = List.map (fun a -> Failure.Arc a) (Phase1.critical_set scenario phase1) in
-  Eval.Sweep_stats.reset ();
+  Metric.reset_all ();
   let (_ : Phase2.output) =
     Phase2.run ~rng:(Rng.create 4) ~exec:Exec.serial scenario ~phase1 ~failures
   in
-  let s = Eval.Sweep_stats.snapshot () in
+  let reused = Fixtures.counter "eval.sweep.resident_reused" in
   if Dtr_spf.Spf_delta.enabled () && List.length failures >= 2 then
-    Alcotest.(check bool) "resident states reused" true (s.Eval.Sweep_stats.resident_reused > 0)
-  else Alcotest.(check int) "no cached sweeps, no reuse" 0 s.Eval.Sweep_stats.resident_reused
+    Alcotest.(check bool) "resident states reused" true (reused > 0)
+  else Alcotest.(check int) "no cached sweeps, no reuse" 0 reused
 
 (* --- the Lambda floor --------------------------------------------------- *)
 

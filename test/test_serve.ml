@@ -669,9 +669,9 @@ let with_sigpipe_ignored f =
   let old = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe old) f
 
-let spawn args stdin stdout stderr =
+let spawn ?(env = Unix.environment ()) args stdin stdout stderr =
   Sys.set_signal Sys.sigpipe Sys.Signal_default;
-  let pid = Unix.create_process (serve_exe ()) args stdin stdout stderr in
+  let pid = Unix.create_process_env (serve_exe ()) args env stdin stdout stderr in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   pid
 
@@ -807,6 +807,52 @@ let test_stdout_hangup () =
   check_exited_cleanly status;
   Alcotest.(check bool) "final metrics written" true (ends_with_eof metrics)
 
+(* A request line of 100,000 open brackets gets a parse_error reply and the
+   daemon serves the next request.  The JSON reader recurses once per
+   nesting level; under the small stack limit given here, a reader without
+   a depth cap overflows well before this depth. *)
+let test_deep_nesting () =
+  with_sigpipe_ignored @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  let in_r, in_w = Unix.pipe ~cloexec:true () and out_r, out_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  let env =
+    Unix.environment () |> Array.to_list
+    |> List.filter (fun e -> not (String.starts_with ~prefix:"OCAMLRUNPARAM=" e))
+    |> List.cons "OCAMLRUNPARAM=l=256k" |> Array.of_list
+  in
+  let pid =
+    spawn ~env [| "dtr-serve"; "-t"; "isp"; "-w"; isp_weights dir |] in_r out_w null
+  in
+  List.iter Unix.close [ in_r; out_w; null ];
+  let request line =
+    try
+      write_string in_w (line ^ "\n");
+      read_line_timeout out_r ~timeout:20.
+    with Unix.Unix_error _ -> None
+  in
+  let hello = request {|{"id": 1, "event": "hello"}|} in
+  let deep = request (String.make 100_000 '[') in
+  let stats = request {|{"id": 2, "event": "stats"}|} in
+  let bye = request {|{"id": 3, "event": "shutdown"}|} in
+  Unix.close in_w;
+  Unix.close out_r;
+  let status = wait_exit pid ~timeout:20. in
+  let field path = function
+    | Some l -> (
+        match Json.parse l with
+        | Ok j -> List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) path
+        | Error _ -> None)
+    | None -> None
+  in
+  let ok reply = field [ "ok" ] reply = Some (Json.Bool true) in
+  check_exited_cleanly status;
+  Alcotest.(check bool) "hello answered" true (ok hello);
+  Alcotest.(check (option string)) "deep line is a parse error" (Some "parse_error")
+    (Option.bind (field [ "error"; "code" ] deep) Json.to_string_opt);
+  Alcotest.(check bool) "next request served" true (ok stats);
+  Alcotest.(check bool) "shutdown acknowledged" true (ok bye)
+
 let suite =
   [
     Alcotest.test_case "warm-vs-cold identity (jobs 1 and 2)" `Slow
@@ -837,4 +883,6 @@ let suite =
       test_socket_peer_hangup;
     Alcotest.test_case "closed stdout ends the session cleanly" `Quick
       test_stdout_hangup;
+    Alcotest.test_case "deeply nested request line is a parse error" `Quick
+      test_deep_nesting;
   ]
