@@ -131,7 +131,6 @@ type sweep_scratch = {
   buffers : Routing.buffers;
   mask : bool array;
   touched : bool array;  (* per-arc: some replaced row differs here *)
-  dest_flag : bool array;  (* per-destination mark set, false between uses *)
   keep_d : bool array;  (* per-destination: take the resident state (false between uses) *)
   keep_t : bool array;
 }
@@ -142,7 +141,6 @@ let make_sweep_scratch g =
     buffers = Routing.make_buffers g;
     mask = Array.make m false;
     touched = Array.make m false;
-    dest_flag = Array.make n false;
     keep_d = Array.make n false;
     keep_t = Array.make n false;
   }
@@ -160,6 +158,19 @@ let sweep_scratch_for g =
       let s = make_sweep_scratch g in
       cache := (g, s) :: List.filteri (fun i _ -> i < max_cached_graphs - 1) !cache;
       s
+
+(* Runs [f] on this domain's scratch for [g].  Cached pricing leaves the
+   scratch's flag arrays all-false when it returns; if it raises instead,
+   the scratch may hold stray flags, so it leaves the cache and the next
+   sweep on this domain allocates a clean one. *)
+let with_sweep_scratch g f =
+  match f (sweep_scratch_for g) with
+  | r -> r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      let cache = Scratch.get sweep_slot in
+      cache := List.filter (fun (g', _) -> g' != g) !cache;
+      Printexc.raise_with_backtrace e bt
 
 let resolve_exec = function Some e -> e | None -> Exec.default ()
 
@@ -233,13 +244,18 @@ let a_seconds = Metric.Accum.create "eval.sweep.seconds"
    row differs) in destination order, patches exactly the touched arcs'
    delays, and recomputes SLA subtotals only for destinations that were
    re-routed or whose DAG reads a changed delay — the same bit-identity
-   argument the incremental single-arc engine ([Eval_incr]) established. *)
+   argument the incremental single-arc engine ([Eval_incr]) established.
+
+   That engine keeps exactly these pieces for its committed state and its
+   pending trial, computed the same way, so its sweeps hand them in
+   ([make_sweep_cache]) and build nothing; every other sweep builds them
+   once ([build_sweep_cache]).  DAG membership is read off the base
+   routing ([Routing.uses_arc] probes one hop row), so the cache carries
+   nothing proportional to the DAGs. *)
 
 type sweep_cache = {
   rows_d : float array array; (* rows_d.(dest).(arc): delay-class share *)
   rows_t : float array array;
-  users_d : int list array; (* users_d.(arc): dests whose DAG uses the arc *)
-  users_t : int list array; (* both in increasing destination order *)
   base_tloads : float array;
   base_loads : float array;
   base_delay : float array;
@@ -248,6 +264,27 @@ type sweep_cache = {
   base_viol : int array;
   base_unreach : int array;
 }
+
+let make_sweep_cache (scenario : Scenario.t) ~rows_d ~rows_t ~tloads ~loads ~arc_delay
+    ~lam ~viol ~unreach =
+  let cap = Graph.arc_capacities scenario.Scenario.graph in
+  let base_phi =
+    Array.mapi
+      (fun a tl ->
+        if tl > 1e-9 then Congestion.arc_cost ~capacity:cap.(a) ~load:loads.(a) else 0.)
+      tloads
+  in
+  {
+    rows_d;
+    rows_t;
+    base_tloads = tloads;
+    base_loads = loads;
+    base_delay = arc_delay;
+    base_phi;
+    base_lam = lam;
+    base_viol = viol;
+    base_unreach = unreach;
+  }
 
 let contribution_rows routing ~demands ~n ~m =
   Array.init n (fun dest ->
@@ -268,64 +305,35 @@ let sum_rows ~into rows =
       done)
     rows
 
-(* DAG membership inverted: which destinations' ECMP DAGs contain each arc.
-   Sweeping destinations downwards leaves every per-arc list in increasing
-   order — the order [Routing.with_failed_arcs ~changed] requires. *)
-let arc_users routing ~n ~m =
-  let users = Array.make m [] in
-  for dest = n - 1 downto 0 do
-    Routing.iter_dag_arcs routing ~dest (fun id -> users.(id) <- dest :: users.(id))
-  done;
-  users
-
 let build_sweep_cache (scenario : Scenario.t) ~base_d ~base_t ~dense_rd ~dense_rt
     ~sinks =
   let g = scenario.Scenario.graph in
-  let params = scenario.Scenario.params in
-  let cap = Graph.arc_capacities g in
   let n = Graph.num_nodes g and m = Graph.num_arcs g in
   let rows_t = contribution_rows base_t ~demands:dense_rt ~n ~m in
   let rows_d = contribution_rows base_d ~demands:dense_rd ~n ~m in
-  let users_t = arc_users base_t ~n ~m in
-  let users_d = arc_users base_d ~n ~m in
-  let base_tloads = Array.make m 0. in
-  sum_rows ~into:base_tloads rows_t;
-  let base_loads = Array.copy base_tloads in
-  sum_rows ~into:base_loads rows_d;
-  let base_delay = Delay_model.arc_delays params.Scenario.delay g ~loads:base_loads in
-  let base_phi =
-    Array.init m (fun a ->
-        if base_tloads.(a) > 1e-9 then
-          Congestion.arc_cost ~capacity:cap.(a) ~load:base_loads.(a)
-        else 0.)
-  in
-  let base_lam = Array.make n 0. in
-  let base_viol = Array.make n 0 in
-  let base_unreach = Array.make n 0 in
+  let tloads = Array.make m 0. in
+  sum_rows ~into:tloads rows_t;
+  let loads = Array.copy tloads in
+  sum_rows ~into:loads rows_d;
+  let arc_delay = Delay_model.arc_delays scenario.Scenario.params.Scenario.delay g ~loads in
+  let lam = Array.make n 0. and viol = Array.make n 0 and unreach = Array.make n 0 in
   for dest = 0 to n - 1 do
     if sinks.(dest) then begin
-      let lam, viol, unreach =
-        dest_sla scenario ~routing_d:base_d ~arc_delay:base_delay ~dense_rd
+      let l, v, u =
+        dest_sla scenario ~routing_d:base_d ~arc_delay ~dense_rd
           ~excluded:(fun _ -> false) ~dest ~on_pair:no_pair
       in
-      base_lam.(dest) <- lam;
-      base_viol.(dest) <- viol;
-      base_unreach.(dest) <- unreach
+      lam.(dest) <- l;
+      viol.(dest) <- v;
+      unreach.(dest) <- u
     end
   done;
-  {
-    rows_d;
-    rows_t;
-    users_d;
-    users_t;
-    base_tloads;
-    base_loads;
-    base_delay;
-    base_phi;
-    base_lam;
-    base_viol;
-    base_unreach;
-  }
+  make_sweep_cache scenario ~rows_d ~rows_t ~tloads ~loads ~arc_delay ~lam ~viol ~unreach
+
+(* Whether [dest]'s ECMP DAG in [routing] holds any of the arcs. *)
+let rec uses_any routing ~dest = function
+  | [] -> false
+  | id :: rest -> Routing.uses_arc routing ~dest id || uses_any routing ~dest rest
 
 (* --- Resident post-failure states --------------------------------------
 
@@ -466,8 +474,8 @@ end
 (* One failure priced from the sweep cache.  Only valid when the failure
    excludes no node (a node failure also drops the node's demands, which
    invalidates the cached rows — those fall back to [assess_failure]).  The
-   scratch's [touched], [dest_flag] and [keep_*] arrays must be (and are
-   left) all-false between calls.  [resident] is the failure's committed
+   scratch's [touched] and [keep_*] arrays must be (and are left) all-false
+   between calls.  [resident] is the failure's committed
    resident state and [move] the pending trial's move ([None]: pricing the
    committed state itself); with [track] the pricing also returns its own
    post-failure state for the resident store.  Returns the detail, that
@@ -479,29 +487,22 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
   let params = scenario.Scenario.params in
   let cap = Graph.arc_capacities g and prop = Graph.arc_prop_delays g in
   let n = Graph.num_nodes g and m = Graph.num_arcs g in
-  let { buffers; mask; touched; dest_flag; keep_d; keep_t } = scratch in
+  let { buffers; mask; touched; keep_d; keep_t } = scratch in
   Failure.set_mask g f mask;
   let failed = failed_arcs_of_mask mask in
-  (* Destinations whose DAG uses a failed arc, read off the cache's per-arc
-     destination lists — exactly the ones [Routing.with_failed_arcs]
-     re-derives; every other destination's rows, distances and hop rows are
-     shared with the base verbatim. *)
-  let changed_from users =
-    List.iter
-      (fun id -> List.iter (fun dest -> dest_flag.(dest) <- true) users.(id))
-      failed;
+  (* Destinations whose DAG uses a failed arc, in increasing order — exactly
+     the ones [Routing.with_failed_arcs] re-derives; every other
+     destination's rows, distances and hop rows are shared with the base
+     verbatim. *)
+  let changed_of base =
     let acc = ref [] in
     for dest = n - 1 downto 0 do
-      if dest_flag.(dest) then acc := dest :: !acc
+      if uses_any base ~dest failed then acc := dest :: !acc
     done;
     !acc
   in
-  let clear_flags = List.iter (fun dest -> dest_flag.(dest) <- false) in
-  let changed_t = changed_from cache.users_t in
-  clear_flags changed_t;
-  (* The delay-class marks stay set: the SLA pass below extends them with the
-     destinations whose DAG reads a changed arc delay. *)
-  let changed_d = changed_from cache.users_d in
+  let changed_t = changed_of base_t in
+  let changed_d = changed_of base_d in
   (* Flag the re-routed destinations whose resident state this pricing
      takes (see the resident section above). *)
   let reused = ref 0 in
@@ -617,16 +618,23 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
         delay_arcs := a :: !delay_arcs
       end)
     !touched_list;
-  (* An unchanged destination shares the base DAG, so "its DAG reads a
-     changed delay" is exactly membership in some changed arc's user list. *)
-  List.iter
-    (fun a -> List.iter (fun dest -> dest_flag.(dest) <- true) cache.users_d.(a))
-    !delay_arcs;
+  (* A subtotal is recomputed for a re-routed destination and for one whose
+     DAG reads a changed delay; an unchanged destination shares the base
+     DAG, so the latter is a membership probe on the base routing. *)
+  let delay_arcs = !delay_arcs in
+  let rerouted = ref changed_d in
   let lambda = ref 0. and violations = ref 0 and unreachable = ref 0 in
   for dest = 0 to n - 1 do
+    let fresh =
+      match !rerouted with
+      | d :: rest when d = dest ->
+          rerouted := rest;
+          true
+      | _ -> false
+    in
     if sinks.(dest) then begin
       let lam, viol, unreach =
-        if dest_flag.(dest) then
+        if fresh || uses_any base_d ~dest delay_arcs then
           dest_sla scenario ~routing_d ~arc_delay ~dense_rd
             ~excluded:(fun _ -> false) ~dest ~on_pair:no_pair
         else (cache.base_lam.(dest), cache.base_viol.(dest), cache.base_unreach.(dest))
@@ -652,7 +660,6 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
     phi := !phi +. term
   done;
   List.iter (fun a -> touched.(a) <- false) !touched_list;
-  Array.fill dest_flag 0 n false;
   let fresh =
     if not track then None
     else
@@ -687,11 +694,12 @@ type bounded_sweep =
 (* The failure-sweep loop behind every sweep entry point.  Failures are
    priced in list order against the shared no-failure bases: a link failure
    from the sweep cache, a node failure (its dropped demands invalidate the
-   cached rows), a single-failure sweep or any failure under
-   [DTR_NO_DSPF=1] from scratch.  The cache costs about one full
-   assessment, so it is built just before the first failure that reads it:
-   a sweep that prices no link failure, or that [prune] stops first, never
-   pays for it.
+   cached rows) or any failure under [DTR_NO_DSPF=1] from scratch.  A
+   caller that keeps the bases' cache (the incremental engine) hands it in
+   as [cache]; otherwise it costs about one full assessment, so it is built
+   just before the first failure that reads it — a sweep that prices no
+   link failure, or that [prune] stops first, never pays for it — and a
+   single-failure sweep prices from scratch instead.
 
    The compound is summed as failures are priced, from [Lexico.zero] in list
    order, and a serial sweep stops at the first partial [init + sum] that
@@ -702,6 +710,7 @@ type bounded_sweep =
    because float addition is not associative; [add init (compound costs)]
    is what an unbounded caller computes.
 
+   Every sweep borrows its domain's cached scratch ([with_sweep_scratch]).
    At jobs > 1 the cache is built before the pool map and shared read-only,
    each domain prices its share with its own cached scratch, and the results
    are taken back in list order, so details, sums and resident slots are
@@ -710,7 +719,7 @@ type bounded_sweep =
    reads and writes only slot [i].
 
    Returns the details of the priced failures, in order, and the outcome. *)
-let run_sweep (scenario : Scenario.t) ?exec ?residents ?rd ?rt ~base_d ~base_t
+let run_sweep (scenario : Scenario.t) ?exec ?residents ?cache ?rd ?rt ~base_d ~base_t
     ?(init = Lexico.zero) ?prune w failure_list =
   let exec = resolve_exec exec in
   let g = scenario.Scenario.graph in
@@ -725,9 +734,9 @@ let run_sweep (scenario : Scenario.t) ?exec ?residents ?rd ?rt ~base_d ~base_t
      a run, so traced sweeps of the same instance correlate. *)
   let trace_id = if Trace.enabled () then Hashtbl.hash scenario land 0x3FFFFFFF else 0 in
   if Trace.enabled () then Trace.emit_sweep_begin ~scenario:trace_id ~failures:num;
-  let use_cache = Spf_delta.enabled () && num >= 2 in
+  let use_cache = Spf_delta.enabled () && (Option.is_some cache || num >= 2) in
   let cached f = use_cache && Failure.excluded_node f = None in
-  let cache = ref None in
+  let cache = ref cache in
   let get_cache () =
     match !cache with
     | Some c -> c
@@ -764,7 +773,7 @@ let run_sweep (scenario : Scenario.t) ?exec ?residents ?rd ?rt ~base_d ~base_t
   let stopped =
     match Exec.jobs exec with
     | 1 ->
-        let scratch = make_sweep_scratch g in
+        with_sweep_scratch g @@ fun scratch ->
         let stop = ref false and i = ref 0 in
         while (not !stop) && !i < num do
           take !i (price ~scratch !i failures.(!i));
@@ -776,7 +785,7 @@ let run_sweep (scenario : Scenario.t) ?exec ?residents ?rd ?rt ~base_d ~base_t
         if Array.exists cached failures then ignore (get_cache () : sweep_cache);
         Array.iteri take
           (Exec.map exec ~n:num ~f:(fun i ->
-               price ~scratch:(sweep_scratch_for g) i failures.(i)));
+               with_sweep_scratch g (fun scratch -> price ~scratch i failures.(i))));
         false
   in
   let details = List.rev !details in
@@ -803,18 +812,18 @@ let sweep_details (scenario : Scenario.t) ?exec ?rd ?rt w failures =
 
 let sweep scenario ?exec w failures = costs (sweep_details scenario ?exec w failures)
 
-let sweep_from scenario ?exec ?residents ~routing_d ~routing_t w ~failures =
+let sweep_from scenario ?exec ?residents ?cache ~routing_d ~routing_t w ~failures =
   costs
     (fst
-       (run_sweep scenario ?exec ?residents ~base_d:routing_d ~base_t:routing_t w
+       (run_sweep scenario ?exec ?residents ?cache ~base_d:routing_d ~base_t:routing_t w
           failures))
 
 let compound costs = Array.fold_left Lexico.add Lexico.zero costs
 
-let compound_sweep_bounded scenario ?exec ?residents ~routing_d ~routing_t ?init
+let compound_sweep_bounded scenario ?exec ?residents ?cache ~routing_d ~routing_t ?init
     ~prune w ~failures =
   snd
-    (run_sweep scenario ?exec ?residents ~base_d:routing_d ~base_t:routing_t ?init
+    (run_sweep scenario ?exec ?residents ?cache ~base_d:routing_d ~base_t:routing_t ?init
        ~prune w failures)
 
 (* What-if pricing from resident bases: the daemon holds its incumbent's

@@ -65,7 +65,8 @@ val sweep :
     in {!Dtr_obs.Metric}, whether or not instrumentation is enabled:
     counters [eval.sweeps], [eval.sweep.cache_builds] (sweeps that built
     the dynamic-SPF pricing cache, which happens just before the first
-    link failure priced), [eval.sweep.cached_evals] and
+    link failure priced; sweeps handed a {!sweep_cache} build none),
+    [eval.sweep.cached_evals] and
     [eval.sweep.full_evals] (failures priced from the cache and from
     scratch), [eval.sweep.resident_reused] and [eval.sweep.dests_repaired]
     (re-routed destinations per class that took a resident state, see
@@ -102,8 +103,9 @@ val sweep_details :
     the failure-reduced graph, so reuse is exact: costs are bit-identical
     to pricing without the store.  Every committed entry equals a
     from-scratch repair under the committed weights.  Only cached pricing
-    uses the store: node failures, single-failure sweeps and
-    [DTR_NO_DSPF=1] never read or fill it.
+    uses the store: node failures and [DTR_NO_DSPF=1] never read or fill
+    it.  The engine's sweeps hand in their {!sweep_cache}, so they price
+    every link failure from the cache, a single-failure list included.
 
     Lifecycle, mirroring {!Eval_incr}'s trial protocol (which drives it):
     a sweep with no trial begun prices the committed state and fills the
@@ -145,10 +147,40 @@ module Residents : sig
   (** The trial's move was discarded. *)
 end
 
+type sweep_cache
+(** The pieces of the no-failure assessment that cached failure pricing
+    reads, for one pair of routing bases under the scenario's own
+    matrices: each destination's per-arc load row per class, the total
+    loads, the arc delays, the per-arc congestion terms and each
+    destination's SLA subtotal, violations and unreachable pairs. *)
+
+val make_sweep_cache :
+  Scenario.t ->
+  rows_d:float array array ->
+  rows_t:float array array ->
+  tloads:float array ->
+  loads:float array ->
+  arc_delay:float array ->
+  lam:float array ->
+  viol:int array ->
+  unreach:int array ->
+  sweep_cache
+(** The cache of bases whose pieces the caller already keeps (the
+    incremental engine, for its committed state or pending trial); the
+    arrays are shared, not copied, and must stay unchanged while a sweep
+    reads them.  Each must be exactly what the sweep itself would compute
+    from the bases: [rows_*.(dest)] the {!Dtr_spf.Routing.add_loads_dest}
+    row, [tloads] the destination-order sum of [rows_t] from zeros,
+    [loads] that of [rows_d] from [tloads], [arc_delay] the delay model
+    at [loads], and for every delay-sink destination [lam]/[viol]/
+    [unreach] its {!Internal.dest_sla} at those delays.  Only the per-arc
+    congestion terms are computed here, in [O(arcs)]. *)
+
 val sweep_from :
   Scenario.t ->
   ?exec:Dtr_exec.Exec.t ->
   ?residents:Residents.t ->
+  ?cache:sweep_cache ->
   routing_d:Dtr_spf.Routing.t ->
   routing_t:Dtr_spf.Routing.t ->
   Weights.t ->
@@ -157,7 +189,12 @@ val sweep_from :
 (** Per-failure costs of [w], in order, starting from already-computed
     no-failure routing bases for both classes (the scenario's own traffic
     matrices).  With [residents], cached pricing reuses and refreshes the
-    store's resident post-failure states (see {!Residents}). *)
+    store's resident post-failure states (see {!Residents}).  With
+    [cache], the sweep cache of exactly these bases, every link failure is
+    priced from it, a single one included, and no cache is built;
+    without it the sweep builds one before its first link failure when it
+    has two or more failures, and prices a lone failure from scratch.
+    Costs are bit-identical either way. *)
 
 type bounded_sweep =
   | Swept of Lexico.t  (** the exact compound, all failures priced *)
@@ -169,6 +206,7 @@ val compound_sweep_bounded :
   Scenario.t ->
   ?exec:Dtr_exec.Exec.t ->
   ?residents:Residents.t ->
+  ?cache:sweep_cache ->
   routing_d:Dtr_spf.Routing.t ->
   routing_t:Dtr_spf.Routing.t ->
   ?init:Lexico.t ->
@@ -191,9 +229,9 @@ val compound_sweep_bounded :
     the partial bounds [J = normal + Kfail].
     Serial execution aborts mid-sweep; at jobs > 1 every failure is priced
     in parallel, [prune] is not consulted and the result is [Swept].  A
-    [prune] that never fires gives the unbounded compound.  [residents] as
-    in {!sweep_from}; an aborted sweep stages only the failures it
-    priced. *)
+    [prune] that never fires gives the unbounded compound.  [residents]
+    and [cache] as in {!sweep_from}; an aborted sweep stages only the
+    failures it priced. *)
 
 val evaluate_from :
   Scenario.t ->

@@ -554,14 +554,42 @@ let current_routing t =
   | Some p -> (p.p_routing_d, p.p_routing_t)
   | None -> (t.routing_d, t.routing_t)
 
-(* The failure sweeps of the engine's current state, reusing and refreshing
-   the resident post-failure states. *)
+(* The sweep cache of the current state: the engine's own rows, totals,
+   delays and SLA subtotals, which are exactly what the sweep would build
+   from these bases (same functions of the same routing, summed in the same
+   destination order).  The committed state's arrays are shared; a trial
+   swaps its re-routed rows and fresh subtotals into copies of the
+   destination-indexed arrays, [O(n)] pointers and scalars. *)
+let sweep_cache t =
+  let patch base pick = function
+    | [] -> base
+    | replaced ->
+        let a = Array.copy base in
+        List.iter (fun (dest, v) -> a.(dest) <- pick v) replaced;
+        a
+  in
+  match t.pending with
+  | None ->
+      Eval.make_sweep_cache t.scenario ~rows_d:t.contrib_d ~rows_t:t.contrib_t
+        ~tloads:t.tloads ~loads:t.loads ~arc_delay:t.arc_delay ~lam:t.lambda_dest
+        ~viol:t.viol_dest ~unreach:t.unreach_dest
+  | Some p ->
+      Eval.make_sweep_cache t.scenario
+        ~rows_d:(patch t.contrib_d Fun.id p.p_rows_d)
+        ~rows_t:(patch t.contrib_t Fun.id p.p_rows_t)
+        ~tloads:p.p_tloads ~loads:p.p_loads ~arc_delay:p.p_arc_delay
+        ~lam:(patch t.lambda_dest (fun (l, _, _) -> l) p.p_sla)
+        ~viol:(patch t.viol_dest (fun (_, v, _) -> v) p.p_sla)
+        ~unreach:(patch t.unreach_dest (fun (_, _, u) -> u) p.p_sla)
+
+(* The failure sweeps of the engine's current state, priced from its own
+   sweep cache, reusing and refreshing the resident post-failure states. *)
 let sweep t ?exec w ~failures =
   let routing_d, routing_t = current_routing t in
-  Eval.sweep_from t.scenario ?exec ~residents:t.residents ~routing_d ~routing_t w
-    ~failures
+  Eval.sweep_from t.scenario ?exec ~residents:t.residents ~cache:(sweep_cache t)
+    ~routing_d ~routing_t w ~failures
 
 let sweep_bounded t ?exec ?init ~prune w ~failures =
   let routing_d, routing_t = current_routing t in
-  Eval.compound_sweep_bounded t.scenario ?exec ~residents:t.residents ~routing_d
-    ~routing_t ?init ~prune w ~failures
+  Eval.compound_sweep_bounded t.scenario ?exec ~residents:t.residents
+    ~cache:(sweep_cache t) ~routing_d ~routing_t ?init ~prune w ~failures

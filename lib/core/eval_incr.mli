@@ -21,7 +21,11 @@
     that failure touches — see the dynamic-SPF section of [DESIGN.md].
 
     The engine also serves the failure sweeps of Phase 2 and the warm start
-    ({!sweep}, {!sweep_bounded}).  For its committed incumbent it keeps, per
+    ({!sweep}, {!sweep_bounded}).  Its per-destination rows, totals, delays
+    and SLA subtotals are exactly the pieces a sweep's assessment cache
+    holds, so these sweeps hand in the current state's ({!Eval.sweep_cache})
+    instead of building one, and price every link failure from it — a
+    single-failure list included.  For its committed incumbent it keeps, per
     failure of the sweeps' fixed list and per class, the post-failure
     routing state and load row of every destination the failure re-routes
     ({!Eval.Residents}); a trial's sweep takes them wherever the single-arc
@@ -128,10 +132,15 @@ val sweep :
   t -> ?exec:Dtr_exec.Exec.t -> Weights.t -> failures:Failure.t list -> Lexico.t array
 (** Per-failure costs of the current state ({!current_routing}'s bases, and
     [w], which must be the current setting) under [failures]:
-    {!Eval.sweep_from} with the engine's resident post-failure states.
+    {!Eval.sweep_from} with the engine's resident post-failure states and
+    the current state's sweep cache — the committed arrays, or for a
+    pending trial copies of the destination-indexed ones with the trial's
+    re-routed rows and fresh SLA subtotals swapped in.  No cache is built,
+    and every link failure, a lone one included, is priced from the cache
+    (node failures, and every failure under [DTR_NO_DSPF=1], from scratch).
     Pass the same (physically equal) list every time: the states are kept
     per failure of one list.  Bit-identical to {!Eval.sweep_from} without
-    them. *)
+    the states or the cache. *)
 
 val sweep_bounded :
   t ->
@@ -142,4 +151,4 @@ val sweep_bounded :
   failures:Failure.t list ->
   Eval.bounded_sweep
 (** {!Eval.compound_sweep_bounded} from the current state, with the
-    engine's resident post-failure states, like {!sweep}. *)
+    engine's resident post-failure states and sweep cache, like {!sweep}. *)

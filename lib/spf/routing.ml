@@ -209,14 +209,14 @@ let iter_dag_arcs t ~dest f =
     done
   done
 
+(* Top-level rather than a local closure, so a probe allocates nothing:
+   cached failure pricing makes one per destination and failed arc. *)
+let rec row_has ids id j stop = j < stop && (ids.(j) = id || row_has ids id (j + 1) stop)
+
 let uses_arc t ~dest id =
   let s = (Graph.arc_sources t.graph).(id) in
   let st = t.dests.(dest) in
-  st.dist.(s) < Dijkstra.infinity
-  &&
-  let ids = st.hop_ids in
-  let rec scan j = j < st.hop_off.(s + 1) && (ids.(j) = id || scan (j + 1)) in
-  scan st.hop_off.(s)
+  st.dist.(s) < Dijkstra.infinity && row_has st.hop_ids id st.hop_off.(s) st.hop_off.(s + 1)
 
 let shares_dest a b ~dest = a.dests.(dest) == b.dests.(dest)
 
@@ -274,8 +274,8 @@ let with_failed_arcs ?buffers ?changed ?resident base ~weights ~disabled ~failed
     Spf_delta.enabled () && 8 * List.length failed < Graph.num_arcs g
   in
   (* Callers that already know which destinations route over a failed arc
-     (the sweep cache keeps per-arc destination lists) pass the sorted list
-     in; otherwise scan.  The list must equal the [uses_arc] criterion. *)
+     (cached failure pricing computes them first) pass the sorted list in;
+     otherwise scan.  The list must equal the [uses_arc] criterion. *)
   let remaining = ref (match changed with Some l -> l | None -> []) in
   let is_changed dest =
     match changed with

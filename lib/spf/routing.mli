@@ -45,8 +45,9 @@ val exists_dag_arc : t -> dest:Graph.node -> (Graph.arc_id -> bool) -> bool
 
 val iter_dag_arcs : t -> dest:Graph.node -> (Graph.arc_id -> unit) -> unit
 (** Applies the function to every arc of [dest]'s ECMP DAG (each arc appears
-    exactly once: hop rows of distinct nodes are disjoint).  The sweep cache
-    uses this to invert DAG membership into per-arc destination lists. *)
+    exactly once: hop rows of distinct nodes are disjoint).  Cached failure
+    pricing walks a re-routed destination's old and new DAGs with it to
+    find the arcs where its load row can differ. *)
 
 val with_failed_arcs :
   ?buffers:buffers ->
@@ -66,8 +67,8 @@ val with_failed_arcs :
     computed with every arc enabled, and [disabled] must be the mask
     corresponding to [failed].  [?changed], when given, must be exactly the
     destinations satisfying the [uses_arc] criterion, in increasing order —
-    callers that already know the set (the sweep cache keeps per-arc
-    destination lists) skip the scan.  Single-failure sweeps, the
+    callers that already know the set (cached failure pricing computes it
+    to pick the rows it replaces) skip the scan.  Single-failure sweeps, the
     optimizer's dominant cost, become several times cheaper.
 
     [?resident:(r, keep)] hands in an earlier state for the same failure:

@@ -46,17 +46,41 @@ let expect_word st word value =
   end
   else fail st (Printf.sprintf "expected %s" word)
 
-let add_utf8 b code =
-  if code < 0x80 then Buffer.add_char b (Char.chr code)
-  else if code < 0x800 then begin
-    Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-    Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+(* Exactly four hex digits after a [\u]: no sign, no [_] separator, no
+   [0x] prefix. *)
+let hex4 st =
+  if st.pos + 4 > String.length st.src then fail st "short \\u escape";
+  let code = ref 0 in
+  for i = st.pos to st.pos + 3 do
+    let digit =
+      match st.src.[i] with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> fail st "bad \\u escape"
+    in
+    code := (!code lsl 4) lor digit
+  done;
+  st.pos <- st.pos + 4;
+  !code
+
+(* One [\u] escape, its [\u] already consumed.  A high surrogate must be
+   followed by a [\u]-escaped low one, and the pair decodes to the one
+   supplementary code point it encodes (four UTF-8 bytes); a lone surrogate
+   of either kind is malformed. *)
+let unicode_escape st =
+  let code = hex4 st in
+  if code >= 0xDC00 && code <= 0xDFFF then fail st "lone low surrogate"
+  else if code >= 0xD800 && code <= 0xDBFF then begin
+    let src = st.src in
+    if st.pos + 2 > String.length src || src.[st.pos] <> '\\' || src.[st.pos + 1] <> 'u'
+    then fail st "lone high surrogate";
+    st.pos <- st.pos + 2;
+    let low = hex4 st in
+    if low < 0xDC00 || low > 0xDFFF then fail st "lone high surrogate";
+    0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
   end
-  else begin
-    Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-    Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-    Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-  end
+  else code
 
 let parse_string st =
   expect st '"';
@@ -81,13 +105,7 @@ let parse_string st =
           | 'n' -> Buffer.add_char b '\n'
           | 'r' -> Buffer.add_char b '\r'
           | 't' -> Buffer.add_char b '\t'
-          | 'u' ->
-              if st.pos + 4 > String.length st.src then fail st "short \\u escape";
-              let hex = String.sub st.src st.pos 4 in
-              st.pos <- st.pos + 4;
-              (match int_of_string_opt ("0x" ^ hex) with
-              | Some code -> add_utf8 b code
-              | None -> fail st "bad \\u escape")
+          | 'u' -> Buffer.add_utf_8_uchar b (Uchar.of_int (unicode_escape st))
           | _ -> fail st "unknown escape");
           go ()
         end

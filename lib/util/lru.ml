@@ -1,7 +1,13 @@
-(* LRU over a hashtable with per-entry recency stamps.  Eviction scans for
-   the minimum stamp — O(capacity), which at the intended cache sizes (tens
-   to a few hundred entries) beats maintaining an intrusive list, and keeps
-   the structure trivially correct under the qcheck eviction properties.
+(* LRU over a hashtable whose entries also form an intrusive doubly-linked
+   recency list: [newest] is the entry found or added last, [oldest] the
+   eviction victim.  A hit unlinks its entry and pushes it to the front, an
+   insert at capacity unlinks the back, both in O(1).  The back is always
+   the entry least recently found or added, because every use moves its
+   entry to the front and [mem] moves nothing.
+
+   Links are [node]s, an immediate [Nil] or an inline record, so relinking
+   writes pointers and never allocates.  Each entry keeps its value already
+   boxed as the [Some] that [find] returns: a hit allocates nothing.
 
    Functorized over the key so int-keyed caches (the optimizer's delta
    cache) avoid polymorphic hashing while string-keyed caches (the serve
@@ -18,12 +24,20 @@ type stats = {
 module Make (K : Hashtbl.HashedType) = struct
   module Tbl = Hashtbl.Make (K)
 
-  type 'v entry = { value : 'v; mutable stamp : int }
+  type 'v node =
+    | Nil
+    | Node of {
+        key : K.t;
+        found : 'v option;  (* [Some value], boxed once at insertion *)
+        mutable prev : 'v node;  (* towards [newest] *)
+        mutable next : 'v node;  (* towards [oldest] *)
+      }
 
   type 'v t = {
     cap : int;
-    tbl : 'v entry Tbl.t;
-    mutable tick : int;
+    tbl : 'v node Tbl.t;
+    mutable newest : 'v node;
+    mutable oldest : 'v node;
     mutable hits : int;
     mutable misses : int;
     mutable evictions : int;
@@ -34,7 +48,8 @@ module Make (K : Hashtbl.HashedType) = struct
     {
       cap = capacity;
       tbl = Tbl.create (2 * capacity);
-      tick = 0;
+      newest = Nil;
+      oldest = Nil;
       hits = 0;
       misses = 0;
       evictions = 0;
@@ -43,45 +58,59 @@ module Make (K : Hashtbl.HashedType) = struct
   let capacity t = t.cap
   let length t = Tbl.length t.tbl
 
-  let touch t e =
-    t.tick <- t.tick + 1;
-    e.stamp <- t.tick
+  let set_prev node p = match node with Node r -> r.prev <- p | Nil -> ()
+  let set_next node n = match node with Node r -> r.next <- n | Nil -> ()
+
+  let unlink t node =
+    match node with
+    | Nil -> ()
+    | Node r ->
+        (match r.prev with Nil -> t.newest <- r.next | p -> set_next p r.next);
+        (match r.next with Nil -> t.oldest <- r.prev | n -> set_prev n r.prev);
+        r.prev <- Nil;
+        r.next <- Nil
+
+  let push_front t node =
+    set_next node t.newest;
+    (match t.newest with Nil -> t.oldest <- node | old -> set_prev old node);
+    t.newest <- node
 
   let find t k =
-    match Tbl.find_opt t.tbl k with
-    | Some e ->
-        touch t e;
+    match Tbl.find t.tbl k with
+    | Node r as node ->
+        if t.newest != node then begin
+          unlink t node;
+          push_front t node
+        end;
         t.hits <- t.hits + 1;
-        Some e.value
-    | None ->
+        r.found
+    | Nil -> assert false (* the table holds only nodes *)
+    | exception Not_found ->
         t.misses <- t.misses + 1;
         None
 
   let mem t k = Tbl.mem t.tbl k
 
   let evict_lru t =
-    let victim = ref None in
-    Tbl.iter
-      (fun k e ->
-        match !victim with
-        | Some (_, s) when s <= e.stamp -> ()
-        | _ -> victim := Some (k, e.stamp))
-      t.tbl;
-    match !victim with
-    | Some (k, _) ->
-        Tbl.remove t.tbl k;
+    match t.oldest with
+    | Nil -> ()
+    | Node r as node ->
+        unlink t node;
+        Tbl.remove t.tbl r.key;
         t.evictions <- t.evictions + 1
-    | None -> ()
 
   let add t k v =
-    (match Tbl.find_opt t.tbl k with
-    | Some _ -> Tbl.remove t.tbl k
-    | None -> if Tbl.length t.tbl >= t.cap then evict_lru t);
-    let e = { value = v; stamp = 0 } in
-    touch t e;
-    Tbl.replace t.tbl k e
+    (match Tbl.find t.tbl k with
+    | old -> unlink t old
+    | exception Not_found -> if Tbl.length t.tbl >= t.cap then evict_lru t);
+    let node = Node { key = k; found = Some v; prev = Nil; next = Nil } in
+    push_front t node;
+    Tbl.replace t.tbl k node
 
-  let clear t = Tbl.reset t.tbl
+  let clear t =
+    Tbl.reset t.tbl;
+    t.newest <- Nil;
+    t.oldest <- Nil
 
   let stats t =
     {

@@ -42,6 +42,13 @@ let test_escapes () =
   Alcotest.(check (result json string)) "unicode escape to UTF-8"
     (Ok (Json.Str "\xc3\xa9"))
     (Json.parse "\"\\u00e9\"");
+  Alcotest.(check (result json string)) "surrogate pair to one 4-byte sequence"
+    (Ok (Json.Str "\xf0\x9f\x98\x80"))
+    (Json.parse {|"\ud83d\ude00"|});
+  Alcotest.(check bool) "non-hex digit in \\u rejected" true
+    (Result.is_error (Json.parse {|"\u00_4"|}));
+  Alcotest.(check bool) "lone high surrogate rejected" true
+    (Result.is_error (Json.parse {|"\ud83d"|}));
   Alcotest.(check bool) "unknown escape rejected" true
     (Result.is_error (Json.parse {|"\q"|}))
 

@@ -26,6 +26,7 @@ module Eval_incr = Dtr_core.Eval_incr
 module Prune = Dtr_core.Prune
 module Phase1 = Dtr_core.Phase1
 module Phase2 = Dtr_core.Phase2
+module Optimizer = Dtr_core.Optimizer
 module Exec = Dtr_exec.Exec
 module Metric = Dtr_obs.Metric
 
@@ -172,8 +173,10 @@ let scenario_of_seed seed =
     (if Rng.bool rng then Gen.Rand_topo else Gen.Near_topo)
 
 (* Single arcs, one joint event over two edges and one node failure (which
-   falls back to the from-scratch path), in random order. *)
-let failures_of_seed scenario seed =
+   falls back to the from-scratch path), in random order; or, with
+   [single], just one of the link failures, which the engine's sweeps also
+   price from its cache. *)
+let failures_of_seed ~single scenario seed =
   let g = scenario.Scenario.graph in
   let rng = Rng.create (seed + 7) in
   let m = Graph.num_arcs g and n = Graph.num_nodes g in
@@ -184,14 +187,14 @@ let failures_of_seed scenario seed =
   let all = List.sort_uniq compare (joint :: node :: singles) in
   let arr = Array.of_list all in
   Rng.shuffle rng arr;
-  Array.to_list arr
+  if single then [ List.nth (joint :: singles) (Rng.int rng 5) ] else Array.to_list arr
 
 let prop_resident_walk =
   QCheck.Test.make ~name:"resident sweeps = from-scratch failure costs" ~count:25
-    QCheck.(pair (int_range 0 100_000) (int_range 0 5))
-    (fun (seed, mode) ->
+    QCheck.(triple (int_range 0 100_000) (int_range 0 5) bool)
+    (fun (seed, mode, single) ->
       let scenario = scenario_of_seed seed in
-      let failures = failures_of_seed scenario seed in
+      let failures = failures_of_seed ~single scenario seed in
       let exec = if mode = 0 then Exec.of_jobs 2 else Exec.serial in
       walk ~seed ~exec scenario failures ~steps:40)
 
@@ -246,8 +249,8 @@ let test_reduced_graph_detour () =
   Alcotest.(check bool) "committed sweep exact after the move" true
     (sweep_matches e scenario w failures)
 
-(* The resident store pays: a Phase-2 run over several failures takes most
-   re-routed destinations from it, and the counters add up. *)
+(* The resident store pays: a Phase-2 run takes most re-routed destinations
+   from it, and the counters add up. *)
 let test_reuse_engages () =
   with_metrics @@ fun () ->
   let scenario = Fixtures.small ~seed:5 ~nodes:10 () in
@@ -258,9 +261,49 @@ let test_reuse_engages () =
     Phase2.run ~rng:(Rng.create 4) ~exec:Exec.serial scenario ~phase1 ~failures
   in
   let reused = Fixtures.counter "eval.sweep.resident_reused" in
-  if Dtr_spf.Spf_delta.enabled () && List.length failures >= 2 then
+  if Dtr_spf.Spf_delta.enabled () then
     Alcotest.(check bool) "resident states reused" true (reused > 0)
   else Alcotest.(check int) "no cached sweeps, no reuse" 0 reused
+
+(* A default-budget warm start over one downed link, as dtr-serve runs it:
+   every trial's sweep prices its one failure from the engine's own cache
+   with the resident states, building no cache and pricing nothing from
+   scratch.  The weights, objective and search counters are the values a
+   warm start that priced every trial from scratch produced. *)
+let test_warm_single_failure () =
+  with_metrics @@ fun () ->
+  let scenario = Fixtures.small ~seed:5 ~nodes:10 () in
+  let m = Scenario.num_arcs scenario in
+  let incumbent =
+    Weights.random (Rng.create 6) ~num_arcs:m ~wmax:scenario.Scenario.params.Scenario.wmax
+  in
+  Metric.reset_all ();
+  let r =
+    Optimizer.warm_start ~rng:(Rng.create 7) ~exec:Exec.serial ~failures:[ Failure.Arc 3 ]
+      ~incumbent scenario
+  in
+  let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+  Alcotest.(check string) "delay weights"
+    ("18 3 15 11 3 9 2 14 1 7 7 16 4 11 3 10 7 8 15 15 "
+   ^ "4 8 8 7 6 11 15 3 6 5 9 4 20 14 10 9 2 8 5 7")
+    (ints r.Optimizer.weights.Weights.wd);
+  Alcotest.(check string) "throughput weights"
+    ("11 18 18 6 15 17 6 4 12 14 6 2 14 5 11 12 3 17 20 4 "
+   ^ "20 11 6 11 4 7 13 5 10 6 2 12 12 7 9 12 18 15 16 4")
+    (ints r.Optimizer.weights.Weights.wt);
+  let j = r.Optimizer.objective in
+  Alcotest.(check string) "objective" "0x1.60ff2755d7ac1p+10 0x1.a695884a6a80fp+18"
+    (Printf.sprintf "%h %h" j.Lexico.lambda j.Lexico.phi);
+  Alcotest.(check (list int)) "sweeps, evals, rounds" [ 112; 4473; 3 ]
+    [ r.Optimizer.warm_sweeps; r.Optimizer.warm_evals; r.Optimizer.warm_rounds ];
+  if Prune.enabled () then Alcotest.(check int) "pruned" 4141 r.Optimizer.warm_pruned;
+  if Dtr_spf.Spf_delta.enabled () then begin
+    let counter = Fixtures.counter in
+    Alcotest.(check int) "nothing priced from scratch" 0 (counter "eval.sweep.full_evals");
+    Alcotest.(check int) "no cache built" 0 (counter "eval.sweep.cache_builds");
+    Alcotest.(check bool) "resident states reused" true
+      (counter "eval.sweep.resident_reused" > 0)
+  end
 
 (* --- the Lambda floor --------------------------------------------------- *)
 
@@ -407,6 +450,8 @@ let suite =
     Alcotest.test_case "decrease opening a detour only under the failure" `Quick
       test_reduced_graph_detour;
     Alcotest.test_case "Phase 2 reuses resident states" `Quick test_reuse_engages;
+    Alcotest.test_case "single-failure warm start prices from the engine" `Quick
+      test_warm_single_failure;
     QCheck_alcotest.to_alcotest prop_floor_sound;
     Alcotest.test_case "the floor fires and is counted" `Quick test_floor_fires;
   ]

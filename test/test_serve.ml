@@ -193,7 +193,7 @@ let test_warm_start_target () =
 
 (* --- LRU ------------------------------------------------------------------ *)
 
-type lru_op = Op_add of int * int | Op_find of int | Op_clear
+type lru_op = Op_add of int * int | Op_find of int | Op_mem of int | Op_clear
 
 let lru_op_gen =
   QCheck2.Gen.(
@@ -201,6 +201,7 @@ let lru_op_gen =
       [
         (4, map2 (fun k v -> Op_add (k, v)) (int_bound 12) (int_bound 1000));
         (4, map (fun k -> Op_find k) (int_bound 12));
+        (2, map (fun k -> Op_mem k) (int_bound 12));
         (1, return Op_clear);
       ])
 
@@ -210,14 +211,19 @@ let lru_ops_print ops =
        (function
          | Op_add (k, v) -> Printf.sprintf "add %d %d" k v
          | Op_find k -> Printf.sprintf "find %d" k
+         | Op_mem k -> Printf.sprintf "mem %d" k
          | Op_clear -> "clear")
        ops)
 
-(* Model check against an unbounded association list: a bounded LRU may
-   forget (eviction), but a [find] must never return a value other than the
-   most recently added one for that key, and occupancy never exceeds
-   capacity.  This is the "eviction never changes results" contract the
-   daemon's pricing cache relies on: a hit is always the true answer. *)
+(* Model check against an exact recency list (most recent first): [find]
+   and [add] move a key to the front, an insert at capacity drops the back,
+   [mem] moves nothing, [clear] keeps the counters.  After every operation
+   the cache must agree with the model on the answer of a [find] or [mem]
+   and on hits, misses, evictions and length.  A hit is then always the
+   most recently added value — the "eviction never changes results"
+   contract of the daemon's pricing cache — and the victim is always the
+   entry least recently found or added, which the optimizer's delta cache
+   relies on (its membership feeds the search's pruned counts). *)
 let prop_lru_never_lies =
   QCheck2.Test.make ~name:"lru: finds are exact, occupancy bounded" ~count:500
     QCheck2.Gen.(
@@ -226,27 +232,44 @@ let prop_lru_never_lies =
       Printf.sprintf "capacity %d, ops [%s]" cap (lru_ops_print ops))
     (fun (capacity, ops) ->
       let lru = Lru_int.create ~capacity in
-      let model = Hashtbl.create 16 in
-      List.iter
-        (function
-          | Op_add (k, v) ->
-              Lru_int.add lru k v;
-              Hashtbl.replace model k v
-          | Op_find k -> (
-              match Lru_int.find lru k with
-              | None -> ()
-              | Some v ->
-                  let expected = Hashtbl.find_opt model k in
-                  if expected <> Some v then
-                    QCheck2.Test.fail_reportf
-                      "find %d returned %d, model says %s" k v
-                      (match expected with
-                      | Some e -> string_of_int e
-                      | None -> "absent"))
-          | Op_clear ->
-              Lru_int.clear lru;
-              Hashtbl.reset model)
-        ops;
+      let model = ref [] and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+      let to_front k v = model := (k, v) :: List.remove_assoc k !model in
+      let step i op =
+        (match op with
+        | Op_add (k, v) ->
+            Lru_int.add lru k v;
+            if (not (List.mem_assoc k !model)) && List.length !model >= capacity then begin
+              model := List.filteri (fun j _ -> j < capacity - 1) !model;
+              incr evictions
+            end;
+            to_front k v
+        | Op_find k ->
+            let got = Lru_int.find lru k and expected = List.assoc_opt k !model in
+            (match expected with
+            | Some v ->
+                incr hits;
+                to_front k v
+            | None -> incr misses);
+            if got <> expected then
+              QCheck2.Test.fail_reportf "op %d: find %d returned %s, model says %s" i k
+                (match got with Some v -> string_of_int v | None -> "None")
+                (match expected with Some v -> string_of_int v | None -> "None")
+        | Op_mem k ->
+            if Lru_int.mem lru k <> List.mem_assoc k !model then
+              QCheck2.Test.fail_reportf "op %d: mem %d disagrees with the model" i k
+        | Op_clear ->
+            Lru_int.clear lru;
+            model := []);
+        let s = Lru_int.stats lru in
+        let expected = (!hits, !misses, !evictions, List.length !model)
+        and got = Dtr_util.Lru.(s.hits, s.misses, s.evictions, s.length) in
+        if got <> expected then
+          let show (h, m, e, l) =
+            Printf.sprintf "hits %d misses %d evictions %d length %d" h m e l
+          in
+          QCheck2.Test.fail_reportf "op %d: stats %s, model %s" i (show got) (show expected)
+      in
+      List.iteri step ops;
       Lru_int.length lru <= capacity)
 
 (* A key added while there is spare capacity must be found back immediately:
