@@ -18,11 +18,13 @@
     entries a re-run would pay every partial sweep again.
 
     The hash is an XOR of per-arc mixes, maintained in O(1) per single-arc
-    move via {!shift}.  Long-lived holders (the serve daemon) call {!bump}
-    whenever anything the cost depends on besides the weights changes —
-    graph, traffic matrices, failure set — which invalidates every resident
-    entry ({e epoch invalidation}); stale entries die lazily under LRU
-    pressure. *)
+    move via {!shift}.  Each entry keeps its vector packed in one string,
+    one byte per weight when every weight is below 256 and eight otherwise,
+    so a 160-arc entry costs about 60 words instead of 340.  Long-lived
+    holders (the serve daemon) call {!bump} whenever anything the cost
+    depends on besides the weights changes — graph, traffic matrices,
+    failure set.  No entry stored before a bump could ever hit again, so
+    the bump drops them all at once. *)
 
 type t
 
@@ -37,10 +39,10 @@ type value =
 val create : capacity:int -> t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
-val epoch : t -> int
-
 val bump : t -> unit
-(** Invalidate every resident entry (the scenario or failure set moved). *)
+(** Drops every resident entry (the scenario or failure set moved).  The
+    hit and miss counts survive, and dropped entries are not counted as
+    evictions. *)
 
 val hash_of : Weights.t -> int
 (** Full rolling hash of a vector — O(arcs), used once per restart. *)
@@ -50,12 +52,12 @@ val shift :
 (** O(1) hash update for a single-arc weight change. *)
 
 val find : t -> hash:int -> Weights.t -> value option
-(** Exact: [Some _] only for an entry of the current epoch whose stored
-    vector equals [w].  Counts a (verified) hit or a miss. *)
+(** Exact: [Some _] only for an entry whose stored vector equals [w].
+    Counts a (verified) hit or a miss. *)
 
 val add : t -> hash:int -> Weights.t -> Dtr_cost.Lexico.t -> unit
-(** Stores a copy of the vector with the current epoch as a {!Full} cost
-    (upgrading any {!Lower} entry for the same vector). *)
+(** Stores a packed copy of the vector with its {!Full} cost (upgrading
+    any {!Lower} entry for the same vector). *)
 
 val add_lower : t -> hash:int -> Weights.t -> Dtr_cost.Lexico.t -> unit
 (** Stores the partial cost of an aborted pricing as a {!Lower} entry.
@@ -65,8 +67,8 @@ val add_lower : t -> hash:int -> Weights.t -> Dtr_cost.Lexico.t -> unit
 type stats = {
   hits : int;  (** verified {!Full} hits *)
   lower_hits : int;  (** verified {!Lower} hits *)
-  misses : int;  (** includes stale-epoch and collision probes *)
-  evictions : int;
+  misses : int;  (** includes collision probes *)
+  evictions : int;  (** LRU evictions; entries dropped by {!bump} are not counted *)
   length : int;
   capacity : int;
 }

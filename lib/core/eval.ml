@@ -25,28 +25,34 @@ type detail = {
    DAG, then a left fold (from 0, in source order) of the pair penalties.
    Keeping the fold per-destination lets the incremental engine cache the
    subtotal and re-sum destination subtotals bit-identically (0. + x = x, so
-   a fold of per-destination folds equals the flat fold). *)
-let dest_sla (scenario : Scenario.t) ~routing_d ~arc_delay ~dense_rd ~excluded ~dest
-    ~on_pair =
-  let sla = scenario.Scenario.params.Scenario.sla in
+   a fold of per-destination folds equals the flat fold).  The penalty is
+   [Sla.pair_penalty]'s arithmetic, expression for expression, inlined so
+   that no pair boxes a float; only [on_pair], when given, sees each
+   delay. *)
+let dest_sla ?on_pair (scenario : Scenario.t) ~routing_d ~arc_delay ~dense_rd
+    ~excluded ~dest =
+  let { Sla.theta; b1; b2 } = scenario.Scenario.params.Scenario.sla in
+  let unreachable_penalty = b1 +. (b2 *. theta *. 1000.) in
   let n = Array.length dense_rd in
   let del = Routing.expected_delays_to routing_d ~arc_delay ~dest in
   let lambda = ref 0. and violations = ref 0 and unreachable = ref 0 in
   for src = 0 to n - 1 do
     if src <> dest && (not (excluded src)) && dense_rd.(src).(dest) > 0. then begin
       let xi = del.(src) in
-      lambda := !lambda +. Sla.pair_penalty sla xi;
       if xi = Float.infinity then begin
+        lambda := !lambda +. unreachable_penalty;
         incr unreachable;
         incr violations
       end
-      else if Sla.is_violation sla xi then incr violations;
-      on_pair src dest xi
+      else if xi > theta then begin
+        lambda := !lambda +. (b1 +. (b2 *. (xi -. theta) *. 1000.));
+        incr violations
+      end
+      else lambda := !lambda +. 0.;
+      match on_pair with Some f -> f src dest xi | None -> ()
     end
   done;
   (!lambda, !violations, !unreachable)
-
-let no_pair = fun _ _ _ -> ()
 
 (* Dense views + delay-sink flags: the scenario's own matrices come with
    cached ones; overrides (perturbed traffic) fall back to a local scan. *)
@@ -92,13 +98,14 @@ let assess (scenario : Scenario.t) ~routing_d ~routing_t ~exclude_node ~dense_rd
   let lambda = ref 0. and violations = ref 0 and unreachable = ref 0 in
   let delays_out = ref [] in
   let on_pair =
-    if want_pair_delays then fun src dest xi -> delays_out := (src, dest, xi) :: !delays_out
-    else no_pair
+    if want_pair_delays then
+      Some (fun src dest xi -> delays_out := (src, dest, xi) :: !delays_out)
+    else None
   in
   for dest = 0 to n - 1 do
     if sinks.(dest) && not (excluded dest) then begin
       let lam, viol, unreach =
-        dest_sla scenario ~routing_d ~arc_delay ~dense_rd ~excluded ~dest ~on_pair
+        dest_sla ?on_pair scenario ~routing_d ~arc_delay ~dense_rd ~excluded ~dest
       in
       lambda := !lambda +. lam;
       violations := !violations + viol;
@@ -321,7 +328,7 @@ let build_sweep_cache (scenario : Scenario.t) ~base_d ~base_t ~dense_rd ~dense_r
     if sinks.(dest) then begin
       let l, v, u =
         dest_sla scenario ~routing_d:base_d ~arc_delay ~dense_rd
-          ~excluded:(fun _ -> false) ~dest ~on_pair:no_pair
+          ~excluded:(fun _ -> false) ~dest
       in
       lam.(dest) <- l;
       viol.(dest) <- v;
@@ -636,7 +643,7 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
       let lam, viol, unreach =
         if fresh || uses_any base_d ~dest delay_arcs then
           dest_sla scenario ~routing_d ~arc_delay ~dense_rd
-            ~excluded:(fun _ -> false) ~dest ~on_pair:no_pair
+            ~excluded:(fun _ -> false) ~dest
         else (cache.base_lam.(dest), cache.base_viol.(dest), cache.base_unreach.(dest))
       in
       lambda := !lambda +. lam;

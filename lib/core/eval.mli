@@ -260,15 +260,16 @@ val compound : Lexico.t array -> Lexico.t
     single-sourced here rather than duplicated. *)
 module Internal : sig
   val dest_sla :
+    ?on_pair:(int -> int -> float -> unit) ->
     Scenario.t ->
     routing_d:Dtr_spf.Routing.t ->
     arc_delay:float array ->
     dense_rd:float array array ->
     excluded:(int -> bool) ->
     dest:int ->
-    on_pair:(int -> int -> float -> unit) ->
     float * int * int
   (** One destination's SLA penalty: a left fold (from [0.], in source
       order) of the pair penalties over the expected-delay DP, plus the
-      violation and unreachable-pair counts. *)
+      violation and unreachable-pair counts.  [on_pair src dest delay], if
+      given, sees each priced pair's delay. *)
 end

@@ -94,7 +94,6 @@ type t = {
 let scenario t = t.scenario
 
 let not_excluded = fun _ -> false
-let no_pair = fun _ _ _ -> ()
 
 (* Totals are always rebuilt as a destination-order left fold over the
    per-destination rows so they match [Routing.add_loads]'s accumulation
@@ -116,7 +115,6 @@ let sla_values t ~routing_d ~arc_delay ~dest =
   if t.scenario.Scenario.delay_sinks.(dest) then
     Eval.Internal.dest_sla t.scenario ~routing_d ~arc_delay
       ~dense_rd:t.scenario.Scenario.dense_rd ~excluded:not_excluded ~dest
-      ~on_pair:no_pair
   else (0., 0, 0)
 
 (* Totals from the per-destination caches, honouring staged replacements. *)

@@ -76,9 +76,9 @@ type t = {
   cache : priced Cache.t;
   (* Weight-vector delta cache shared across warm re-optimizations: J is
      pure in the weights for a fixed scenario and failure set, so repeated
-     repairs of the same incumbent skip whole failure sweeps.  Bumped (epoch
-     invalidation) whenever traffic, graph, link state or the critical set
-     moves. *)
+     repairs of the same incumbent skip whole failure sweeps.  Emptied by
+     [Delta_cache.bump] whenever traffic, graph, link state or the critical
+     set moves. *)
   delta : Delta_cache.t;
   mutable warm_pruned : int;  (* trials early-aborted across warm repairs *)
   mutable warm_evals : int;  (* fully-priced trials across warm repairs *)
@@ -718,26 +718,32 @@ let maybe_dump_metrics t =
       sink.write (exposition t)
   | _ -> ()
 
-let handle_line t line =
+(* A line that never became a request: counted as an event and an error,
+   logged as a parse error with its code, answered with id null. *)
+let reject_line t ~code ~message =
   t.events <- t.events + 1;
   if Metric.enabled () then Metric.Counter.incr c_events;
+  t.errors <- t.errors + 1;
+  if Metric.enabled () then Metric.Counter.incr c_errors;
+  let now = Unix.gettimeofday () in
+  Rolling.incr roll_events ~now;
+  Rolling.incr roll_errors ~now;
+  if Log.enabled () then
+    Log.event ~schema:Log.serve_schema ~name:"parse_error"
+      [
+        ("ok", Json.Bool false);
+        ("code", Json.Str (P.error_code_name code));
+        ("message", Json.Str message);
+      ];
+  maybe_dump_metrics t;
+  (P.error_response ~id:None ~code ~message, true)
+
+let handle_line t line =
   match P.parse_request line with
-  | Error (code, message) ->
-      t.errors <- t.errors + 1;
-      if Metric.enabled () then Metric.Counter.incr c_errors;
-      let now = Unix.gettimeofday () in
-      Rolling.incr roll_events ~now;
-      Rolling.incr roll_errors ~now;
-      if Log.enabled () then
-        Log.event ~schema:Log.serve_schema ~name:"parse_error"
-          [
-            ("ok", Json.Bool false);
-            ("code", Json.Str (P.error_code_name code));
-            ("message", Json.Str message);
-          ];
-      maybe_dump_metrics t;
-      (P.error_response ~id:None ~code ~message, true)
+  | Error (code, message) -> reject_line t ~code ~message
   | Ok { P.id; event } -> (
+      t.events <- t.events + 1;
+      if Metric.enabled () then Metric.Counter.incr c_events;
       let name = P.event_name event in
       let c0 = Cache.stats t.cache and d0 = Delta_cache.stats t.delta in
       let wp0 = t.warm_pruned and we0 = t.warm_evals in
@@ -812,9 +818,15 @@ let run_pipe t ic oc =
 
 type peer = {
   fd : Unix.file_descr;
-  mutable pending : string;  (* bytes after the last newline *)
+  pending : Buffer.t;  (* bytes after the last newline, at most the cap *)
+  mutable oversized : bool;  (* the pending line outgrew the cap *)
   reply : string -> unit;
 }
+
+let new_peer fd reply =
+  { fd; pending = Buffer.create 256; oversized = false; reply }
+
+type input = Line of string | Too_large
 
 let write_all fd s =
   let b = Bytes.of_string s in
@@ -824,18 +836,35 @@ let write_all fd s =
     off := !off + Unix.write fd b !off (len - !off)
   done
 
-let split_lines peer data =
-  match String.split_on_char '\n' (peer.pending ^ data) with
-  | [] -> []
-  | parts ->
-      let rec go = function
-        | [ last ] ->
-            peer.pending <- last;
-            []
-        | line :: rest -> line :: go rest
-        | [] -> []
+let rec newline chunk i n =
+  if i >= n || Bytes.get chunk i = '\n' then i else newline chunk (i + 1) n
+
+(* The lines that the first [n] bytes of [chunk] complete, in order.  Each
+   byte of a line is appended to the peer's buffer once, so a line costs
+   time linear in its length whatever the number of reads it spans.  A
+   line longer than [P.max_request_bytes] keeps none of its bytes and
+   completes as [Too_large]. *)
+let split_lines peer chunk n =
+  let rec go start acc =
+    let stop = newline chunk start n in
+    let len = stop - start in
+    if not peer.oversized then
+      if Buffer.length peer.pending + len > P.max_request_bytes then begin
+        peer.oversized <- true;
+        Buffer.reset peer.pending
+      end
+      else Buffer.add_subbytes peer.pending chunk start len;
+    if stop = n then List.rev acc
+    else begin
+      let line =
+        if peer.oversized then Too_large else Line (Buffer.contents peer.pending)
       in
-      go parts
+      peer.oversized <- false;
+      Buffer.clear peer.pending;
+      go (stop + 1) (line :: acc)
+    end
+  in
+  go 0 []
 
 let run_socket t ~socket ?stdio () =
   ignore_sigpipe ();
@@ -847,20 +876,15 @@ let run_socket t ~socket ?stdio () =
   let stdio_peer =
     Option.map
       (fun (ic, oc) ->
-        {
-          fd = Unix.descr_of_in_channel ic;
-          pending = "";
-          reply =
-            (fun s ->
-              try
-                output_string oc s;
-                output_char oc '\n';
-                flush oc
-              with Sys_error _ as e ->
-                (* as in [run_pipe]: drop the unwritable bytes *)
-                close_out_noerr oc;
-                raise e);
-        })
+        new_peer (Unix.descr_of_in_channel ic) (fun s ->
+            try
+              output_string oc s;
+              output_char oc '\n';
+              flush oc
+            with Sys_error _ as e ->
+              (* as in [run_pipe]: drop the unwritable bytes *)
+              close_out_noerr oc;
+              raise e))
       stdio
   in
   let stdio_open = ref (stdio_peer <> None) in
@@ -874,25 +898,36 @@ let run_socket t ~socket ?stdio () =
     | Some p when p.fd = peer.fd -> stdio_open := false
     | _ -> drop peer
   in
+  let chunk = Bytes.create 65536 in
   (* A reply that cannot be written (EPIPE: the peer closed without reading
      its replies) drops the peer and the rest of its buffered requests;
      every other client keeps being served. *)
-  let serve_lines peer data =
+  let serve_lines peer n =
     let rec serve = function
       | [] -> ()
-      | line :: rest ->
-          if (not !stop) && String.trim line <> "" then begin
-            let resp, continue = handle_line t line in
-            if not continue then stop := true;
-            match peer.reply resp with
-            | () -> serve rest
-            | exception (Sys_error _ | Unix.Unix_error _) -> hang_up peer
-          end
-          else serve rest
+      | input :: rest -> (
+          let answer =
+            match input with
+            | _ when !stop -> None
+            | Line line when String.trim line = "" -> None
+            | Line line -> Some (handle_line t line)
+            | Too_large ->
+                Some
+                  (reject_line t ~code:P.Request_too_large
+                     ~message:
+                       (Printf.sprintf "request line longer than %d bytes"
+                          P.max_request_bytes))
+          in
+          match answer with
+          | None -> serve rest
+          | Some (resp, continue) -> (
+              if not continue then stop := true;
+              match peer.reply resp with
+              | () -> serve rest
+              | exception (Sys_error _ | Unix.Unix_error _) -> hang_up peer))
     in
-    serve (split_lines peer data)
+    serve (split_lines peer chunk n)
   in
-  let chunk = Bytes.create 65536 in
   Fun.protect
     ~finally:(fun () ->
       List.iter (fun p -> try Unix.close p.fd with Unix.Unix_error _ -> ()) !peers;
@@ -912,13 +947,7 @@ let run_socket t ~socket ?stdio () =
       (fun fd ->
         if fd = listen_fd then begin
           let client_fd, _ = Unix.accept listen_fd in
-          peers :=
-            {
-              fd = client_fd;
-              pending = "";
-              reply = (fun s -> write_all client_fd (s ^ "\n"));
-            }
-            :: !peers
+          peers := new_peer client_fd (fun s -> write_all client_fd (s ^ "\n")) :: !peers
         end
         else begin
           let peer =
@@ -929,8 +958,7 @@ let run_socket t ~socket ?stdio () =
           let n = try Unix.read fd chunk 0 (Bytes.length chunk) with
             | Unix.Unix_error _ -> 0
           in
-          if n = 0 then hang_up peer
-          else serve_lines peer (Bytes.sub_string chunk 0 n)
+          if n = 0 then hang_up peer else serve_lines peer n
         end)
       readable
   done

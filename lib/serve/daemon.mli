@@ -67,7 +67,11 @@ val run_socket : t -> socket:string -> ?stdio:in_channel * out_channel -> unit -
 (** Serve a Unix-domain socket at [socket] (unlinking any stale file), and
     optionally a stdio pipe pair alongside it, with one [select] loop.
     Clients are newline-delimited as in pipe mode; a [shutdown] from any
-    client stops the daemon.  EOF on stdio merely stops watching it.
+    client stops the daemon.  EOF on stdio merely stops watching it.  A
+    line longer than {!Protocol.max_request_bytes} is discarded as it
+    arrives and answered, once its newline comes, with a
+    [request_too_large] error counted like a parse error; the peer's
+    later lines are served as usual.
     Ignores SIGPIPE for the process: a client that disconnects before
     reading its replies is dropped, with its remaining requests, on the
     first failed write (EPIPE), and the others keep being served. *)

@@ -32,10 +32,19 @@ type event =
   | Shutdown
 
 type request = { id : int; event : event }
-type error_code = Parse_error | Unknown_event | Bad_request | Bad_arc | Internal
+type error_code =
+  | Parse_error
+  | Request_too_large
+  | Unknown_event
+  | Bad_request
+  | Bad_arc
+  | Internal
+
+let max_request_bytes = 1 lsl 20
 
 let error_code_name = function
   | Parse_error -> "parse_error"
+  | Request_too_large -> "request_too_large"
   | Unknown_event -> "unknown_event"
   | Bad_request -> "bad_request"
   | Bad_arc -> "bad_arc"

@@ -66,7 +66,19 @@ type event =
 type request = { id : int; event : event }
 
 (** Machine-readable failure classes of the error envelope. *)
-type error_code = Parse_error | Unknown_event | Bad_request | Bad_arc | Internal
+type error_code =
+  | Parse_error
+  | Request_too_large
+      (** a socket request line longer than {!max_request_bytes}; its id is
+          never read *)
+  | Unknown_event
+  | Bad_request
+  | Bad_arc
+  | Internal
+
+val max_request_bytes : int
+(** 1 MiB: the longest request line a socket peer may send, newline
+    excluded.  Requests are small JSON objects. *)
 
 val error_code_name : error_code -> string
 

@@ -195,6 +195,120 @@ let test_delta_cache () =
   Alcotest.(check int) "one verified lower hit" 1 s.Delta_cache.lower_hits;
   Alcotest.(check int) "two misses" 2 s.Delta_cache.misses
 
+(* Entries keep their vectors packed: 4,096 distinct 160-arc vectors at the
+   default wmax take at most 80 reachable words each, LRU links and the
+   table included.  Two unpacked 161-word arrays alone took 322. *)
+let test_delta_cache_footprint () =
+  let capacity = 4096 in
+  let t = Delta_cache.create ~capacity in
+  let rng = Rng.create 41 in
+  let cost = Lexico.make ~lambda:1. ~phi:2. in
+  for _ = 1 to capacity do
+    let w = Weights.random rng ~num_arcs:160 ~wmax:20 in
+    Delta_cache.add t ~hash:(Delta_cache.hash_of w) w cost
+  done;
+  Alcotest.(check int) "every vector resident" capacity
+    (Delta_cache.stats t).Delta_cache.length;
+  let per_entry = Obj.reachable_words (Obj.repr t) / capacity in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d reachable words per entry <= 80" per_entry)
+    true (per_entry <= 80)
+
+(* A base vector, narrow (every weight below 256, one byte per weight) or
+   wide (some weights of eight bytes), and a probe: the base itself, the
+   base with one weight of one class changed (to [old + 256], which keeps
+   the low byte, to [old + 1], or to a fresh draw), or the base with its
+   two classes swapped. *)
+let gen_vector_pair =
+  QCheck.Gen.(
+    let* m = int_range 1 24 in
+    let* wide = bool in
+    let weight =
+      if wide then frequency [ (3, int_range 1 20); (1, int_range 256 max_int) ]
+      else int_range 1 20
+    in
+    let* wd = array_repeat m weight in
+    let* wt = array_repeat m weight in
+    let base = { Weights.wd; wt } in
+    let* kind = int_range 0 3 in
+    let* arc = int_range 0 (m - 1) in
+    let* delay_class = bool in
+    let* fresh = frequency [ (1, int_range 1 20); (1, int_range 0 max_int) ] in
+    let probe = Weights.copy base in
+    let row = if delay_class then probe.Weights.wd else probe.Weights.wt in
+    (match kind with
+    | 0 -> ()
+    | 1 -> row.(arc) <- row.(arc) + 256
+    | 2 -> row.(arc) <- row.(arc) + 1
+    | _ -> row.(arc) <- fresh);
+    let probe =
+      if kind = 0 && delay_class then { Weights.wd = probe.Weights.wt; wt = probe.Weights.wd }
+      else probe
+    in
+    return (base, probe))
+
+let show_weights (w : Weights.t) =
+  let row a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "wd=[%s] wt=[%s]" (row w.Weights.wd) (row w.Weights.wt)
+
+(* Under one forced hash, so only the stored vector decides: a probe hits
+   exactly when it equals the stored vector, at either width, and the
+   Full/Lower rules hold (a lower bound never replaces an equal vector's
+   exact cost, and replaces a different vector's entry). *)
+let prop_delta_cache_exact =
+  QCheck.Test.make ~name:"delta cache hits exactly the stored vector" ~count:500
+    (QCheck.make gen_vector_pair ~print:(fun (b, p) ->
+         Printf.sprintf "base %s\nprobe %s" (show_weights b) (show_weights p)))
+    (fun (base, probe) ->
+      let t = Delta_cache.create ~capacity:4 in
+      let hash = 12345 in
+      let full = Lexico.make ~lambda:3. ~phi:7. and partial = Lexico.make ~lambda:1. ~phi:2. in
+      let equal = Weights.equal base probe in
+      Delta_cache.add t ~hash base full;
+      let first =
+        match Delta_cache.find t ~hash probe with
+        | Some (Delta_cache.Full c) -> equal && same_cost c full
+        | Some (Delta_cache.Lower _) -> false
+        | None -> not equal
+      in
+      Delta_cache.add_lower t ~hash probe partial;
+      let lowered =
+        match Delta_cache.find t ~hash probe with
+        | Some (Delta_cache.Full c) -> equal && same_cost c full
+        | Some (Delta_cache.Lower p) -> (not equal) && same_cost p partial
+        | None -> false
+      in
+      let base_after =
+        match Delta_cache.find t ~hash base with
+        | Some (Delta_cache.Full c) -> equal && same_cost c full
+        | Some (Delta_cache.Lower _) -> false
+        | None -> not equal
+      in
+      first && lowered && base_after)
+
+(* [bump] empties the cache: nothing stored before it hits after it, the
+   hit and miss counts carry on, and the drop is not counted as
+   evictions. *)
+let test_delta_cache_bump_drops () =
+  let t = Delta_cache.create ~capacity:8 in
+  let rng = Rng.create 43 in
+  let cost = Lexico.make ~lambda:1. ~phi:2. in
+  let vectors = List.init 5 (fun _ -> Weights.random rng ~num_arcs:12 ~wmax:20) in
+  List.iter (fun w -> Delta_cache.add t ~hash:(Delta_cache.hash_of w) w cost) vectors;
+  List.iter (fun w -> ignore (Delta_cache.find t ~hash:(Delta_cache.hash_of w) w)) vectors;
+  let before = Delta_cache.stats t in
+  Alcotest.(check int) "five resident" 5 before.Delta_cache.length;
+  Delta_cache.bump t;
+  Delta_cache.bump t;
+  let after = Delta_cache.stats t in
+  Alcotest.(check int) "length after bump" 0 after.Delta_cache.length;
+  Alcotest.(check int) "hits kept" before.Delta_cache.hits after.Delta_cache.hits;
+  Alcotest.(check int) "misses kept" before.Delta_cache.misses after.Delta_cache.misses;
+  Alcotest.(check int) "no evictions counted" before.Delta_cache.evictions
+    after.Delta_cache.evictions;
+  Alcotest.(check bool) "nothing hits after the bump" true
+    (List.for_all (fun w -> Delta_cache.find t ~hash:(Delta_cache.hash_of w) w = None) vectors)
+
 (* Pin the pruning flag for one run and restore the ambient state after:
    the suite must behave identically under DTR_NO_PRUNE=1 (the CI leg runs
    everything that way), so the "on" arms enable explicitly rather than
@@ -297,6 +411,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_try_arc_bounded_exact;
     QCheck_alcotest.to_alcotest prop_sweep_bounded_exact;
     Alcotest.test_case "delta cache exactness" `Quick test_delta_cache;
+    QCheck_alcotest.to_alcotest prop_delta_cache_exact;
+    Alcotest.test_case "delta cache footprint" `Quick test_delta_cache_footprint;
+    Alcotest.test_case "delta cache bump drops every entry" `Quick
+      test_delta_cache_bump_drops;
     Alcotest.test_case "optimize identical with pruning on/off" `Quick
       test_optimize_prune_identity;
     Alcotest.test_case "warm start identical with pruning on/off" `Quick

@@ -557,6 +557,43 @@ let test_stats_telemetry_fields () =
         [ "window_seconds"; "events_per_second"; "cache_hit_rate"; "abort_rate" ]
   | None -> Alcotest.fail "rolling missing"
 
+(* A write ends the delta cache's epoch and drops its entries: after a warm
+   repair and a tm_update, stats reports an empty cache with the repair's
+   hit and miss counts kept.  Pruning is pinned on, since it gates the
+   cache. *)
+let test_stats_delta_cache_dropped_at_write () =
+  let was = Dtr_core.Prune.enabled () in
+  Dtr_core.Prune.set_enabled true;
+  Fun.protect ~finally:(fun () -> Dtr_core.Prune.set_enabled was) @@ fun () ->
+  let seed = 34 in
+  let scenario = build_scenario ~seed ~nodes:8 in
+  let d =
+    make_daemon ~scenario
+      ~incumbent:(Weights.create ~num_arcs:(Scenario.num_arcs scenario) ~init:1)
+      ~critical:[ 0; 1 ] ~seed ~exec:(Exec.of_jobs 1) ()
+  in
+  let pruning () =
+    let j = ok_line d {|{"id": 9, "event": "stats"}|} in
+    let p = Option.get (Json.member "pruning" (Option.get (Json.member "result" j))) in
+    fun k ->
+      match Json.member k p with
+      | Some (Json.Num n) -> int_of_float n
+      | _ -> Alcotest.failf "pruning.%s missing" k
+  in
+  ignore
+    (ok_line d
+       {|{"id": 1, "event": "reoptimize", "mode": "warm", "max_sweeps": 2, "max_rounds": 1}|});
+  let before = pruning () in
+  Alcotest.(check bool) "the repair stored entries" true (before "delta_length" > 0);
+  ignore (ok_line d {|{"id": 2, "event": "tm_update", "model": "gaussian", "eps": 0.1}|});
+  let after = pruning () in
+  Alcotest.(check int) "delta_length after the write" 0 (after "delta_length");
+  Alcotest.(check int) "no evictions counted for the drop" (before "delta_evictions")
+    (after "delta_evictions");
+  List.iter
+    (fun k -> Alcotest.(check int) (k ^ " kept") (before k) (after k))
+    [ "delta_hits"; "delta_lower_hits"; "delta_misses" ]
+
 (* stats' latency summary is read from the per-kind latency histograms,
    so it stays bounded in memory.  The count is exact and per daemon (every
    request this daemon handled, the stats request itself included once it
@@ -755,6 +792,25 @@ let ends_with_eof path =
   String.length s >= String.length eof
   && String.sub s (String.length s - String.length eof) (String.length eof) = eof
 
+let wait_for_socket sock =
+  let rec go k =
+    if Sys.file_exists sock then ()
+    else if k = 0 then Alcotest.fail "daemon never listened"
+    else begin
+      Unix.sleepf 0.02;
+      go (k - 1)
+    end
+  in
+  go 500
+
+(* The member at [path] of a reply line, if the line parses. *)
+let reply_field path = function
+  | Some l -> (
+      match Json.parse l with
+      | Ok j -> List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) path
+      | Error _ -> None)
+  | None -> None
+
 let test_socket_peer_hangup () =
   with_sigpipe_ignored @@ fun () ->
   with_temp_dir @@ fun dir ->
@@ -772,15 +828,7 @@ let test_socket_peer_hangup () =
     Unix.connect fd (Unix.ADDR_UNIX sock);
     fd
   in
-  let rec wait_socket k =
-    if Sys.file_exists sock then ()
-    else if k = 0 then Alcotest.fail "daemon never listened"
-    else begin
-      Unix.sleepf 0.02;
-      wait_socket (k - 1)
-    end
-  in
-  wait_socket 500;
+  wait_for_socket sock;
   (* a client that asks 2,000 times and leaves without reading *)
   let rude = connect () in
   write_string rude (String.concat "" (List.init 2000 (fun _ -> {|{"event": "stats"}|} ^ "\n")));
@@ -861,20 +909,51 @@ let test_deep_nesting () =
   Unix.close in_w;
   Unix.close out_r;
   let status = wait_exit pid ~timeout:20. in
-  let field path = function
-    | Some l -> (
-        match Json.parse l with
-        | Ok j -> List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) path
-        | Error _ -> None)
-    | None -> None
-  in
-  let ok reply = field [ "ok" ] reply = Some (Json.Bool true) in
+  let ok reply = reply_field [ "ok" ] reply = Some (Json.Bool true) in
   check_exited_cleanly status;
   Alcotest.(check bool) "hello answered" true (ok hello);
   Alcotest.(check (option string)) "deep line is a parse error" (Some "parse_error")
-    (Option.bind (field [ "error"; "code" ] deep) Json.to_string_opt);
+    (Option.bind (reply_field [ "error"; "code" ] deep) Json.to_string_opt);
   Alcotest.(check bool) "next request served" true (ok stats);
   Alcotest.(check bool) "shutdown acknowledged" true (ok bye)
+
+(* A 2 MiB request line over the socket is discarded as it arrives and
+   answered with one request_too_large envelope; the same peer's next
+   request is served normally. *)
+let test_oversized_line () =
+  with_sigpipe_ignored @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  let sock = Filename.concat dir "s" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  let pid =
+    spawn [| "dtr-serve"; "-t"; "isp"; "-w"; isp_weights dir; "--socket"; sock |]
+      null null null
+  in
+  Unix.close null;
+  wait_for_socket sock;
+  let big, hello, bye =
+    try
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX sock);
+      write_string fd (String.make (2 lsl 20) 'x' ^ "\n");
+      write_string fd ({|{"id": 1, "event": "hello"}|} ^ "\n");
+      let big = read_line_timeout fd ~timeout:20. in
+      let hello = read_line_timeout fd ~timeout:20. in
+      write_string fd ({|{"id": 2, "event": "shutdown"}|} ^ "\n");
+      let bye = read_line_timeout fd ~timeout:20. in
+      Unix.close fd;
+      (big, hello, bye)
+    with Unix.Unix_error _ -> (None, None, None)
+  in
+  let status = wait_exit pid ~timeout:20. in
+  check_exited_cleanly status;
+  Alcotest.(check (option string)) "oversized line" (Some "request_too_large")
+    (Option.bind (reply_field [ "error"; "code" ] big) Json.to_string_opt);
+  Alcotest.(check bool) "its id is null" true (reply_field [ "id" ] big = Some Json.Null);
+  Alcotest.(check (option string)) "next request served" (Some "hello")
+    (Option.bind (reply_field [ "event" ] hello) Json.to_string_opt);
+  Alcotest.(check bool) "shutdown acknowledged" true
+    (reply_field [ "ok" ] bye = Some (Json.Bool true))
 
 let suite =
   [
@@ -898,6 +977,8 @@ let suite =
       test_metrics_request;
     Alcotest.test_case "stats: cache and rolling telemetry fields" `Quick
       test_stats_telemetry_fields;
+    Alcotest.test_case "stats: a write drops the delta cache's entries" `Quick
+      test_stats_delta_cache_dropped_at_write;
     Alcotest.test_case "stats: latency summary from the histograms" `Quick
       test_stats_latency_from_histograms;
     Alcotest.test_case "telemetry never perturbs (fixed-seed identity)" `Quick
@@ -906,6 +987,8 @@ let suite =
       test_socket_peer_hangup;
     Alcotest.test_case "closed stdout ends the session cleanly" `Quick
       test_stdout_hangup;
+    Alcotest.test_case "oversized socket request line is request_too_large" `Quick
+      test_oversized_line;
     Alcotest.test_case "deeply nested request line is a parse error" `Quick
       test_deep_nesting;
   ]
