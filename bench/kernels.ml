@@ -206,7 +206,7 @@ let parallel_sweep () =
    - {e from-scratch}: every failure state priced independently, a full
      Dijkstra per destination and class plus a full assessment (no reuse of
      the no-failure bases at all);
-   - {e shared-base}: the [DTR_NO_DSPF] path — unaffected destinations share
+   - {e shared-base}: the reference-mode path — unaffected destinations share
      the no-failure routing, affected ones rerun Dijkstra, and the whole
      assessment (loads, delays, SLA, congestion) is recomputed per failure;
    - {e repaired}: the dynamic-SPF engine — affected destinations are

@@ -115,24 +115,17 @@ let chunk_size =
 
 let apply_chunk_size = Dtr_cli.Cli.apply_chunk_size
 
-let no_dspf =
-  Arg.(value & flag & info [ "no-dspf" ]
-         ~doc:"Disable the dynamic-SPF failure-sweep engine and price every \
-               failure state from scratch (mirrors the DTR_NO_DSPF \
-               environment variable; results are bit-identical either way, \
-               the flag exists for A/B benchmarking).")
+let reference =
+  Arg.(value & flag & info [ "reference" ]
+         ~doc:"Reference mode: disable the dynamic-SPF failure-sweep engine \
+               and move-space pruning (lexicographic early-abort pricing \
+               and the cross-restart weight-vector delta cache), pricing \
+               every failure state from scratch and every candidate in \
+               full (mirrors the DTR_REFERENCE environment variable; \
+               results are bit-identical either way, the flag exists for \
+               A/B benchmarking).")
 
-let apply_no_dspf flag = if flag then Dtr_spf.Spf_delta.set_enabled false
-
-let no_prune =
-  Arg.(value & flag & info [ "no-prune" ]
-         ~doc:"Disable move-space pruning — lexicographic early-abort \
-               pricing and the cross-restart weight-vector delta cache — \
-               and price every candidate in full (mirrors the DTR_NO_PRUNE \
-               environment variable; results are bit-identical either way, \
-               the flag exists for A/B benchmarking).")
-
-let apply_no_prune flag = if flag then Dtr_core.Prune.set_enabled false
+let apply_reference = Dtr_cli.Cli.apply_reference
 
 let fast =
   Arg.(value & flag & info [ "fast" ]
@@ -140,8 +133,8 @@ let fast =
                neither failure-critical nor loaded are progressively \
                skipped (up to 60% of proposals) as the acceptance rate \
                decays.  Faster, but the search trajectory changes — a \
-               quality/time trade, unlike $(b,--no-prune) which toggles an \
-               exact optimization.")
+               quality/time trade, unlike $(b,--reference) which toggles \
+               exact optimizations.")
 
 let print_prune_breakdown (solution : Optimizer.solution) =
   let p1 = solution.Optimizer.phase1.Dtr_core.Phase1.stats in
@@ -364,11 +357,10 @@ let print_failure_comparison scenario ~exec ~regular ~robust =
 
 let run_optimize topo nodes degree avg_util seed fraction selector fmodel srlg_radius
     pair_samples cascade_trip theta_ms paper_scale topology_file traffic_file
-    out_weights jobs chunk_size no_dspf no_prune fast_mode verbose report trace log =
+    out_weights jobs chunk_size reference fast_mode verbose report trace log =
   let exec = exec_of_jobs jobs in
   apply_chunk_size chunk_size;
-  apply_no_dspf no_dspf;
-  apply_no_prune no_prune;
+  apply_reference reference;
   if verbose then begin
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.set_level (Some Logs.Info)
@@ -456,12 +448,10 @@ let run_optimize topo nodes degree avg_util seed fraction selector fmodel srlg_r
 (* ------------------------------------------------------------------ *)
 
 let run_evaluate topo nodes degree avg_util seed theta_ms topology_file traffic_file
-    weights_file node_failures jobs chunk_size no_dspf no_prune verbose report trace
-    log =
+    weights_file node_failures jobs chunk_size reference verbose report trace log =
   let exec = exec_of_jobs jobs in
   apply_chunk_size chunk_size;
-  apply_no_dspf no_dspf;
-  apply_no_prune no_prune;
+  apply_reference reference;
   let log = resolve_log ~verbose log in
   (* The bracket resets all counters at entry — without it, in-process reuse
      (and the sweeps below) reported stale totals accumulated by earlier
@@ -584,7 +574,7 @@ let optimize_term =
     const run_optimize $ topo $ nodes $ degree $ avg_util $ seed $ fraction $ selector
     $ failure_model $ srlg_radius $ pair_samples $ cascade_trip
     $ theta $ paper_scale $ topology_file $ traffic_file $ out_weights $ jobs
-    $ chunk_size $ no_dspf $ no_prune $ fast $ verbose $ report_path $ trace_path
+    $ chunk_size $ reference $ fast $ verbose $ report_path $ trace_path
     $ log_path)
 
 let optimize_cmd =
@@ -604,7 +594,7 @@ let evaluate_cmd =
     Term.(
       const run_evaluate $ topo $ nodes $ degree $ avg_util $ seed $ theta
       $ topology_file $ traffic_file $ weights_file $ node_failures $ jobs
-      $ chunk_size $ no_dspf $ no_prune $ verbose $ report_path $ trace_path
+      $ chunk_size $ reference $ verbose $ report_path $ trace_path
       $ log_path)
 
 let cmd =

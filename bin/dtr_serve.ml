@@ -83,16 +83,12 @@ let chunk_size =
            ~doc:"Pin the pool's work-queue chunk size (overrides \
                  DTR_CHUNK_SIZE; scheduling only, results unchanged).")
 
-let no_dspf =
-  Arg.(value & flag & info [ "no-dspf" ]
-         ~doc:"Disable the dynamic-SPF failure-sweep engine (mirrors \
-               DTR_NO_DSPF; results are bit-identical either way).")
-
-let no_prune =
-  Arg.(value & flag & info [ "no-prune" ]
-         ~doc:"Disable move-space pruning — early-abort pricing and the \
+let reference =
+  Arg.(value & flag & info [ "reference" ]
+         ~doc:"Reference mode: disable the dynamic-SPF failure-sweep engine \
+               and move-space pruning — early-abort pricing and the \
                warm-restart weight-vector delta cache (mirrors \
-               DTR_NO_PRUNE; results are bit-identical either way).")
+               DTR_REFERENCE; results are bit-identical either way).")
 
 let socket =
   Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
@@ -195,12 +191,11 @@ let open_metrics_sink = function
       (Some write, close)
 
 let run topo nodes degree avg_util seed theta_ms fraction topology_file
-    traffic_file weights_file jobs chunk_size no_dspf no_prune socket
+    traffic_file weights_file jobs chunk_size reference socket
     cache_capacity report trace metrics metrics_every log verbose =
   let exec = Dtr_cli.Cli.exec_of_jobs jobs in
   Dtr_cli.Cli.apply_chunk_size chunk_size;
-  if no_dspf then Dtr_spf.Spf_delta.set_enabled false;
-  if no_prune then Dtr_core.Prune.set_enabled false;
+  Dtr_cli.Cli.apply_reference reference;
   let metrics_write, metrics_close = open_metrics_sink metrics in
   Dtr_cli.Cli.with_obs ?log ~verbose ~report ~trace @@ fun () ->
   let params = build_params theta_ms in
@@ -328,7 +323,7 @@ let cmd =
     Term.(
       const run $ topo $ nodes $ degree $ avg_util $ seed $ theta $ fraction
       $ topology_file $ traffic_file $ weights_file $ jobs $ chunk_size
-      $ no_dspf $ no_prune $ socket $ cache_capacity $ report_path $ trace_path
+      $ reference $ socket $ cache_capacity $ report_path $ trace_path
       $ metrics_path $ metrics_every $ log_path $ verbose)
 
 let () = exit (Cmd.eval cmd)

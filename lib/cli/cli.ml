@@ -34,6 +34,12 @@ let apply_chunk_size = function
   | Some _ as s -> Dtr_exec.Exec.set_chunk_size s
   | None -> ()
 
+let apply_reference reference =
+  if reference then begin
+    Dtr_spf.Spf_delta.set_enabled false;
+    Dtr_core.Prune.set_enabled false
+  end
+
 (* Observability bracket for a CLI run: reset all metrics/spans/traces
    (fixes the stale-counter carry-over between in-process runs), and set the
    optional instrumentation to exactly what this run will consume — on when

@@ -19,6 +19,13 @@ val apply_chunk_size : int option -> unit
     [Exec.set_chunk_size] (the explicit flag wins over [DTR_CHUNK_SIZE]);
     [None] leaves the environment/adaptive default in place. *)
 
+val apply_reference : bool -> unit
+(** [apply_reference true] (the [--reference] flag) turns reference mode
+    on process-wide, as [DTR_REFERENCE=1] does: the dynamic-SPF engine
+    ({!Dtr_spf.Spf_delta}) and move-space pruning ({!Dtr_core.Prune}) off,
+    with bit-identical results.  [false] leaves both switches as they
+    are. *)
+
 val obs_start :
   ?log:string -> verbose:bool -> report:string option -> trace:string option -> unit -> unit
 (** Observability bracket at the start of a CLI run: resets every

@@ -701,7 +701,7 @@ type bounded_sweep =
 (* The failure-sweep loop behind every sweep entry point.  Failures are
    priced in list order against the shared no-failure bases: a link failure
    from the sweep cache, a node failure (its dropped demands invalidate the
-   cached rows) or any failure under [DTR_NO_DSPF=1] from scratch.  A
+   cached rows) or any failure under [DTR_REFERENCE=1] from scratch.  A
    caller that keeps the bases' cache (the incremental engine) hands it in
    as [cache]; otherwise it costs about one full assessment, so it is built
    just before the first failure that reads it — a sweep that prices no

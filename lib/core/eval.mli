@@ -103,7 +103,7 @@ val sweep_details :
     the failure-reduced graph, so reuse is exact: costs are bit-identical
     to pricing without the store.  Every committed entry equals a
     from-scratch repair under the committed weights.  Only cached pricing
-    uses the store: node failures and [DTR_NO_DSPF=1] never read or fill
+    uses the store: node failures and [DTR_REFERENCE=1] never read or fill
     it.  The engine's sweeps hand in their {!sweep_cache}, so they price
     every link failure from the cache, a single-failure list included.
 

@@ -137,7 +137,7 @@ val sweep :
     pending trial copies of the destination-indexed ones with the trial's
     re-routed rows and fresh SLA subtotals swapped in.  No cache is built,
     and every link failure, a lone one included, is priced from the cache
-    (node failures, and every failure under [DTR_NO_DSPF=1], from scratch).
+    (node failures, and every failure under [DTR_REFERENCE=1], from scratch).
     Pass the same (physically equal) list every time: the states are kept
     per failure of one list.  Bit-identical to {!Eval.sweep_from} without
     the states or the cache. *)

@@ -120,136 +120,25 @@ let warm_start ~rng ?exec ?(failures = []) ?(budget = default_warm_budget)
     ?target ?cache ~incumbent (scenario : Scenario.t) =
   Dtr_obs.Span.with_ ~name:"warm_start" @@ fun () ->
   if Dtr_obs.Trace.enabled () then Dtr_obs.Trace.emit_phase ~name:"warm_start";
-  let exec = match exec with Some e -> e | None -> Dtr_exec.Exec.default () in
   let p = scenario.Scenario.params in
   let num_arcs = Scenario.num_arcs scenario in
-  let e = Eval_incr.create scenario in
-  let sweep w = Eval.compound (Eval_incr.sweep e ~exec w ~failures) in
-  let objective w normal =
-    if failures = [] then normal else Lexico.add normal (sweep w)
+  (* The optional caller-held cache works because J is pure in the weight
+     vector for a fixed scenario and failure set; the caller bumps it when
+     anything else moves. *)
+  let engine =
+    Phase2.engine ?exec ?cache (Eval_incr.create scenario) ~failures
+      Phase2.Normal_plus_kfail
   in
-  (* Optional caller-held delta cache (the serve daemon re-warms the same
-     incumbent across events): J is pure in the weight vector for a fixed
-     scenario and failure set, so hits skip the whole failure sweep.  The
-     caller is responsible for {!Delta_cache.bump} when anything else
-     moves. *)
-  let cache_find ~hash w =
-    match cache with
-    | Some c when Prune.enabled () -> Delta_cache.find c ~hash w
-    | _ -> None
-  in
-  let cache_add ~hash w j =
-    match cache with
-    | Some c when Prune.enabled () -> Delta_cache.add c ~hash w j
-    | _ -> ()
-  in
-  let cache_add_lower ~hash w partial =
-    match cache with
-    | Some c when Prune.enabled () -> Delta_cache.add_lower c ~hash w partial
-    | _ -> ()
-  in
-  let base = ref None in
-  let cur_hash = ref 0 in
-  let pend = ref None in
   let start_obj = ref None in
   let engine =
-    Local_search.
-      {
-        start =
-          (fun w ->
-            let normal = Eval_incr.anchor e w in
-            base := Some (Weights.copy w);
-            cur_hash := Delta_cache.hash_of w;
-            pend := None;
-            let j =
-              match cache_find ~hash:!cur_hash w with
-              | Some (Delta_cache.Full j) -> j
-              | Some (Delta_cache.Lower _) | None ->
-                  (* a round start needs the exact incumbent objective, so a
-                     lower bound can't serve here *)
-                  let j = objective w normal in
-                  if failures <> [] then cache_add ~hash:!cur_hash w j;
-                  j
-            in
-            if !start_obj = None then start_obj := Some j;
-            Some j);
-        try_arc =
-          (fun w ~arc ~bound ->
-            if failures = [] then begin
-              (* Pure normal objective: the per-destination accumulation
-                 inside the incremental pricer is itself boundable. *)
-              match bound with
-              | Some than when Prune.enabled () -> (
-                  match
-                    Eval_incr.try_arc_bounded e
-                      ~prune:(fun partial -> Lexico.prunes partial ~than)
-                      w ~arc
-                  with
-                  | Some c -> Cost c
-                  | None -> Pruned)
-              | _ -> Cost (Eval_incr.try_arc e w ~arc)
-            end
-            else begin
-              (* Stage 1 — bounded normal pricing: J = normal + Kfail
-                 dominates the normal cost componentwise, so the same
-                 incumbent bound already rejects a move whose normal
-                 partial prunes, before any sweep work. *)
-              let staged =
-                match bound with
-                | Some than when Prune.enabled () ->
-                    Eval_incr.try_arc_bounded e
-                      ~prune:(fun partial -> Lexico.prunes partial ~than)
-                      w ~arc
-                | _ -> Some (Eval_incr.try_arc e w ~arc)
-              in
-              match staged with
-              | None -> Pruned
-              | Some normal -> (
-                  let b = match !base with Some b -> b | None -> assert false in
-                  let h =
-                    Delta_cache.shift !cur_hash ~arc ~old_wd:b.Weights.wd.(arc)
-                      ~old_wt:b.Weights.wt.(arc) ~new_wd:w.Weights.wd.(arc)
-                      ~new_wt:w.Weights.wt.(arc)
-                  in
-                  pend := Some (arc, w.Weights.wd.(arc), w.Weights.wt.(arc), h);
-                  match (cache_find ~hash:h w, bound) with
-                  | Some (Delta_cache.Full j), _ -> Cost j
-                  | Some (Delta_cache.Lower lb), Some than
-                    when Lexico.prunes lb ~than ->
-                      (* the stored abort partial already proves this vector
-                         can't beat the current incumbent — no pricing *)
-                      Pruned
-                  | (Some (Delta_cache.Lower _) | None), _ -> (
-                      (* J(W) = K_normal + Kfail: [init] seeds the partial
-                         with the normal cost, so the abort test sees a
-                         monotone lower bound of J itself. *)
-                      match
-                        Eval_incr.sweep_bounded e ~exec ~init:normal
-                          ~prune:(Prune.against bound) w ~failures
-                      with
-                      | Eval.Swept j ->
-                          cache_add ~hash:h w j;
-                          Cost j
-                      | Eval.Aborted_at lb ->
-                          cache_add_lower ~hash:h w lb;
-                          Pruned))
-            end);
-        commit =
-          (fun () ->
-            Eval_incr.commit e;
-            match (!pend, !base) with
-            | Some (arc, wd, wt, h), Some b ->
-                b.Weights.wd.(arc) <- wd;
-                b.Weights.wt.(arc) <- wt;
-                cur_hash := h;
-                pend := None
-            | None, _ when failures = [] -> ()
-            | _ -> assert false);
-        rollback =
-          (fun () ->
-            Eval_incr.rollback e;
-            pend := None);
-      }
+    {
+      engine with
+      Local_search.start =
+        (fun w ->
+          let j = engine.Local_search.start w in
+          if !start_obj = None then start_obj := j;
+          j);
+    }
   in
   let config =
     Local_search.

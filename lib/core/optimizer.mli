@@ -122,11 +122,11 @@ val warm_start :
   incumbent:Weights.t ->
   Scenario.t ->
   warm_result
-(** Bounded local search from [incumbent] on the scenario's current traffic.
+(** Bounded local search from [incumbent] on the scenario's current traffic,
+    over {!Phase2.engine} with the {!Phase2.Normal_plus_kfail} objective.
     [failures] (default none — normal-conditions objective only) adds the
-    compounded failure cost of each listed scenario to the objective, priced
-    through the incremental engine's cached bases and the per-sweep pricing
-    cache.  Unlike {!optimize} there is no Phase-1 feasibility gate: the
+    compounded failure cost of each listed scenario to the objective.
+    Unlike {!optimize} there is no Phase-1 feasibility gate: the
     search is monotone in J from the incumbent, so the result never scores
     worse than the incumbent.  [target] makes the repair stop mid-sweep as
     soon as J reaches it (see {!Local_search.run_engine}) — the daemon's
@@ -134,11 +134,11 @@ val warm_start :
     any job count.
 
     Pricing prunes exactly against the search incumbent (early-abort in the
-    incremental pricer when [failures = []], {!Eval.compound_sweep_bounded}
-    seeded with the normal cost otherwise); gated by {!Prune}.  [cache], if
-    given, memoizes J across calls — the daemon holds one per scenario
-    epoch and must {!Delta_cache.bump} it whenever the traffic matrices,
-    graph, or failure set change. *)
+    incremental pricer, then the sweep seeded with the normal cost); gated
+    by {!Prune}.  [cache], if given, memoizes J across calls — the daemon
+    holds one per scenario epoch and must {!Delta_cache.bump} it whenever
+    the traffic matrices, graph, or failure set change.  A warm start
+    without failures never touches it. *)
 
 val robust_with :
   rng:Dtr_util.Rng.t ->

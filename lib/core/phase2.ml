@@ -26,6 +26,140 @@ let c_evals = Metric.Counter.create "phase2.evals"
 let c_sweeps = Metric.Counter.create "phase2.sweeps"
 let c_rounds = Metric.Counter.create "phase2.rounds"
 
+(* --- the trial engine ----------------------------------------------------- *)
+
+type objective =
+  | Gated of { lambda_max : float; phi_max : float }
+  | Normal_plus_kfail
+
+let admits objective (normal : Lexico.t) =
+  match objective with
+  | Gated { lambda_max; phi_max } ->
+      normal.Lexico.lambda <= lambda_max && normal.Lexico.phi <= phi_max
+  | Normal_plus_kfail -> true
+
+let engine ?exec ?cache e ~failures objective =
+  let exec = match exec with Some x -> x | None -> Dtr_exec.Exec.default () in
+  (* Without failures the objective is the normal cost alone and nothing is
+     worth memoizing. *)
+  let no_failures = failures = [] in
+  let cache =
+    match cache with
+    | Some c when (not no_failures) && Prune.enabled () -> Some c
+    | _ -> None
+  in
+  (* Shadow of the committed weight vector plus its rolling hash, kept only
+     for the cache; a trial records its arc, weights and hash because commit
+     receives no vector ([pend_arc < 0]: no trial to install). *)
+  let shadow = ref None and hash = ref 0 in
+  let pend_arc = ref (-1) and pend_wd = ref 0 and pend_wt = ref 0 in
+  let pend_hash = ref 0 in
+  (* The normal stage's prune, one closure for every trial.  Phase 2's is
+     the exact complement of [admits]: the incremental pricer's partial is a
+     monotone lower bound of the normal cost, so once it crosses either
+     threshold the trial is certifiably infeasible, and even the infeasible
+     counters match a run with pruning off.  The warm start's is its bound:
+     J = K_normal + Kfail dominates the normal cost componentwise. *)
+  let than = ref Lexico.zero in
+  let normal_prune =
+    match objective with
+    | Gated { lambda_max; phi_max } ->
+        fun (partial : Lexico.t) ->
+          partial.Lexico.lambda > lambda_max || partial.Lexico.phi > phi_max
+    | Normal_plus_kfail -> fun partial -> Lexico.prunes partial ~than:!than
+  in
+  let normal_stage w ~arc ~bound =
+    match (objective, bound) with
+    | Gated _, _ when Prune.enabled () ->
+        Eval_incr.try_arc_bounded e ~prune:normal_prune w ~arc
+    | Normal_plus_kfail, Some b when Prune.enabled () ->
+        than := b;
+        Eval_incr.try_arc_bounded e ~prune:normal_prune w ~arc
+    | _ -> Some (Eval_incr.try_arc e w ~arc)
+  in
+  (* The objective of [w], whose hash is [h]: from the cache, or from the
+     engine's current state by a sweep aborted against [bound], whose
+     outcome the cache keeps.  Without a bound nothing aborts.  The warm
+     start's normal cost seeds the sweep's partial, which then bounds J
+     itself. *)
+  let price w ~h ~bound normal =
+    let cached =
+      match cache with Some c -> Delta_cache.find c ~hash:h w | None -> None
+    in
+    match (cached, bound) with
+    | Some (Delta_cache.Full c), _ -> Local_search.Cost c
+    | Some (Delta_cache.Lower lb), Some than when Lexico.prunes lb ~than ->
+        Local_search.Pruned
+    | (Some (Delta_cache.Lower _) | None), _ -> (
+        let init =
+          match objective with Normal_plus_kfail -> Some normal | Gated _ -> None
+        in
+        match
+          Eval_incr.sweep_bounded e ~exec ?init ~prune:(Prune.against bound) w
+            ~failures
+        with
+        | Eval.Swept c ->
+            Option.iter (fun k -> Delta_cache.add k ~hash:h w c) cache;
+            Local_search.Cost c
+        | Eval.Aborted_at lb ->
+            Option.iter (fun k -> Delta_cache.add_lower k ~hash:h w lb) cache;
+            Local_search.Pruned)
+  in
+  Local_search.
+    {
+      start =
+        (fun w ->
+          let normal = Eval_incr.anchor e w in
+          pend_arc := -1;
+          if not (admits objective normal) then None
+          else if no_failures then Some normal
+          else begin
+            if Option.is_some cache then begin
+              shadow := Some (Weights.copy w);
+              hash := Delta_cache.hash_of w
+            end;
+            match price w ~h:!hash ~bound:None normal with
+            | Cost c -> Some c
+            | Infeasible | Pruned -> assert false
+          end);
+      try_arc =
+        (fun w ~arc ~bound ->
+          (* Trials rejected here stay staged; the search's rollback
+             discards them. *)
+          match normal_stage w ~arc ~bound with
+          | None -> (
+              match objective with Gated _ -> Infeasible | Normal_plus_kfail -> Pruned)
+          | Some normal when not (admits objective normal) -> Infeasible
+          | Some normal when no_failures -> Cost normal
+          | Some normal ->
+              (match !shadow with
+              | Some (b : Weights.t) ->
+                  pend_arc := arc;
+                  pend_wd := w.Weights.wd.(arc);
+                  pend_wt := w.Weights.wt.(arc);
+                  pend_hash :=
+                    Delta_cache.shift !hash ~arc ~old_wd:b.Weights.wd.(arc)
+                      ~old_wt:b.Weights.wt.(arc) ~new_wd:!pend_wd ~new_wt:!pend_wt
+              | None -> ());
+              price w ~h:!pend_hash ~bound normal);
+      commit =
+        (fun () ->
+          Eval_incr.commit e;
+          (match !shadow with
+          | Some b when !pend_arc >= 0 ->
+              b.Weights.wd.(!pend_arc) <- !pend_wd;
+              b.Weights.wt.(!pend_arc) <- !pend_wt;
+              hash := !pend_hash
+          | _ -> ());
+          pend_arc := -1);
+      rollback =
+        (fun () ->
+          Eval_incr.rollback e;
+          pend_arc := -1);
+    }
+
+(* --- Phase 2 --------------------------------------------------------------- *)
+
 let run ~rng ?(incremental = true) ?exec ?(fast = false) (scenario : Scenario.t)
     ~(phase1 : Phase1.output) ~failures =
   Span.with_ ~name:"phase2" @@ fun () ->
@@ -37,123 +171,22 @@ let run ~rng ?(incremental = true) ?exec ?(fast = false) (scenario : Scenario.t)
   let best_cost = phase1.Phase1.best_cost in
   let starts = Array.of_list phase1.Phase1.acceptable in
   if Array.length starts = 0 then invalid_arg "Phase2.run: no acceptable starting setting";
-  let feasible normal =
-    normal.Lexico.lambda <= best_cost.Lexico.lambda +. Lexico.lambda_tolerance
-    && normal.Lexico.phi <= (1. +. p.Scenario.chi) *. best_cost.Lexico.phi
+  let gate =
+    Gated
+      {
+        lambda_max = best_cost.Lexico.lambda +. Lexico.lambda_tolerance;
+        phi_max = (1. +. p.Scenario.chi) *. best_cost.Lexico.phi;
+      }
   in
   (* Each Phase-2 evaluation prices the setting under every scenario of the
      optimized failure set; infeasibility w.r.t. Eqs. (5)-(6) short-circuits
-     before the expensive sweep.  The incremental engine additionally prices
-     the normal-conditions gate with a single-arc patch and starts every
-     per-failure [with_failed_arcs] from its cached no-failure bases, so a
-     move never recomputes the normal routing from scratch; its resident
-     post-failure states spare the repairs a move cannot reach. *)
+     before the expensive sweep. *)
   let cache = Delta_cache.create ~capacity:128 in
   let engine =
-    if incremental then begin
-      let e = Eval_incr.create scenario in
-      (* Shadow of the committed weight vector plus its rolling hash for the
-         delta cache; the pending trial's replacement weights and hash are
-         recorded at try time because commit receives no vector. *)
-      let base = ref None in
-      let cur_hash = ref 0 in
-      let pend = ref None in
-      let sweep w = Eval.compound (Eval_incr.sweep e ~exec w ~failures) in
-      let cache_find ~hash w =
-        if Prune.enabled () then Delta_cache.find cache ~hash w else None
-      in
-      let cache_add ~hash w c =
-        if Prune.enabled () then Delta_cache.add cache ~hash w c
-      in
-      let cache_add_lower ~hash w partial =
-        if Prune.enabled () then Delta_cache.add_lower cache ~hash w partial
-      in
-      Local_search.
-        {
-          start =
-            (fun w ->
-              let normal = Eval_incr.anchor e w in
-              if not (feasible normal) then None
-              else begin
-                let h = Delta_cache.hash_of w in
-                base := Some (Weights.copy w);
-                cur_hash := h;
-                pend := None;
-                match cache_find ~hash:h w with
-                | Some (Delta_cache.Full c) -> Some c
-                | Some (Delta_cache.Lower _) | None ->
-                    let c = sweep w in
-                    cache_add ~hash:h w c;
-                    Some c
-              end);
-          try_arc =
-            (fun w ~arc ~bound ->
-              (* The Eqs. (5)-(6) gate is itself boundable: the incremental
-                 pricer's partial is a monotone lower bound of the normal
-                 cost, so the moment it exceeds either threshold the trial
-                 is certifiably infeasible — the predicate below is the
-                 exact complement of [feasible], so even the infeasible
-                 counters match a run with pruning off. *)
-              let staged =
-                if Prune.enabled () then
-                  Eval_incr.try_arc_bounded e
-                    ~prune:(fun partial ->
-                      partial.Lexico.lambda
-                      > best_cost.Lexico.lambda +. Lexico.lambda_tolerance
-                      || partial.Lexico.phi
-                         > (1. +. p.Scenario.chi) *. best_cost.Lexico.phi)
-                    w ~arc
-                else Some (Eval_incr.try_arc e w ~arc)
-              in
-              (* Infeasible trials stay staged; the search's rollback on a
-                 rejected move discards them. *)
-              match staged with
-              | None -> Infeasible
-              | Some normal when not (feasible normal) -> Infeasible
-              | Some _ -> begin
-                let b = match !base with Some b -> b | None -> assert false in
-                let h =
-                  Delta_cache.shift !cur_hash ~arc ~old_wd:b.Weights.wd.(arc)
-                    ~old_wt:b.Weights.wt.(arc) ~new_wd:w.Weights.wd.(arc)
-                    ~new_wt:w.Weights.wt.(arc)
-                in
-                pend := Some (arc, w.Weights.wd.(arc), w.Weights.wt.(arc), h);
-                match (cache_find ~hash:h w, bound) with
-                | (Some (Delta_cache.Full c), _) -> Cost c
-                | (Some (Delta_cache.Lower lb), Some than)
-                  when Lexico.prunes lb ~than ->
-                    Pruned
-                | ((Some (Delta_cache.Lower _) | None), _) -> (
-                    match
-                      Eval_incr.sweep_bounded e ~exec ~prune:(Prune.against bound) w
-                        ~failures
-                    with
-                    | Eval.Swept c ->
-                        cache_add ~hash:h w c;
-                        Cost c
-                    | Eval.Aborted_at lb ->
-                        cache_add_lower ~hash:h w lb;
-                        Pruned)
-              end);
-          commit =
-            (fun () ->
-              Eval_incr.commit e;
-              match (!pend, !base) with
-              | Some (arc, wd, wt, h), Some b ->
-                  b.Weights.wd.(arc) <- wd;
-                  b.Weights.wt.(arc) <- wt;
-                  cur_hash := h;
-                  pend := None
-              | _ -> assert false);
-          rollback =
-            (fun () ->
-              Eval_incr.rollback e;
-              pend := None);
-        }
-    end
+    if incremental then engine ~exec ~cache (Eval_incr.create scenario) ~failures gate
     else
       Local_search.eval_engine (fun w ->
-          if feasible (Eval.cost scenario w) then
+          if admits gate (Eval.cost scenario w) then
             Some (Eval.compound (Eval.sweep scenario ~exec w failures))
           else None)
   in

@@ -32,6 +32,44 @@ type output = {
   stats : stats;
 }
 
+(** {1 The trial engine}
+
+    Phase 2 and the warm start ({!Optimizer.warm_start}) price a trial the
+    same way, and run the same {!Local_search.engine}: the normal cost of
+    the single-arc move from an {!Eval_incr} engine, bounded where the
+    objective allows, then the failure sweep from the engine's cached state
+    ({!Eval_incr.sweep_bounded}), aborted against the search incumbent
+    ({!Prune.against}).  A {!Delta_cache} memoizes the priced vectors: an
+    exact objective as a [Full] entry, an abort partial as a [Lower] one,
+    which later rejects the same vector with no pricing at all.  Early
+    aborts and the cache are exact and gated by {!Prune}: every cost,
+    verdict and search counter is the one full pricing gives. *)
+
+type objective =
+  | Gated of { lambda_max : float; phi_max : float }
+      (** Phase 2: [Kfail] of the settings whose normal cost meets
+          Eqs. (5)-(6), [Lambda <= lambda_max] and [Phi <= phi_max].  Other
+          settings are infeasible; the bounded normal stage answers
+          [Infeasible] as soon as its partial crosses either threshold. *)
+  | Normal_plus_kfail
+      (** The warm start: [J = K_normal + Kfail], unconstrained.  The
+          normal stage is bounded by the search incumbent and its cost
+          seeds the bounded sweep. *)
+
+val engine :
+  ?exec:Dtr_exec.Exec.t ->
+  ?cache:Delta_cache.t ->
+  Eval_incr.t ->
+  failures:Failure.t list ->
+  objective ->
+  Local_search.engine
+(** The search engine over the given {!Eval_incr} engine, which it
+    anchors at every round start.
+    [failures] is the sweep's fixed list (pass the same list throughout);
+    with [failures = []] the objective is the normal cost alone and the
+    cache is never touched.  [cache] is not consulted when pruning is off.
+    [exec] (default {!Dtr_exec.Exec.default}) runs the sweeps. *)
+
 val run :
   rng:Dtr_util.Rng.t ->
   ?incremental:bool ->
@@ -41,17 +79,11 @@ val run :
   phase1:Phase1.output ->
   failures:Failure.t list ->
   output
-(** [incremental] (default [true]): price the normal-conditions gate of each
-    single-arc move with the {!Eval_incr} engine and start the failure sweep
-    from its cached no-failure routing bases; bit-identical to pricing each
-    move from scratch ({!Eval.cost}, then {!Eval.sweep} when feasible),
-    hence the same trajectory for a given RNG.  The incremental engine
-    additionally prunes: feasible moves are priced with
-    {!Eval.compound_sweep_bounded} against the search incumbent (exact —
-    the trajectory is unchanged) and memoized in a per-run {!Delta_cache},
-    so revisited vectors skip the sweep entirely.  Both are disabled by
-    {!Prune.set_enabled}[ false] / [DTR_NO_PRUNE], which leaves the same
-    sweep with a prune that never fires.
+(** [incremental] (default [true]): search with {!engine} and its
+    {!Gated} objective over a per-run 128-entry {!Delta_cache};
+    bit-identical to pricing each move from scratch ({!Eval.cost}, then
+    {!Eval.sweep} when feasible), hence the same trajectory for a given
+    RNG.
 
     [fast] (default [false]) enables the criticality-gated proposal filter
     ({!Local_search.filter}): arcs scored by the larger of their Phase-1

@@ -1,14 +1,14 @@
 module Metric = Dtr_obs.Metric
 
-(* DTR_NO_PRUNE=1 turns the move-space pruning engine off: bounded pricing
-   falls back to full pricing and the delta cache is never consulted.  The
-   default-on pruned path is bit-identical to the reference path (the abort
-   test is exact under Lexico.compare's tolerance semantics), but the
-   reference must stay reachable for A/B benchmarking and the CI identity
-   leg — same contract as DTR_NO_DSPF for the dynamic-SPF engine. *)
+(* DTR_REFERENCE=1 turns the move-space pruning engine off (with the
+   dynamic-SPF engine, see Spf_delta): bounded pricing falls back to full
+   pricing and the delta cache is never consulted.  The default-on pruned
+   path is bit-identical to the reference path (the abort test is exact
+   under Lexico.compare's tolerance semantics), but the reference must stay
+   reachable for A/B benchmarking and the CI identity leg. *)
 let enabled_flag =
   ref
-    (match Sys.getenv_opt "DTR_NO_PRUNE" with
+    (match Sys.getenv_opt "DTR_REFERENCE" with
     | Some s when s <> "" && s <> "0" -> false
     | _ -> true)
 

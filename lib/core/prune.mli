@@ -4,8 +4,9 @@
     pricing (exact, bit-identical to full pricing), the cross-restart
     weight-vector delta cache (exact: hits return previously computed
     values), and — independently gated behind [--fast] — the
-    criticality-based move proposal filter.  [DTR_NO_PRUNE=1] in the
-    environment, the [--no-prune] CLI flag, or {!set_enabled}[ false]
+    criticality-based move proposal filter.  Reference mode
+    ([DTR_REFERENCE=1] in the environment or the CLIs' [--reference] flag,
+    which also turn {!Dtr_spf.Spf_delta} off) or {!set_enabled}[ false]
     force every pricer back onto the full reference path. *)
 
 val enabled : unit -> bool

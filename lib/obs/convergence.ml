@@ -1,11 +1,11 @@
 (* Per-iteration convergence telemetry.  The search drivers (Local_search,
-   Annealing, Phase 1b) append one point per iteration — a sweep, an
-   annealing stage, a sampling round — into the ambient series their caller
-   opened with [with_series].  Phases 1a/1b/1c of the paper derive
-   criticality from the distribution of costs seen during the normal-
-   conditions search; this module records exactly that trajectory (best and
-   current cost, acceptance rate, diversification resets) so iteration
-   budgets can be tuned from evidence instead of aggregate totals.
+   Phase 1b) append one point per iteration — a sweep or a sampling round —
+   into the ambient series their caller opened with [with_series].  Phases
+   1a/1b/1c of the paper derive criticality from the distribution of costs
+   seen during the normal-conditions search; this module records exactly
+   that trajectory (best and current cost, acceptance rate, diversification
+   resets) so iteration budgets can be tuned from evidence instead of
+   aggregate totals.
 
    Recording happens once per iteration, not per move, so points may
    allocate; the per-move hot path is untouched.  The ambient series lives

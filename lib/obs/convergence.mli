@@ -1,15 +1,15 @@
 (** Per-iteration convergence telemetry for the search drivers.
 
     A series is a named time series of per-iteration points — one point per
-    local-search sweep, annealing stage, or Phase-1b sampling round —
+    local-search sweep or Phase-1b sampling round —
     capturing the trajectory Algorithm 1 actually consumes: best and current
     lexicographic cost, acceptance counts, and diversification resets.
     Series appear in the [dtr-obs-report/2] JSON and as sparkline/summary
     output under [dtr-opt --verbose].
 
     Field meaning is per-series: the local-search series (phase1a, phase2,
-    annealing) use [trials]/[accepts] for move counts and [resets] for
-    diversification restarts (annealing: uphill acceptances); the phase1b
+    warm_start) use [trials]/[accepts] for move counts and [resets] for
+    diversification restarts; the phase1b
     series records sampling progress ([trials] = probes priced so far,
     [accepts] = minimum per-arc sample count, [resets] = 1 once rankings
     have converged). *)

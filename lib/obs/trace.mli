@@ -36,7 +36,7 @@ type kind =
   | Span_begin  (** a {!Span.with_} opened; [name] is the span name *)
   | Span_end  (** the matching close *)
   | Move
-      (** one local-search / annealing single-arc trial: [a] the arc,
+      (** one local-search single-arc trial: [a] the arc,
           [b] 1 if accepted, [f1]/[f2] the old cost (lambda, phi),
           [f3]/[f4] the new cost — NaN when the move was infeasible *)
   | Sweep_begin  (** failure sweep started: [a] scenario id, [b] failure count *)

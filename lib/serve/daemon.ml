@@ -788,31 +788,9 @@ let handle_line t line =
 let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
 
-let run_pipe t ic oc =
-  ignore_sigpipe ();
-  let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line when String.trim line = "" -> loop ()
-    | line -> (
-        let resp, continue = handle_line t line in
-        match
-          output_string oc resp;
-          output_char oc '\n';
-          flush oc
-        with
-        | () -> if continue then loop ()
-        | exception Sys_error _ ->
-            (* Nobody reads the replies any more: end the session as at end
-               of input, so the caller still writes its shutdown artifacts.
-               Closing drops the unwritable bytes, which a flush at exit
-               would otherwise raise on again. *)
-            close_out_noerr oc)
-  in
-  loop ()
-
-(* Socket mode: one select loop over the listening socket, the connected
-   clients and (optionally) stdio, all newline-framed.  Single-threaded:
+(* Both loops read newline-framed requests through [split_lines], so a
+   request line longer than [P.max_request_bytes] gets the same typed
+   [request_too_large] answer on the pipe as on a socket.  Single-threaded:
    requests are handled to completion in readiness order, so daemon state
    needs no locking and responses never interleave. *)
 
@@ -835,6 +813,17 @@ let write_all fd s =
   while !off < len do
     off := !off + Unix.write fd b !off (len - !off)
   done
+
+(* Replies on a channel.  A failed write closes it, which drops the
+   unwritable bytes a flush at exit would otherwise raise on again. *)
+let reply_on oc s =
+  try
+    output_string oc s;
+    output_char oc '\n';
+    flush oc
+  with Sys_error _ as e ->
+    close_out_noerr oc;
+    raise e
 
 let rec newline chunk i n =
   if i >= n || Bytes.get chunk i = '\n' then i else newline chunk (i + 1) n
@@ -866,6 +855,63 @@ let split_lines peer chunk n =
   in
   go 0 []
 
+(* One blocking read into [chunk]; 0 at end of input or on a read error. *)
+let rec read_chunk fd chunk =
+  match Unix.read fd chunk 0 (Bytes.length chunk) with
+  | n -> n
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_chunk fd chunk
+  | exception Unix.Unix_error _ -> 0
+
+(* Answers the lines that [n] fresh bytes of [chunk] complete.  A
+   [shutdown] sets [stop], after which the rest is ignored.  A reply that
+   cannot be written (EPIPE: the peer closed without reading its replies)
+   hangs the peer up and drops the rest of its buffered requests. *)
+let serve_chunk t ~stop ~hang_up peer chunk n =
+  let rec serve = function
+    | [] -> ()
+    | input :: rest -> (
+        let answer =
+          match input with
+          | _ when !stop -> None
+          | Line line when String.trim line = "" -> None
+          | Line line -> Some (handle_line t line)
+          | Too_large ->
+              Some
+                (reject_line t ~code:P.Request_too_large
+                   ~message:
+                     (Printf.sprintf "request line longer than %d bytes"
+                        P.max_request_bytes))
+        in
+        match answer with
+        | None -> serve rest
+        | Some (resp, continue) -> (
+            if not continue then stop := true;
+            match peer.reply resp with
+            | () -> serve rest
+            | exception (Sys_error _ | Unix.Unix_error _) -> hang_up peer))
+  in
+  serve (split_lines peer chunk n)
+
+let run_pipe t ic oc =
+  ignore_sigpipe ();
+  let peer = new_peer (Unix.descr_of_in_channel ic) (reply_on oc) in
+  let chunk = Bytes.create 65536 in
+  let stop = ref false in
+  (* Nobody reads the replies any more: end the session as at end of input,
+     so the caller still writes its shutdown artifacts. *)
+  let hang_up _ = stop := true in
+  while not !stop do
+    match read_chunk peer.fd chunk with
+    | 0 ->
+        (* end of input completes a last line that has no newline *)
+        Bytes.set chunk 0 '\n';
+        serve_chunk t ~stop ~hang_up peer chunk 1;
+        stop := true
+    | n -> serve_chunk t ~stop ~hang_up peer chunk n
+  done
+
+(* Socket mode: one select loop over the listening socket, the connected
+   clients and (optionally) stdio. *)
 let run_socket t ~socket ?stdio () =
   ignore_sigpipe ();
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
@@ -875,16 +921,7 @@ let run_socket t ~socket ?stdio () =
   let peers = ref [] in
   let stdio_peer =
     Option.map
-      (fun (ic, oc) ->
-        new_peer (Unix.descr_of_in_channel ic) (fun s ->
-            try
-              output_string oc s;
-              output_char oc '\n';
-              flush oc
-            with Sys_error _ as e ->
-              (* as in [run_pipe]: drop the unwritable bytes *)
-              close_out_noerr oc;
-              raise e))
+      (fun (ic, oc) -> new_peer (Unix.descr_of_in_channel ic) (reply_on oc))
       stdio
   in
   let stdio_open = ref (stdio_peer <> None) in
@@ -899,35 +936,6 @@ let run_socket t ~socket ?stdio () =
     | _ -> drop peer
   in
   let chunk = Bytes.create 65536 in
-  (* A reply that cannot be written (EPIPE: the peer closed without reading
-     its replies) drops the peer and the rest of its buffered requests;
-     every other client keeps being served. *)
-  let serve_lines peer n =
-    let rec serve = function
-      | [] -> ()
-      | input :: rest -> (
-          let answer =
-            match input with
-            | _ when !stop -> None
-            | Line line when String.trim line = "" -> None
-            | Line line -> Some (handle_line t line)
-            | Too_large ->
-                Some
-                  (reject_line t ~code:P.Request_too_large
-                     ~message:
-                       (Printf.sprintf "request line longer than %d bytes"
-                          P.max_request_bytes))
-          in
-          match answer with
-          | None -> serve rest
-          | Some (resp, continue) -> (
-              if not continue then stop := true;
-              match peer.reply resp with
-              | () -> serve rest
-              | exception (Sys_error _ | Unix.Unix_error _) -> hang_up peer))
-    in
-    serve (split_lines peer chunk n)
-  in
   Fun.protect
     ~finally:(fun () ->
       List.iter (fun p -> try Unix.close p.fd with Unix.Unix_error _ -> ()) !peers;
@@ -955,10 +963,8 @@ let run_socket t ~socket ?stdio () =
             | Some p when p.fd = fd -> p
             | _ -> List.find (fun p -> p.fd = fd) !peers
           in
-          let n = try Unix.read fd chunk 0 (Bytes.length chunk) with
-            | Unix.Unix_error _ -> 0
-          in
-          if n = 0 then hang_up peer else serve_lines peer n
+          let n = read_chunk fd chunk in
+          if n = 0 then hang_up peer else serve_chunk t ~stop ~hang_up peer chunk n
         end)
       readable
   done

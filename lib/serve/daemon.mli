@@ -58,10 +58,13 @@ val handle_line : t -> string -> string * bool
 
 val run_pipe : t -> in_channel -> out_channel -> unit
 (** Blocking request/response loop until EOF or [shutdown]; each response
-    is flushed before the next read.  Ignores SIGPIPE for the process, and
-    a reply that cannot be written (the reader closed the output) closes
-    the output channel and ends the loop like end of input, so the
-    caller's shutdown artifacts are still written. *)
+    is flushed before the next read.  Requests are framed as on a socket
+    ({!run_socket}): a line longer than {!Protocol.max_request_bytes} is
+    discarded as it arrives and answered with a [request_too_large] error,
+    and a last line without a newline is served at end of input.  Ignores
+    SIGPIPE for the process, and a reply that cannot be written (the reader
+    closed the output) closes the output channel and ends the loop like end
+    of input, so the caller's shutdown artifacts are still written. *)
 
 val run_socket : t -> socket:string -> ?stdio:in_channel * out_channel -> unit -> unit
 (** Serve a Unix-domain socket at [socket] (unlinking any stale file), and

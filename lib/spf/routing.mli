@@ -62,7 +62,7 @@ val with_failed_arcs :
     path — and the remaining destinations are {e repaired} by the dynamic-SPF
     engine ({!Spf_delta}): only the affected cone of nodes is re-relaxed and
     only the settled nodes' hop rows rebuilt, bit-identically to a
-    from-scratch Dijkstra (which [DTR_NO_DSPF=1] or
+    from-scratch Dijkstra (which [DTR_REFERENCE=1] or
     {!Spf_delta.set_enabled}[ false] forces instead).  [base] must have been
     computed with every arc enabled, and [disabled] must be the mask
     corresponding to [failed].  [?changed], when given, must be exactly the

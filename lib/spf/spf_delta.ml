@@ -1,12 +1,13 @@
 module Graph = Dtr_topology.Graph
 module Int_heap = Dtr_util.Int_heap
 
-(* DTR_NO_DSPF=1 forces every failure evaluation back onto the from-scratch
-   per-destination Dijkstra, both here and in the evaluator's sweep cache.
-   The reference path must stay reachable for A/B benchmarking and CI. *)
+(* DTR_REFERENCE=1 forces every failure evaluation back onto the
+   from-scratch per-destination Dijkstra, both here and in the evaluator's
+   sweep cache (and turns pruning off, see Prune).  The reference path must
+   stay reachable for A/B benchmarking and CI. *)
 let enabled_flag =
   ref
-    (match Sys.getenv_opt "DTR_NO_DSPF" with
+    (match Sys.getenv_opt "DTR_REFERENCE" with
     | Some s when s <> "" && s <> "0" -> false
     | _ -> true)
 

@@ -26,12 +26,15 @@ module Graph = Dtr_topology.Graph
 
 val enabled : unit -> bool
 (** Whether the dynamic-SPF repair engine is active for failure sweeps.
-    Defaults to [true]; the environment variable [DTR_NO_DSPF] (set to
-    anything but ["0"] or the empty string) forces the from-scratch path
-    instead.  Single-arc weight changes always repair. *)
+    Defaults to [true]; reference mode — the environment variable
+    [DTR_REFERENCE] set to anything but ["0"] or the empty string — forces
+    the from-scratch path instead, and turns {!Dtr_core.Prune} off too.
+    Single-arc weight changes always repair. *)
 
 val set_enabled : bool -> unit
-(** Override the engine switch programmatically (the CLI's [--no-dspf]). *)
+(** Override the engine switch programmatically (the CLIs' [--reference]
+    sets both this and the prune switch; in-process A/B runs set either
+    alone). *)
 
 type scratch
 (** Reusable working set for the repairs (node state flags, reset lists and

@@ -12,45 +12,8 @@ let edge_of_pair options pts u v =
   let cap = options.capacity and prop = Float.max options.min_delay dist in
   Graph.{ u; v; cap; prop }
 
-(* Propagation-delay diameter: largest finite shortest-path delay over all
-   ordered pairs (float Dijkstra over the edge list). *)
-let prop_diameter ~n edges =
-  let adj = Array.make n [] in
-  List.iter
-    (fun { Graph.u; v; prop; _ } ->
-      adj.(u) <- (v, prop) :: adj.(u);
-      adj.(v) <- (u, prop) :: adj.(v))
-    edges;
-  let diameter = ref 0. in
-  let dist = Array.make n Float.infinity in
-  let heap = Dtr_util.Heap.create ~capacity:n () in
-  for s = 0 to n - 1 do
-    Array.fill dist 0 n Float.infinity;
-    Dtr_util.Heap.clear heap;
-    dist.(s) <- 0.;
-    Dtr_util.Heap.push heap 0. s;
-    let rec loop () =
-      match Dtr_util.Heap.pop heap with
-      | None -> ()
-      | Some (d, u) ->
-          if d = dist.(u) then
-            List.iter
-              (fun (v, w) ->
-                let alt = d +. w in
-                if alt < dist.(v) then begin
-                  dist.(v) <- alt;
-                  Dtr_util.Heap.push heap alt v
-                end)
-              adj.(u);
-          loop ()
-    in
-    loop ();
-    Array.iter (fun d -> if d < Float.infinity && d > !diameter then diameter := d) dist
-  done;
-  !diameter
-
 let scale_to_diameter options ~n edges =
-  let diameter = prop_diameter ~n edges in
+  let diameter = Net_stats.prop_diameter (Graph.of_edges ~n edges) in
   if diameter <= 0. then edges
   else begin
     let factor = options.target_diameter /. diameter in

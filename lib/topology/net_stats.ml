@@ -38,33 +38,34 @@ let hop_diameter g =
   done;
   !best
 
+(* Dijkstra on propagation delays.  A popped entry is live only while its
+   key is the key of the node's distance, and relaxes from that distance,
+   so the distances are the exact float Dijkstra's. *)
 let prop_diameter g =
+  let module H = Dtr_util.Int_heap in
   let n = Graph.num_nodes g in
-  let heap = Dtr_util.Heap.create ~capacity:n () in
+  let off = Graph.out_offsets g and ids = Graph.out_csr g in
+  let dst = Graph.arc_dests g and prop = Graph.arc_prop_delays g in
+  let heap = H.create ~capacity:n () in
   let dist = Array.make n Float.infinity in
   let best = ref 0. in
   for src = 0 to n - 1 do
     Array.fill dist 0 n Float.infinity;
-    Dtr_util.Heap.clear heap;
     dist.(src) <- 0.;
-    Dtr_util.Heap.push heap 0. src;
-    let rec loop () =
-      match Dtr_util.Heap.pop heap with
-      | None -> ()
-      | Some (d, u) ->
-          if d = dist.(u) then
-            List.iter
-              (fun id ->
-                let a = Graph.arc g id in
-                let alt = d +. a.Graph.delay in
-                if alt < dist.(a.Graph.dst) then begin
-                  dist.(a.Graph.dst) <- alt;
-                  Dtr_util.Heap.push heap alt a.Graph.dst
-                end)
-              (Graph.out_arcs g u);
-          loop ()
-    in
-    loop ();
+    H.push heap (H.float_key 0.) src;
+    while not (H.is_empty heap) do
+      let k = H.min_key heap in
+      let u = H.pop_min heap in
+      if k = H.float_key dist.(u) then
+        for i = off.(u) to off.(u + 1) - 1 do
+          let a = ids.(i) in
+          let v = dst.(a) and alt = dist.(u) +. prop.(a) in
+          if alt < dist.(v) then begin
+            dist.(v) <- alt;
+            H.push heap (H.float_key alt) v
+          end
+        done
+    done;
     Array.iter (fun d -> if d < Float.infinity && d > !best then best := d) dist
   done;
   !best

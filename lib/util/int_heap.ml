@@ -68,3 +68,5 @@ let pop_min h =
   h.vals.(0) <- h.vals.(h.len);
   if h.len > 0 then sift_down h 0;
   v
+
+let float_key d = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float d) 1)

@@ -6,7 +6,7 @@
    in-repo DAG-order sort replaced their from-scratch predecessors, so a
    drift in the last bit of any load, which would move the whole search
    trajectory, fails here rather than only in the benchmark's quality
-   metrics.  Every execution mode (DTR_JOBS, DTR_NO_DSPF, DTR_NO_PRUNE) must
+   metrics.  Every execution mode (DTR_JOBS, DTR_REFERENCE) must
    reproduce them.
 
    The search counters are pinned too, with values recorded before the

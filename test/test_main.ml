@@ -31,11 +31,9 @@ let () =
       ("core.criticality", Test_criticality.suite);
       ("core.search", Test_search.suite);
       ("core.metrics", Test_metrics.suite);
-      ("core.annealing", Test_annealing.suite);
       ("core.prune", Test_prune.suite);
       ("core.resident", Test_resident.suite);
       ("core.joint", Test_joint.suite);
-      ("spf.paths", Test_paths.suite);
       ("spf.oracle", Test_oracle.suite);
       ("io", Test_io.suite);
       ("serve", Test_serve.suite);

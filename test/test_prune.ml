@@ -310,7 +310,7 @@ let test_delta_cache_bump_drops () =
     (List.for_all (fun w -> Delta_cache.find t ~hash:(Delta_cache.hash_of w) w = None) vectors)
 
 (* Pin the pruning flag for one run and restore the ambient state after:
-   the suite must behave identically under DTR_NO_PRUNE=1 (the CI leg runs
+   the suite must behave identically under DTR_REFERENCE=1 (the CI leg runs
    everything that way), so the "on" arms enable explicitly rather than
    assuming the process default. *)
 let with_prune enabled f =

@@ -305,6 +305,79 @@ let test_warm_single_failure () =
       (counter "eval.sweep.resident_reused" > 0)
   end
 
+(* The warm start's other two shapes, with values recorded before Phase 2
+   and the warm start shared one trial engine.  With no failures the
+   objective is the normal cost alone. *)
+let test_warm_no_failures () =
+  let scenario = Fixtures.small ~seed:5 ~nodes:10 () in
+  let m = Scenario.num_arcs scenario in
+  let incumbent =
+    Weights.random (Rng.create 6) ~num_arcs:m ~wmax:scenario.Scenario.params.Scenario.wmax
+  in
+  let r = Optimizer.warm_start ~rng:(Rng.create 7) ~exec:Exec.serial ~incumbent scenario in
+  let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+  Alcotest.(check string) "delay weights"
+    ("14 19 6 8 5 9 17 8 2 8 10 6 11 14 6 8 9 9 8 16 "
+   ^ "5 7 5 17 4 13 13 7 3 9 13 7 20 7 9 12 3 13 6 20")
+    (ints r.Optimizer.weights.Weights.wd);
+  Alcotest.(check string) "throughput weights"
+    ("10 6 15 9 1 13 16 12 19 10 5 13 10 8 13 8 6 13 13 6 "
+   ^ "19 7 15 14 2 12 6 16 9 10 3 14 16 4 2 15 6 19 14 10")
+    (ints r.Optimizer.weights.Weights.wt);
+  let hex (c : Lexico.t) = Printf.sprintf "%h %h" c.Lexico.lambda c.Lexico.phi in
+  Alcotest.(check string) "objective" "0x0p+0 0x1.24203c9748074p+14" (hex r.Optimizer.objective);
+  Alcotest.(check string) "start objective" "0x1.9b3ee22062341p+14 0x1.0145b035eb6b5p+24"
+    (hex r.Optimizer.start_objective);
+  Alcotest.(check (list int)) "sweeps, evals, rounds" [ 69; 2755; 2 ]
+    [ r.Optimizer.warm_sweeps; r.Optimizer.warm_evals; r.Optimizer.warm_rounds ];
+  if Prune.enabled () then Alcotest.(check int) "pruned" 2575 r.Optimizer.warm_pruned
+
+(* A critical-set warm start run twice on one delta cache, as dtr-serve
+   re-warms an incumbent: the second run follows the same trajectory, and
+   the cache's counts are pinned too. *)
+let test_warm_critical_cached () =
+  let scenario = Fixtures.small ~seed:5 ~nodes:10 () in
+  let m = Scenario.num_arcs scenario in
+  let incumbent =
+    Weights.random (Rng.create 6) ~num_arcs:m ~wmax:scenario.Scenario.params.Scenario.wmax
+  in
+  let phase1 = Phase1.run ~rng:(Rng.create 3) scenario in
+  let critical = Phase1.critical_set scenario phase1 in
+  Alcotest.(check (list int)) "critical set" [ 2; 5; 16; 18; 24; 35 ] critical;
+  let failures = List.map (fun a -> Failure.Arc a) critical in
+  let cache = Dtr_core.Delta_cache.create ~capacity:4096 in
+  let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+  let hex (c : Lexico.t) = Printf.sprintf "%h %h" c.Lexico.lambda c.Lexico.phi in
+  let run ~label ~cache_counts =
+    let r =
+      Optimizer.warm_start ~rng:(Rng.create 8) ~exec:Exec.serial ~failures ~cache ~incumbent
+        scenario
+    in
+    let check what = Alcotest.(check string) (label ^ ": " ^ what) in
+    check "delay weights"
+      ("7 18 17 11 5 14 6 15 3 12 20 4 3 16 5 20 10 14 20 16 "
+     ^ "6 14 3 15 16 20 18 6 1 18 16 11 18 7 5 7 1 6 6 20")
+      (ints r.Optimizer.weights.Weights.wd);
+    check "throughput weights"
+      ("13 19 5 19 6 1 17 8 7 17 9 8 16 12 6 10 8 2 9 13 "
+     ^ "12 18 4 3 10 4 8 10 8 14 10 20 1 15 12 20 19 8 14 4")
+      (ints r.Optimizer.weights.Weights.wt);
+    check "objective" "0x1.817220f858517p+12 0x1.0887c3ad1e9c3p+22" (hex r.Optimizer.objective);
+    check "start objective" "0x1.594f1b0198eacp+17 0x1.af36a81fae32cp+26"
+      (hex r.Optimizer.start_objective);
+    Alcotest.(check (list int)) (label ^ ": sweeps, evals, rounds") [ 118; 4709; 3 ]
+      [ r.Optimizer.warm_sweeps; r.Optimizer.warm_evals; r.Optimizer.warm_rounds ];
+    if Prune.enabled () then begin
+      Alcotest.(check int) (label ^ ": pruned") 4370 r.Optimizer.warm_pruned;
+      let s = Dtr_core.Delta_cache.stats cache in
+      Alcotest.(check (list int)) (label ^ ": cache hits, lower hits, misses, length")
+        cache_counts
+        Dtr_core.Delta_cache.[ s.hits; s.lower_hits; s.misses; s.length ]
+    end
+  in
+  run ~label:"first" ~cache_counts:[ 2; 3; 4686; 4096 ];
+  run ~label:"second" ~cache_counts:[ 5; 6; 9371; 4096 ]
+
 (* --- the Lambda floor --------------------------------------------------- *)
 
 (* Two components (0-4 and 5-7), delay traffic across them (unreachable
@@ -452,6 +525,9 @@ let suite =
     Alcotest.test_case "Phase 2 reuses resident states" `Quick test_reuse_engages;
     Alcotest.test_case "single-failure warm start prices from the engine" `Quick
       test_warm_single_failure;
+    Alcotest.test_case "warm start without failures" `Quick test_warm_no_failures;
+    Alcotest.test_case "critical-set warm start twice on one cache" `Quick
+      test_warm_critical_cached;
     QCheck_alcotest.to_alcotest prop_floor_sound;
     Alcotest.test_case "the floor fires and is counted" `Quick test_floor_fires;
   ]

@@ -955,6 +955,41 @@ let test_oversized_line () =
   Alcotest.(check bool) "shutdown acknowledged" true
     (reply_field [ "ok" ] bye = Some (Json.Bool true))
 
+(* Pipe mode frames requests as the socket does: a 2 MiB request line,
+   valid JSON, is answered with request_too_large (id null), and the next
+   request is served normally. *)
+let test_oversized_pipe_line () =
+  with_sigpipe_ignored @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  let in_r, in_w = Unix.pipe ~cloexec:true () and out_r, out_w = Unix.pipe ~cloexec:true () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  let pid = spawn [| "dtr-serve"; "-t"; "isp"; "-w"; isp_weights dir |] in_r out_w null in
+  List.iter Unix.close [ in_r; out_w; null ];
+  let request line =
+    write_string in_w (line ^ "\n");
+    read_line_timeout out_r ~timeout:20.
+  in
+  let big, hello, bye =
+    try
+      let pad = String.make (2 lsl 20) 'x' in
+      let big = request (Printf.sprintf {|{"id": 1, "event": "hello", "pad": "%s"}|} pad) in
+      let hello = request {|{"id": 2, "event": "hello"}|} in
+      let bye = request {|{"id": 3, "event": "shutdown"}|} in
+      (big, hello, bye)
+    with Unix.Unix_error _ -> (None, None, None)
+  in
+  Unix.close in_w;
+  Unix.close out_r;
+  let status = wait_exit pid ~timeout:20. in
+  check_exited_cleanly status;
+  Alcotest.(check (option string)) "oversized line" (Some "request_too_large")
+    (Option.bind (reply_field [ "error"; "code" ] big) Json.to_string_opt);
+  Alcotest.(check bool) "its id is null" true (reply_field [ "id" ] big = Some Json.Null);
+  Alcotest.(check bool) "next request served" true
+    (reply_field [ "ok" ] hello = Some (Json.Bool true));
+  Alcotest.(check bool) "shutdown acknowledged" true
+    (reply_field [ "ok" ] bye = Some (Json.Bool true))
+
 let suite =
   [
     Alcotest.test_case "warm-vs-cold identity (jobs 1 and 2)" `Slow
@@ -989,6 +1024,8 @@ let suite =
       test_stdout_hangup;
     Alcotest.test_case "oversized socket request line is request_too_large" `Quick
       test_oversized_line;
+    Alcotest.test_case "oversized pipe request line is request_too_large" `Quick
+      test_oversized_pipe_line;
     Alcotest.test_case "deeply nested request line is a parse error" `Quick
       test_deep_nesting;
   ]
