@@ -97,10 +97,12 @@ let socket =
                replaced).")
 
 let cache_capacity =
-  Arg.(value & opt int 64 & info [ "cache-capacity" ] ~docv:"ENTRIES"
-         ~doc:"Bound on the what-if pricing LRU (keyed by failure set and \
-               state epochs).  Eviction never changes results, only \
-               latency.")
+  Arg.(value & opt int 64 & info [ "cache-capacity" ] ~docv:"STATES"
+         ~doc:"Bound on the what-if cache, in daemon states: an LRU keyed \
+               by the graph, traffic and weights epochs and the links \
+               down, each state keeping every what-if answer priced in it \
+               (at most 1 + arcs + edges + nodes + SRLG groups).  Eviction \
+               never changes results, only latency.")
 
 let report_path =
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"PATH"

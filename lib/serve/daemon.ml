@@ -23,15 +23,23 @@ module Openmetrics = Dtr_obs.Openmetrics
 module Lru = Dtr_util.Lru
 module P = Protocol
 
-(* The daemon's epoch-keyed what-if cache, string-keyed on
-   (epochs, failure set).  One shared LRU implementation with the
-   optimizer's delta cache — see [Dtr_util.Lru]. *)
-module Cache = Lru.Make (struct
-  type t = string
+(* The what-if cache is an LRU of daemon states, each with a table of
+   every what-if answer priced in it.  A state is the graph, matrix and
+   weights epochs and the links down; its answers are keyed by the
+   combined failure ([answer_key]).  Only whole states are evicted: one
+   state has at most 1 + arcs + edges + nodes + SRLG groups distinct
+   what-ifs, and a state left by a write and revisited (a link_down, then
+   its link_up) finds its answers again. *)
+type state = int * int * int * int list
 
-  let equal = String.equal
+module States = Lru.Make (struct
+  type t = state
+
+  let equal = ( = )
   let hash = Hashtbl.hash
 end)
+
+module Answers = Hashtbl.Make (String)
 
 (* Periodic OpenMetrics dumps: [write] receives one whole exposition
    snapshot (terminated by "# EOF") after every [every] handled events.
@@ -73,7 +81,9 @@ type t = {
      srlg event and tagged with the graph epoch that produced them — a
      resize changes the graph and silently invalidates the clustering. *)
   mutable srlg : (int * Srlg.t) option;
-  cache : priced Cache.t;
+  states : priced Answers.t States.t;
+  mutable hits : int;  (* what-if answers served from [states] *)
+  mutable misses : int;  (* what-if answers priced *)
   (* Weight-vector delta cache shared across warm re-optimizations: J is
      pure in the weights for a fixed scenario and failure set, so repeated
      repairs of the same incumbent skip whole failure sweeps.  Emptied by
@@ -141,7 +151,9 @@ let create (cfg : config) =
     matrix_epoch = 0;
     weights_epoch = 0;
     srlg = None;
-    cache = Cache.create ~capacity:cfg.cache_capacity;
+    states = States.create ~capacity:cfg.cache_capacity;
+    hits = 0;
+    misses = 0;
     (* Sized to outlive a whole warm re-optimization: aborted moves now
        park Lower entries alongside Full costs, so a single event can push
        thousands of vectors through the cache — at 128 the LRU evicts the
@@ -161,7 +173,12 @@ let create (cfg : config) =
   }
 
 let incumbent t = t.incumbent
-let cache_stats t = Cache.stats t.cache
+
+let cache_stats t =
+  { (States.stats t.states) with Lru.hits = t.hits; misses = t.misses }
+
+let cached_answers t =
+  States.fold (fun answers n -> n + Answers.length answers) t.states 0
 
 let invalidate_bases t =
   t.routing_d <- None;
@@ -259,18 +276,23 @@ let combined_failure t spec =
       let* arcs = srlg_arcs t gid in
       Ok (failure_of_arcs (List.sort_uniq compare (arcs @ t.failed)))
 
-let cache_key t failure =
-  let fkey =
-    match failure with
-    | None -> "-"
-    | Some (Failure.Arcs arcs) -> String.concat "," (List.map string_of_int arcs)
-    | Some (Failure.Arc a) -> string_of_int a
-    | Some (Failure.Edge e) -> "e" ^ string_of_int e
-    | Some (Failure.Node v) -> "n" ^ string_of_int v
-    | Some Failure.No_failure -> "-"
-  in
-  Printf.sprintf "g%d.m%d.w%d.%s" t.graph_epoch t.matrix_epoch t.weights_epoch
-    fkey
+let answer_key = function
+  | None | Some Failure.No_failure -> "-"
+  | Some (Failure.Arcs arcs) -> String.concat "," (List.map string_of_int arcs)
+  | Some (Failure.Arc a) -> string_of_int a
+  | Some (Failure.Edge e) -> "e" ^ string_of_int e
+  | Some (Failure.Node v) -> "n" ^ string_of_int v
+
+(* The answer table of the current state, made empty on the state's first
+   what-if. *)
+let answers_here t =
+  let state = (t.graph_epoch, t.matrix_epoch, t.weights_epoch, t.failed) in
+  match States.find t.states state with
+  | Some answers -> answers
+  | None ->
+      let answers = Answers.create 16 in
+      States.add t.states state answers;
+      answers
 
 let num f = Json.Num f
 let int i = Json.Num (float_of_int i)
@@ -376,11 +398,14 @@ let handle_resize t ~max_util ~step =
 
 let handle_eval t spec =
   let* failure = combined_failure t spec in
-  let key = cache_key t failure in
+  let answers = answers_here t and key = answer_key failure in
   let priced, cached =
-    match Cache.find t.cache key with
-    | Some p -> (p, true)
+    match Answers.find_opt answers key with
+    | Some p ->
+        t.hits <- t.hits + 1;
+        (p, true)
     | None ->
+        t.misses <- t.misses + 1;
         let routing_d, routing_t = bases t in
         let d = Eval.evaluate_from t.scenario ~routing_d ~routing_t ?failure t.incumbent in
         let p =
@@ -391,7 +416,7 @@ let handle_eval t spec =
             unreachable = d.Eval.unreachable_pairs;
           }
         in
-        Cache.add t.cache key p;
+        Answers.replace answers key p;
         (p, false)
   in
   Ok
@@ -506,7 +531,7 @@ let rolling_rates ~now =
     ratio (tot roll_pruned) (tot roll_trials) )
 
 let handle_stats t =
-  let s = Cache.stats t.cache in
+  let s = cache_stats t in
   let d = Delta_cache.stats t.delta in
   let now = Unix.gettimeofday () in
   let events_ps, hit_rate, abort_rate = rolling_rates ~now in
@@ -538,6 +563,7 @@ let handle_stats t =
                ("capacity", int s.Lru.capacity);
                ( "occupancy",
                  num (ratio (float_of_int s.Lru.length) (float_of_int s.Lru.capacity)) );
+               ("answers", int (cached_answers t));
              ] );
          ( "pruning",
            Json.Obj
@@ -572,13 +598,15 @@ let handle_stats t =
        ])
 
 (* One OpenMetrics text snapshot of everything the daemon can see: its own
-   counters, the shared LRU/delta-cache/pruning state, per-event-kind
-   latency histograms and the rolling-window gauges.  Served inline by the
-   [metrics] protocol request and dumped periodically by [--metrics]. *)
+   counters, the what-if cache (hits and misses count answers; evictions,
+   entries and capacity count states), the delta-cache and pruning state,
+   per-event-kind latency histograms and the rolling-window gauges.  Served
+   inline by the [metrics] protocol request and dumped periodically by
+   [--metrics]. *)
 let exposition t =
   let now = Unix.gettimeofday () in
   let b = Openmetrics.create () in
-  let s = Cache.stats t.cache in
+  let s = cache_stats t in
   let d = Delta_cache.stats t.delta in
   let fl = float_of_int in
   Openmetrics.counter b ~name:"dtr_serve_events" (fl t.events);
@@ -664,9 +692,9 @@ let log_result_keys =
    selected result fields, the reoptimize cost delta (dlambda, dphi), the
    per-event cache/pruning deltas and the epoch coordinates after the
    event.  No-op unless a [Log] sink is attached. *)
-let log_event t ~id ~name ~seconds ~outcome ~(c0 : Lru.stats)
-    ~(d0 : Delta_cache.stats) ~wp0 ~we0 =
-  let c1 = Cache.stats t.cache and d1 = Delta_cache.stats t.delta in
+let log_event t ~id ~name ~seconds ~outcome ~h0 ~m0 ~(d0 : Delta_cache.stats)
+    ~wp0 ~we0 =
+  let d1 = Delta_cache.stats t.delta in
   let result_fields =
     match outcome with
     | Ok (Json.Obj fields) ->
@@ -695,8 +723,8 @@ let log_event t ~id ~name ~seconds ~outcome ~(c0 : Lru.stats)
      ]
     @ result_fields
     @ [
-        ("cache_hits_delta", int (c1.Lru.hits - c0.Lru.hits));
-        ("cache_misses_delta", int (c1.Lru.misses - c0.Lru.misses));
+        ("cache_hits_delta", int (t.hits - h0));
+        ("cache_misses_delta", int (t.misses - m0));
         ( "delta_cache_hits_delta",
           int
             (d1.Delta_cache.hits + d1.Delta_cache.lower_hits
@@ -719,8 +747,9 @@ let maybe_dump_metrics t =
   | _ -> ()
 
 (* A line that never became a request: counted as an event and an error,
-   logged as a parse error with its code, answered with id null. *)
-let reject_line t ~code ~message =
+   logged as a parse error with its code, answered with the line's id if it
+   had an integer one and id null otherwise. *)
+let reject_line t ~id ~code ~message =
   t.events <- t.events + 1;
   if Metric.enabled () then Metric.Counter.incr c_events;
   t.errors <- t.errors + 1;
@@ -730,22 +759,23 @@ let reject_line t ~code ~message =
   Rolling.incr roll_errors ~now;
   if Log.enabled () then
     Log.event ~schema:Log.serve_schema ~name:"parse_error"
-      [
-        ("ok", Json.Bool false);
-        ("code", Json.Str (P.error_code_name code));
-        ("message", Json.Str message);
-      ];
+      ((match id with Some i -> [ ("id", int i) ] | None -> [])
+      @ [
+          ("ok", Json.Bool false);
+          ("code", Json.Str (P.error_code_name code));
+          ("message", Json.Str message);
+        ]);
   maybe_dump_metrics t;
-  (P.error_response ~id:None ~code ~message, true)
+  (P.error_response ~id ~code ~message, true)
 
 let handle_line t line =
   match P.parse_request line with
-  | Error (code, message) -> reject_line t ~code ~message
+  | Error (id, code, message) -> reject_line t ~id ~code ~message
   | Ok { P.id; event } -> (
       t.events <- t.events + 1;
       if Metric.enabled () then Metric.Counter.incr c_events;
       let name = P.event_name event in
-      let c0 = Cache.stats t.cache and d0 = Delta_cache.stats t.delta in
+      let h0 = t.hits and m0 = t.misses and d0 = Delta_cache.stats t.delta in
       let wp0 = t.warm_pruned and we0 = t.warm_evals in
       let t0 = Unix.gettimeofday () in
       let outcome =
@@ -761,15 +791,14 @@ let handle_line t line =
       Histogram.record (hist_for name) seconds;
       Rolling.incr roll_events ~now;
       if Result.is_error outcome then Rolling.incr roll_errors ~now;
-      let c1 = Cache.stats t.cache in
-      Rolling.add roll_cache_hits ~now (float_of_int (c1.Lru.hits - c0.Lru.hits));
+      Rolling.add roll_cache_hits ~now (float_of_int (t.hits - h0));
       Rolling.add roll_cache_lookups ~now
-        (float_of_int (c1.Lru.hits + c1.Lru.misses - (c0.Lru.hits + c0.Lru.misses)));
+        (float_of_int (t.hits + t.misses - (h0 + m0)));
       Rolling.add roll_pruned ~now (float_of_int (t.warm_pruned - wp0));
       Rolling.add roll_trials ~now
         (float_of_int (t.warm_evals + t.warm_pruned - (we0 + wp0)));
       if Log.enabled () then
-        log_event t ~id ~name ~seconds ~outcome ~c0 ~d0 ~wp0 ~we0;
+        log_event t ~id ~name ~seconds ~outcome ~h0 ~m0 ~d0 ~wp0 ~we0;
       maybe_dump_metrics t;
       match outcome with
       | Ok result ->
@@ -877,7 +906,7 @@ let serve_chunk t ~stop ~hang_up peer chunk n =
           | Line line -> Some (handle_line t line)
           | Too_large ->
               Some
-                (reject_line t ~code:P.Request_too_large
+                (reject_line t ~id:None ~code:P.Request_too_large
                    ~message:
                      (Printf.sprintf "request line longer than %d bytes"
                         P.max_request_bytes))

@@ -4,9 +4,9 @@
     events: the incumbent weight setting, its per-destination ECMP routing
     bases for both classes (recomputed only when the weights or the graph
     change — traffic updates leave routing untouched), the retained
-    critical set for warm re-optimization, and a bounded LRU of what-if
-    pricing results keyed by (graph, matrix, weights) epochs and failure
-    set.
+    critical set for warm re-optimization, and a what-if cache: a bounded
+    LRU of daemon states, each a (graph, matrix, weights) epoch triple plus
+    the links down, holding every what-if answer priced in that state.
 
     Event handling is synchronous and deterministic: a fixed request
     sequence against a fixed seed produces the same state trajectory at any
@@ -31,7 +31,9 @@ type config = {
   fraction : float option;  (** passed through to [reoptimize full] *)
   seed : int;  (** the scenario seed; RNG streams derive from it *)
   exec : Dtr_exec.Exec.t;
-  cache_capacity : int;  (** pricing-LRU capacity (entries) *)
+  cache_capacity : int;
+      (** what-if cache capacity, in daemon states; each state keeps all
+          its answers *)
   metrics : metrics_sink option;
 }
 
@@ -43,6 +45,8 @@ val incumbent : t -> Dtr_core.Weights.t
 (** The current incumbent setting (shared, do not mutate). *)
 
 val cache_stats : t -> Dtr_util.Lru.stats
+(** The what-if cache: [hits] and [misses] count answers, [length],
+    [capacity] and [evictions] count states. *)
 
 val exposition : t -> string
 (** One OpenMetrics v1 text snapshot (daemon counters, cache and pruning

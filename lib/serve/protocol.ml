@@ -80,7 +80,8 @@ let float_field j key =
   match Json.member key j with
   | Some v -> (
       match Json.to_float_opt v with
-      | Some f -> Ok (Some f)
+      | Some f when Float.is_finite f -> Ok (Some f)
+      | Some _ -> bad (Printf.sprintf "%S must be finite" key)
       | None -> bad (Printf.sprintf "%S must be a number" key))
   | None -> Ok None
 
@@ -198,25 +199,26 @@ let event_of j = function
   | "shutdown" -> Ok Shutdown
   | kind -> Error (Unknown_event, Printf.sprintf "unknown event %S" kind)
 
+let event_field j =
+  match Json.member "event" j with
+  | Some (Json.Str kind) -> event_of j kind
+  | Some _ -> bad "\"event\" must be a string"
+  | None -> bad "\"event\" is required"
+
 let parse_request line =
   match Json.parse line with
-  | Error msg -> Error (Parse_error, msg)
+  | Error msg -> Error (None, Parse_error, msg)
   | Ok (Json.Obj _ as j) -> (
-      let* id =
-        match Json.member "id" j with
-        | Some v -> (
-            match Json.to_int_opt v with
-            | Some i -> Ok i
-            | None -> bad "\"id\" must be an integer")
-        | None -> bad "\"id\" is required"
-      in
-      match Json.member "event" j with
-      | Some (Json.Str kind) ->
-          let* event = event_of j kind in
-          Ok { id; event }
-      | Some _ -> bad "\"event\" must be a string"
-      | None -> bad "\"event\" is required")
-  | Ok _ -> Error (Parse_error, "request must be a JSON object")
+      match Json.member "id" j with
+      | None -> Error (None, Bad_request, "\"id\" is required")
+      | Some v -> (
+          match Json.to_int_opt v with
+          | None -> Error (None, Bad_request, "\"id\" must be an integer")
+          | Some id -> (
+              match event_field j with
+              | Ok event -> Ok { id; event }
+              | Error (code, msg) -> Error (Some id, code, msg))))
+  | Ok _ -> Error (None, Parse_error, "request must be a JSON object")
 
 (* --- response printing --------------------------------------------------- *)
 

@@ -85,10 +85,12 @@ val error_code_name : error_code -> string
 val event_name : event -> string
 (** The [event] discriminator string echoed in response envelopes. *)
 
-val parse_request : string -> (request, error_code * string) result
+val parse_request : string -> (request, int option * error_code * string) result
 (** One request line.  [Parse_error] for malformed JSON or a non-object;
-    [Bad_request] for a missing/non-integral [id] or malformed parameters;
-    [Unknown_event] for an unrecognized [event] kind. *)
+    [Bad_request] for a missing/non-integral [id] or malformed parameters,
+    non-finite numbers among them; [Unknown_event] for an unrecognized
+    [event] kind.  An error carries the line's id once it parsed as an
+    integer, and [None] before that. *)
 
 val ok_response : id:int -> event:string -> Json.t -> string
 (** Success envelope, serialized (no trailing newline). *)

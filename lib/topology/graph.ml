@@ -45,6 +45,8 @@ let of_edges ?coords ~n edges =
     if u < 0 || u >= n || v < 0 || v >= n then
       invalid_arg "Graph.of_edges: endpoint out of range";
     if u = v then invalid_arg "Graph.of_edges: self-loop";
+    if not (Float.is_finite cap) then invalid_arg "Graph.of_edges: non-finite capacity";
+    if not (Float.is_finite prop) then invalid_arg "Graph.of_edges: non-finite delay";
     if cap <= 0. then invalid_arg "Graph.of_edges: non-positive capacity";
     if prop <= 0. then invalid_arg "Graph.of_edges: non-positive delay";
     let key = (min u v, max u v) in

@@ -1,6 +1,7 @@
 module Rng = Dtr_util.Rng
 
 let gaussian rng ~eps m =
+  if not (Float.is_finite eps) then invalid_arg "Perturb.gaussian: non-finite eps";
   if eps < 0. then invalid_arg "Perturb.gaussian: negative eps";
   Matrix.map m (fun ~src:_ ~dst:_ r ->
       if r = 0. then 0. else r +. Rng.gaussian rng ~mean:0. ~stddev:(eps *. r))
@@ -45,6 +46,8 @@ let apply_assignment rng spec ~direction ~assignment m =
   m'
 
 let hotspot rng ?(spec = default_hotspot) ~direction ~rd ~rt () =
+  if not (Float.is_finite spec.factor_min && Float.is_finite spec.factor_max) then
+    invalid_arg "Perturb.hotspot: non-finite factor";
   if spec.factor_min < 1. || spec.factor_max < spec.factor_min then
     invalid_arg "Perturb.hotspot: bad factor range";
   let assignment = draw_assignment rng ~nodes:(Matrix.size rd) spec in

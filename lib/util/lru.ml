@@ -10,8 +10,8 @@
    boxed as the [Some] that [find] returns: a hit allocates nothing.
 
    Functorized over the key so int-keyed caches (the optimizer's delta
-   cache) avoid polymorphic hashing while string-keyed caches (the serve
-   daemon's eval cache) keep their old behaviour. *)
+   cache) avoid polymorphic hashing, while the serve daemon's what-if
+   cache keys its states structurally. *)
 
 type stats = {
   hits : int;
@@ -114,6 +114,12 @@ module Make (K : Hashtbl.HashedType) = struct
     t.tbl <- Tbl.create (2 * t.cap);
     t.newest <- Nil;
     t.oldest <- Nil
+
+  let fold f t acc =
+    Tbl.fold
+      (fun _ node acc ->
+        match node with Node { found = Some v; _ } -> f v acc | _ -> acc)
+      t.tbl acc
 
   let stats t =
     {

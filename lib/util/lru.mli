@@ -1,7 +1,7 @@
 (** Bounded least-recently-used cache, functorized over the key.
 
     Two consumers share this one implementation: the serve daemon's
-    epoch-keyed pricing cache (string keys) and the optimizer's
+    what-if cache (one entry per daemon state) and the optimizer's
     weight-vector delta cache (rolling-hash int keys, 4,096 entries in
     [dtr-serve]).  Entries sit on an intrusive recency list, so a hit, an
     insert and an eviction each cost O(1) at any capacity, and [find] and
@@ -36,6 +36,10 @@ module Make (K : Hashtbl.HashedType) : sig
 
   val clear : 'v t -> unit
   (** Drops every entry (stats survive; no evictions are counted). *)
+
+  val fold : ('v -> 'a -> 'a) -> 'v t -> 'a -> 'a
+  (** Over the resident values, in no particular order; recency- and
+      stats-neutral. *)
 
   val stats : 'v t -> stats
 end

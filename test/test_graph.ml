@@ -58,6 +58,17 @@ let test_validation () =
   raises "Graph.of_edges: non-positive delay" (fun () ->
       ignore (Graph.of_edges ~n:2 [ Graph.{ u = 0; v = 1; cap = 1.; prop = 0. } ]))
 
+(* NaN fails every comparison, so [cap <= 0.] alone lets it through. *)
+let test_non_finite () =
+  let raises msg f = Alcotest.check_raises "non-finite" (Invalid_argument msg) f in
+  List.iter
+    (fun x ->
+      raises "Graph.of_edges: non-finite capacity" (fun () ->
+          ignore (Graph.of_edges ~n:2 [ Graph.{ u = 0; v = 1; cap = x; prop = 1. } ]));
+      raises "Graph.of_edges: non-finite delay" (fun () ->
+          ignore (Graph.of_edges ~n:2 [ Graph.{ u = 0; v = 1; cap = 1.; prop = x } ])))
+    [ nan; infinity ]
+
 let test_strong_connectivity () =
   let g = diamond () in
   Alcotest.(check bool) "connected" true (Graph.strongly_connected g);
@@ -99,6 +110,7 @@ let suite =
     Alcotest.test_case "adjacency" `Quick test_adjacency;
     Alcotest.test_case "find_arc" `Quick test_find_arc;
     Alcotest.test_case "construction validation" `Quick test_validation;
+    Alcotest.test_case "non-finite capacity or delay" `Quick test_non_finite;
     Alcotest.test_case "strong connectivity" `Quick test_strong_connectivity;
     Alcotest.test_case "reachability with disabled arcs" `Quick test_reachability;
     Alcotest.test_case "redundant paths survive failure" `Quick test_redundant_path_survives;

@@ -57,7 +57,9 @@ let test_graph_parse_errors () =
   check_fails "bad record" "nodes 2\nfrobnicate\n";
   check_fails "bad edge arity" "nodes 2\nedge 0 1 500\n";
   check_fails "self loop" "nodes 2\nedge 1 1 500.0 0.005\n";
-  check_fails "partial coords" "nodes 2\nnode 0 0.1 0.2\nedge 0 1 500.0 0.005\n"
+  check_fails "partial coords" "nodes 2\nnode 0 0.1 0.2\nedge 0 1 500.0 0.005\n";
+  check_fails "nan capacity" "nodes 2\nedge 0 1 nan 0.005\n";
+  check_fails "infinite delay" "nodes 2\nedge 0 1 500.0 inf\n"
 
 let test_graph_comments_and_blanks () =
   let s = "# header\n\nnodes 2\n  edge 0 1 500.0 0.005  # trailing comment\n\n" in
@@ -119,7 +121,9 @@ let test_matrix_parse_errors () =
   check_fails "demand before size" "demand 0 1 5\n";
   check_fails "diagonal demand" "size 3\ndemand 1 1 5\n";
   check_fails "negative demand" "size 3\ndemand 0 1 -5\n";
-  check_fails "out of range" "size 3\ndemand 0 9 5\n"
+  check_fails "out of range" "size 3\ndemand 0 9 5\n";
+  check_fails "nan demand" "size 3\ndemand 0 1 nan\n";
+  check_fails "infinite demand" "size 3\ndemand 0 1 inf\n"
 
 (* Weights_io *)
 

@@ -61,6 +61,25 @@ let test_dense_roundtrip () =
   let m2 = Matrix.of_dense d in
   Alcotest.(check (float 0.)) "roundtrip" 7. (Matrix.get m2 ~src:0 ~dst:2)
 
+(* NaN fails every comparison, so [v < 0.] alone lets it through. *)
+let non_finite = [ nan; infinity; neg_infinity ]
+
+let test_set_non_finite () =
+  let m = Matrix.create 3 in
+  List.iter
+    (fun v ->
+      Alcotest.check_raises "non-finite" (Invalid_argument "Matrix.set: non-finite demand")
+        (fun () -> Matrix.set m ~src:0 ~dst:1 v))
+    non_finite;
+  Alcotest.(check (float 0.)) "demand left as it was" 0. (Matrix.get m ~src:0 ~dst:1)
+
+let test_of_dense_non_finite () =
+  List.iter
+    (fun v ->
+      Alcotest.check_raises "non-finite" (Invalid_argument "Matrix.of_dense: non-finite demand")
+        (fun () -> ignore (Matrix.of_dense [| [| 0.; v |]; [| 0.; 0. |] |])))
+    non_finite
+
 let test_of_dense_validation () =
   Alcotest.check_raises "diagonal" (Invalid_argument "Matrix.of_dense: non-zero diagonal")
     (fun () -> ignore (Matrix.of_dense [| [| 1.; 0. |]; [| 0.; 0. |] |]));
@@ -95,12 +114,14 @@ let suite =
   [
     Alcotest.test_case "create and access" `Quick test_create_and_access;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "set refuses non-finite demands" `Quick test_set_non_finite;
     Alcotest.test_case "total and scale" `Quick test_total_and_scale;
     Alcotest.test_case "copy independence" `Quick test_copy_independent;
     Alcotest.test_case "map clamps at zero" `Quick test_map_clamps;
     Alcotest.test_case "iter and pairs" `Quick test_iter_and_pairs;
     Alcotest.test_case "dense roundtrip" `Quick test_dense_roundtrip;
     Alcotest.test_case "of_dense validation" `Quick test_of_dense_validation;
+    Alcotest.test_case "of_dense refuses non-finite demands" `Quick test_of_dense_non_finite;
     Alcotest.test_case "add" `Quick test_add;
     QCheck_alcotest.to_alcotest prop_scale_linear;
   ]

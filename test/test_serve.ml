@@ -59,16 +59,19 @@ let make_daemon ?(cache_capacity = 16) ?metrics ~scenario ~incumbent ~critical
       metrics;
     }
 
+(* Feed one request line and return its envelope, ok or not. *)
+let reply_json d line =
+  let resp, _continue = Daemon.handle_line d line in
+  match Json.parse resp with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "unparseable response %S: %s" resp e
+
 (* Feed one request line and fail the test on an error envelope. *)
 let ok_line d line =
-  let resp, _continue = Daemon.handle_line d line in
-  let j = match Json.parse resp with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "unparseable response %S: %s" resp e
-  in
+  let j = reply_json d line in
   (match Json.member "ok" j with
   | Some (Json.Bool true) -> ()
-  | _ -> Alcotest.failf "request %S failed: %s" line resp);
+  | _ -> Alcotest.failf "request %S failed: %s" line (Json.to_string j));
   j
 
 (* --- warm-vs-cold identity ----------------------------------------------- *)
@@ -291,9 +294,10 @@ let test_lru_basics () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "capacity 0 must be rejected")
 
-(* Daemon-level restatement of the same contract: a capacity-1 cache (evicts
-   on nearly every query) and a roomy one answer an identical event stream
-   with identical results — only the "cached" flag may differ. *)
+(* Daemon-level restatement of the same contract: a capacity-1 cache (one
+   state, evicted at every state change) and a roomy one answer an
+   identical event stream with identical results — only the "cached" flag
+   may differ. *)
 let test_eval_capacity_independence () =
   let seed = 99 in
   let scenario = build_scenario ~seed ~nodes:8 in
@@ -312,6 +316,20 @@ let test_eval_capacity_independence () =
       {|{"id": 10, "event": "eval"}|};
       {|{"id": 11, "event": "eval", "failure": {"node": 2}}|};
     ]
+    (* Twelve distinct what-ifs in one state, and that state left and
+       revisited: at capacity 1 the revisit finds it evicted, at 64 it
+       finds its answers. *)
+    @ List.concat_map
+        (fun write ->
+          write
+          @ List.init 12 (fun a ->
+                Printf.sprintf {|{"id": 12, "event": "eval", "failure": {"arc": %d}}|} a))
+        [
+          [];
+          [ {|{"id": 13, "event": "link_down", "arc": 5}|} ];
+          [ {|{"id": 14, "event": "link_up", "arc": 5}|} ];
+          [ {|{"id": 15, "event": "tm_update", "model": "gaussian", "eps": 0.1}|} ];
+        ]
   in
   let run capacity =
     let d =
@@ -337,13 +355,160 @@ let test_eval_capacity_independence () =
         b a)
     (List.combine tight roomy)
 
+(* --- the state-scoped what-if cache --------------------------------------- *)
+
+let eval_line spec = Printf.sprintf {|{"id": 1, "event": "eval"%s}|} spec
+
+(* The what-if specs of [eval_line] that fail links: none, every arc and
+   every edge (named by its even arc). *)
+let link_specs scenario =
+  let arcs = Scenario.num_arcs scenario in
+  ("" :: List.init arcs (Printf.sprintf {|, "failure": {"arc": %d}|}))
+  @ List.init (arcs / 2) (fun e -> Printf.sprintf {|, "failure": {"edge": %d}|} (2 * e))
+
+let node_specs scenario =
+  List.init (Scenario.num_nodes scenario) (Printf.sprintf {|, "failure": {"node": %d}|})
+
+let result_of d line = Option.get (Json.member "result" (ok_line d line))
+let is_cached r = Json.member "cached" r = Some (Json.Bool true)
+let eval_cached d spec = is_cached (result_of d (eval_line spec))
+
+let state_daemon ?cache_capacity ~seed ~nodes () =
+  let scenario = build_scenario ~seed ~nodes in
+  let incumbent = Weights.create ~num_arcs:(Scenario.num_arcs scenario) ~init:1 in
+  ( scenario,
+    make_daemon ?cache_capacity ~scenario ~incumbent ~critical:[] ~seed
+      ~exec:(Exec.of_jobs 1) () )
+
+(* Capacity counts states, not answers: one state keeps every what-if
+   priced in it, however many more than the capacity. *)
+let test_eval_cache_keeps_state () =
+  let scenario, d = state_daemon ~cache_capacity:64 ~seed:41 ~nodes:12 () in
+  let specs =
+    List.filteri (fun i _ -> i < 65) (link_specs scenario @ node_specs scenario)
+  in
+  Alcotest.(check int) "65 distinct what-ifs" 65 (List.length specs);
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool) ("first ask priced: " ^ spec) false (eval_cached d spec))
+    specs;
+  Alcotest.(check bool) "the first what-if is still cached" true
+    (eval_cached d (List.hd specs))
+
+(* A state left by a link_down and revisited by its link_up serves the
+   answers priced in it before, with the same values, even after more
+   what-ifs than the capacity in the state between. *)
+let test_eval_cache_revisited_state () =
+  let scenario, d = state_daemon ~cache_capacity:64 ~seed:41 ~nodes:12 () in
+  let arc1 = {|, "failure": {"arc": 1}|} in
+  let before = List.map (fun spec -> result_of d (eval_line spec)) [ ""; arc1 ] in
+  ignore (ok_line d {|{"id": 2, "event": "link_down", "arc": 3}|});
+  List.iter (fun spec -> ignore (ok_line d (eval_line spec))) (link_specs scenario);
+  ignore (ok_line d {|{"id": 3, "event": "link_up", "arc": 3}|});
+  List.iter2
+    (fun spec r0 ->
+      let r = result_of d (eval_line spec) in
+      Alcotest.(check bool) ("served from the revisited state: " ^ spec) true (is_cached r);
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) (k ^ " unchanged") true (Json.member k r = Json.member k r0))
+        [ "lambda"; "phi"; "violations"; "unreachable_pairs" ])
+    [ ""; arc1 ] before
+
+(* A tm_update, a weight-changing reoptimize and a resize each move the
+   daemon to a new state: no answer priced before them is served after. *)
+let test_eval_cache_writes_leave_state () =
+  let _, d = state_daemon ~seed:44 ~nodes:8 () in
+  let arc1 = {|, "failure": {"arc": 1}|} in
+  List.iter
+    (fun (write, check) ->
+      List.iter (fun spec -> ignore (eval_cached d spec)) [ ""; arc1 ];
+      Alcotest.(check bool) "primed" true (eval_cached d arc1);
+      check (result_of d write);
+      List.iter
+        (fun spec ->
+          Alcotest.(check bool) (write ^ ": priced afresh") false (eval_cached d spec))
+        [ ""; arc1 ])
+    [
+      ({|{"id": 2, "event": "tm_update", "model": "gaussian", "eps": 0.1}|}, ignore);
+      ( {|{"id": 3, "event": "reoptimize", "mode": "warm", "max_sweeps": 3, "max_rounds": 1}|},
+        fun r ->
+          Alcotest.(check bool) "the reoptimize changed the weights" true
+            (Json.member "weights_epoch" r = Some (Json.Num 1.)) );
+      ({|{"id": 4, "event": "resize"}|}, ignore);
+    ]
+
+(* stats' hits and misses count answers, length counts states, and
+   answers counts the answers the resident states hold. *)
+let test_stats_count_answers () =
+  let _, d = state_daemon ~seed:45 ~nodes:8 () in
+  let arc1 = {|, "failure": {"arc": 1}|} in
+  List.iter
+    (fun line -> ignore (ok_line d line))
+    [
+      eval_line ""; eval_line ""; eval_line arc1;
+      {|{"id": 2, "event": "link_down", "arc": 3}|};
+      eval_line "";
+      {|{"id": 3, "event": "link_up", "arc": 3}|};
+      eval_line ""; eval_line arc1;
+    ];
+  let cache = Option.get (Json.member "cache" (result_of d {|{"id": 4, "event": "stats"}|})) in
+  List.iter
+    (fun (k, want) ->
+      Alcotest.(check (option (float 0.))) ("cache." ^ k) (Some want)
+        (Option.bind (Json.member k cache) Json.to_float_opt))
+    [ ("hits", 3.); ("misses", 3.); ("lookups", 6.); ("length", 2.); ("answers", 3.) ];
+  let s = Daemon.cache_stats d in
+  Alcotest.(check (pair int int)) "cache_stats hits and misses" (3, 3)
+    (s.Dtr_util.Lru.hits, s.Dtr_util.Lru.misses)
+
+(* 1e400 parses to infinity: a tm_update with it is refused before any
+   state changes, so the next eval answers as a fresh daemon does. *)
+let test_non_finite_refused () =
+  let _, d = state_daemon ~seed:7 ~nodes:8 () in
+  List.iter
+    (fun line ->
+      let j = reply_json d line in
+      Alcotest.(check bool) ("refused: " ^ line) true
+        (Option.bind (Json.member "error" j) (Json.member "code") = Some (Json.Str "bad_request")))
+    [
+      {|{"id": 2, "event": "tm_update", "model": "gaussian", "eps": 1e400}|};
+      {|{"id": 3, "event": "tm_update", "model": "hotspot", "factor_max": 1e400}|};
+      {|{"id": 4, "event": "tm_update", "model": "gaussian", "eps": -1e400}|};
+    ];
+  let _, fresh = state_daemon ~seed:7 ~nodes:8 () in
+  Alcotest.(check string) "the next eval answers as a fresh daemon"
+    (Json.to_string (result_of fresh (eval_line "")))
+    (Json.to_string (result_of d (eval_line "")))
+
+(* An error reply carries the request's id whenever the line had an
+   integer one, also when the event failed to decode. *)
+let test_error_reply_keeps_id () =
+  let _, d = state_daemon ~seed:8 ~nodes:8 () in
+  List.iter
+    (fun (line, want) ->
+      let j = reply_json d line in
+      Alcotest.(check bool) ("an error: " ^ line) true (Json.member "ok" j = Some (Json.Bool false));
+      Alcotest.(check (option int)) ("id of " ^ line) want
+        (Option.bind (Json.member "id" j) Json.to_int_opt))
+    [
+      ({|{"id": 4, "event": "tm_update"}|}, Some 4);
+      ({|{"id": 5, "event": "frobnicate"}|}, Some 5);
+      ({|{"id": 6, "event": 3}|}, Some 6);
+      ({|{"id": 7}|}, Some 7);
+      ({|{"id": 8, "event": "eval", "failure": {"arc": 100000}}|}, Some 8);
+      ({|{"id": 1.5, "event": "hello"}|}, None);
+      ({|{"event": "hello"}|}, None);
+      ("garbage", None);
+    ]
+
 (* --- protocol ------------------------------------------------------------- *)
 
 let test_protocol_parse () =
   (match Protocol.parse_request {|{"id": 3, "event": "eval", "failure": {"arc": 7}}|} with
   | Ok { Protocol.id = 3; event = Protocol.Eval { failure = Some (Protocol.F_arc (Protocol.By_id 7)) } } -> ()
   | Ok _ -> Alcotest.fail "parsed to the wrong event"
-  | Error (_, m) -> Alcotest.failf "parse failed: %s" m);
+  | Error (_, _, m) -> Alcotest.failf "parse failed: %s" m);
   (match Protocol.parse_request {|{"id": 4, "event": "eval", "failure": {"src": 1, "dst": 2}}|} with
   | Ok { Protocol.event = Protocol.Eval { failure = Some (Protocol.F_arc (Protocol.By_endpoints (1, 2))) }; _ } -> ()
   | _ -> Alcotest.fail "src/dst failure spec");
@@ -368,8 +533,8 @@ let test_protocol_parse () =
 
 let expect_error line code =
   match Protocol.parse_request line with
-  | Error (c, _) when c = code -> ()
-  | Error (c, m) ->
+  | Error (_, c, _) when c = code -> ()
+  | Error (_, c, m) ->
       Alcotest.failf "expected %s for %S, got %s: %s"
         (Protocol.error_code_name code) line (Protocol.error_code_name c) m
   | Ok _ -> Alcotest.failf "expected %s for %S" (Protocol.error_code_name code) line
@@ -1002,6 +1167,18 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lru_never_lies;
     Alcotest.test_case "eval results independent of cache capacity" `Quick
       test_eval_capacity_independence;
+    Alcotest.test_case "eval cache: a state keeps every answer" `Quick
+      test_eval_cache_keeps_state;
+    Alcotest.test_case "eval cache: a revisited state serves its answers" `Quick
+      test_eval_cache_revisited_state;
+    Alcotest.test_case "eval cache: writes leave the state" `Quick
+      test_eval_cache_writes_leave_state;
+    Alcotest.test_case "stats: hits and misses count answers" `Quick
+      test_stats_count_answers;
+    Alcotest.test_case "daemon: non-finite numbers are refused" `Quick
+      test_non_finite_refused;
+    Alcotest.test_case "daemon: error replies keep the request id" `Quick
+      test_error_reply_keeps_id;
     Alcotest.test_case "protocol: request parsing" `Quick test_protocol_parse;
     Alcotest.test_case "protocol: parse errors" `Quick test_protocol_errors;
     Alcotest.test_case "protocol: response envelopes" `Quick

@@ -148,6 +148,23 @@ let test_hotspot_validation () =
     (Invalid_argument "Perturb.draw_assignment: no servers") (fun () ->
       ignore (Perturb.draw_assignment rng ~nodes:4 Perturb.default_hotspot))
 
+(* A surge or shock of infinite size would leave infinite or NaN demands
+   behind, so the parameters are refused before any draw. *)
+let test_perturb_non_finite () =
+  let rng = Rng.create 18 in
+  let rd, rt = base_pair 20 in
+  List.iter
+    (fun eps ->
+      Alcotest.check_raises "gaussian eps" (Invalid_argument "Perturb.gaussian: non-finite eps")
+        (fun () -> ignore (Perturb.gaussian rng ~eps rd)))
+    [ nan; infinity ];
+  List.iter
+    (fun (factor_min, factor_max) ->
+      let spec = { Perturb.default_hotspot with Perturb.factor_min; factor_max } in
+      Alcotest.check_raises "hotspot factors" (Invalid_argument "Perturb.hotspot: non-finite factor")
+        (fun () -> ignore (Perturb.hotspot rng ~spec ~direction:Perturb.Upload ~rd ~rt ())))
+    [ (2., infinity); (nan, 6.); (2., nan) ]
+
 let suite =
   [
     Alcotest.test_case "gravity totals" `Quick test_gravity_totals;
@@ -164,4 +181,5 @@ let suite =
     Alcotest.test_case "download hotspot direction" `Quick test_hotspot_download_direction;
     Alcotest.test_case "upload hotspot direction" `Quick test_hotspot_upload_direction;
     Alcotest.test_case "hotspot validation" `Quick test_hotspot_validation;
+    Alcotest.test_case "perturbations refuse non-finite parameters" `Quick test_perturb_non_finite;
   ]
