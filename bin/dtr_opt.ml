@@ -267,31 +267,7 @@ let build_params theta_ms paper_scale =
   let params = if paper_scale then Scenario.paper_params else Scenario.quick_params in
   { params with Scenario.sla = Dtr_cost.Sla.with_theta (theta_ms /. 1000.) }
 
-(* An instance comes either from files or from the generators. *)
-let build_scenario ~topo ~nodes ~degree ~avg_util ~seed ~params ~topology_file
-    ~traffic_file =
-  let rng = Rng.create seed in
-  let graph =
-    match topology_file with
-    | Some path -> Dtr_io.Graph_io.load ~path
-    | None -> Gen.generate rng topo ~nodes ~degree
-  in
-  let rd, rt =
-    match traffic_file with
-    | Some path -> begin
-        let ic = open_in path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            Dtr_io.Matrix_io.pair_of_string
-              (really_input_string ic (in_channel_length ic)))
-      end
-    | None ->
-        let rd, rt = Dtr_traffic.Gravity.pair rng ~nodes:(Graph.num_nodes graph) ~total:1000. in
-        Dtr_traffic.Scaling.calibrate graph ~rd ~rt
-          (Dtr_traffic.Scaling.Avg_utilization avg_util)
-  in
-  Scenario.make ~graph ~rd ~rt ~params
+let build_scenario = Dtr_cli.Cli.build_scenario ~exe:"dtr-opt"
 
 let report_instance scenario =
   Format.printf "%a@." Graph.pp_summary scenario.Scenario.graph;
@@ -463,7 +439,10 @@ let run_evaluate topo nodes degree avg_util seed theta_ms topology_file traffic_
       ~traffic_file
   in
   report_instance scenario;
-  let w = Dtr_io.Weights_io.load ~path:weights_file in
+  let w =
+    Dtr_cli.Cli.load_input ~exe:"dtr-opt" (fun () ->
+        Dtr_io.Weights_io.load ~path:weights_file)
+  in
   if Dtr_core.Weights.num_arcs w <> Scenario.num_arcs scenario then begin
     Format.eprintf "weight setting has %d arcs but the topology has %d@."
       (Dtr_core.Weights.num_arcs w) (Scenario.num_arcs scenario);

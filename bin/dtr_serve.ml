@@ -97,7 +97,9 @@ let socket =
                replaced).")
 
 let cache_capacity =
-  Arg.(value & opt int 64 & info [ "cache-capacity" ] ~docv:"STATES"
+  Arg.(value
+       & opt Dtr_cli.Cli.cache_capacity_conv 64
+       & info [ "cache-capacity" ] ~docv:"STATES"
          ~doc:"Bound on the what-if cache, in daemon states: an LRU keyed \
                by the graph, traffic and weights epochs and the links \
                down, each state keeping every what-if answer priced in it \
@@ -143,31 +145,7 @@ let build_params theta_ms =
   { Scenario.quick_params with
     Scenario.sla = Dtr_cost.Sla.with_theta (theta_ms /. 1000.) }
 
-let build_scenario ~topo ~nodes ~degree ~avg_util ~seed ~params ~topology_file
-    ~traffic_file =
-  let rng = Rng.create seed in
-  let graph =
-    match topology_file with
-    | Some path -> Dtr_io.Graph_io.load ~path
-    | None -> Gen.generate rng topo ~nodes ~degree
-  in
-  let rd, rt =
-    match traffic_file with
-    | Some path ->
-        let ic = open_in path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            Dtr_io.Matrix_io.pair_of_string
-              (really_input_string ic (in_channel_length ic)))
-    | None ->
-        let rd, rt =
-          Dtr_traffic.Gravity.pair rng ~nodes:(Graph.num_nodes graph) ~total:1000.
-        in
-        Dtr_traffic.Scaling.calibrate graph ~rd ~rt
-          (Dtr_traffic.Scaling.Avg_utilization avg_util)
-  in
-  Scenario.make ~graph ~rd ~rt ~params
+let build_scenario = Dtr_cli.Cli.build_scenario ~exe:"dtr-serve"
 
 (* The --metrics sink: "fd:2" streams snapshots to stderr; "fd:1" is
    rejected because stdout carries protocol responses; anything else is a
@@ -219,7 +197,9 @@ let run topo nodes degree avg_util seed theta_ms fraction topology_file
   let incumbent, critical =
     match weights_file with
     | Some path ->
-        let w = Dtr_io.Weights_io.load ~path in
+        let w =
+          Dtr_cli.Cli.load_input ~exe:"dtr-serve" (fun () -> Dtr_io.Weights_io.load ~path)
+        in
         if Dtr_core.Weights.num_arcs w <> Scenario.num_arcs scenario then begin
           Format.eprintf "weight setting has %d arcs but the topology has %d@."
             (Dtr_core.Weights.num_arcs w) (Scenario.num_arcs scenario);

@@ -4,31 +4,65 @@
    eprintf-and-exit, which bypassed the man page and broke the exit-code
    contract. *)
 
-let jobs_conv =
+(* A count that must be at least 1: [--jobs], [--chunk-size],
+   [--cache-capacity]. *)
+let positive_conv ~what ~docv =
   let parse s =
     match int_of_string_opt (String.trim s) with
-    | None ->
-        Error (`Msg (Printf.sprintf "invalid job count %S, expected an integer" s))
+    | None -> Error (`Msg (Printf.sprintf "invalid %s %S, expected an integer" what s))
     | Some n when n < 1 ->
-        Error (`Msg (Printf.sprintf "job count must be at least 1 (got %d)" n))
+        Error (`Msg (Printf.sprintf "%s must be at least 1 (got %d)" what n))
     | Some n -> Ok n
   in
-  Cmdliner.Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+  Cmdliner.Arg.conv ~docv (parse, Format.pp_print_int)
+
+let jobs_conv = positive_conv ~what:"job count" ~docv:"N"
 
 let exec_of_jobs = function
   | Some n -> Dtr_exec.Exec.of_jobs n
   | None -> Dtr_exec.Exec.default ()
 
-let chunk_size_conv =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | None ->
-        Error (`Msg (Printf.sprintf "invalid chunk size %S, expected an integer" s))
-    | Some n when n < 1 ->
-        Error (`Msg (Printf.sprintf "chunk size must be at least 1 (got %d)" n))
-    | Some n -> Ok n
+let chunk_size_conv = positive_conv ~what:"chunk size" ~docv:"ITEMS"
+let cache_capacity_conv = positive_conv ~what:"cache capacity" ~docv:"STATES"
+
+(* The loaders ([Dtr_io]) reject a malformed or out-of-range file with a
+   line-numbered [Failure]; an unreadable one raises [Sys_error]. *)
+let load_input ~exe load =
+  match load () with
+  | v -> v
+  | exception (Failure msg | Sys_error msg) ->
+      Format.eprintf "%s: %s@." exe msg;
+      exit 1
+
+(* An instance comes either from files or from the generators (the seed's
+   stream draws the topology, then the gravity matrices). *)
+let build_scenario ~exe ~topo ~nodes ~degree ~avg_util ~seed ~params ~topology_file
+    ~traffic_file =
+  let rng = Dtr_util.Rng.create seed in
+  let graph =
+    match topology_file with
+    | Some path -> load_input ~exe (fun () -> Dtr_io.Graph_io.load ~path)
+    | None -> Dtr_topology.Gen.generate rng topo ~nodes ~degree
   in
-  Cmdliner.Arg.conv ~docv:"ITEMS" (parse, Format.pp_print_int)
+  let n = Dtr_topology.Graph.num_nodes graph in
+  let rd, rt =
+    match traffic_file with
+    | Some path ->
+        let ((rd, _) as pair) =
+          load_input ~exe (fun () -> Dtr_io.Matrix_io.load_pair ~path)
+        in
+        if Dtr_traffic.Matrix.size rd <> n then begin
+          Format.eprintf "%s: %s: traffic matrices of %d nodes for a topology of %d@."
+            exe path (Dtr_traffic.Matrix.size rd) n;
+          exit 1
+        end;
+        pair
+    | None ->
+        let rd, rt = Dtr_traffic.Gravity.pair rng ~nodes:n ~total:1000. in
+        Dtr_traffic.Scaling.calibrate graph ~rd ~rt
+          (Dtr_traffic.Scaling.Avg_utilization avg_util)
+  in
+  Dtr_core.Scenario.make ~graph ~rd ~rt ~params
 
 let apply_chunk_size = function
   | Some _ as s -> Dtr_exec.Exec.set_chunk_size s

@@ -14,6 +14,16 @@ val chunk_size_conv : int Cmdliner.Arg.conv
 (** Pool chunk-size converter for [--chunk-size]: accepts integers [>= 1],
     mirroring {!jobs_conv}'s validation-in-converter style. *)
 
+val cache_capacity_conv : int Cmdliner.Arg.conv
+(** [dtr-serve --cache-capacity] converter: accepts integers [>= 1], as
+    {!jobs_conv} does. *)
+
+val load_input : exe:string -> (unit -> 'a) -> 'a
+(** [load_input ~exe load] runs a file loader.  A file it rejects
+    ([Failure], the loaders' line-numbered message) or cannot read
+    ([Sys_error]) ends the process: the message goes to stderr as
+    ["<exe>: <message>"] and the exit code is 1. *)
+
 val apply_chunk_size : int option -> unit
 (** [apply_chunk_size (Some n)] pins the pool chunk size process-wide via
     [Exec.set_chunk_size] (the explicit flag wins over [DTR_CHUNK_SIZE]);
@@ -51,3 +61,20 @@ val with_obs :
 (** Exception-safe bracket: {!obs_start}, run [f], and on raise
     {!obs_abort} before re-raising — so span/metric/log state from a failed
     run cannot leak into a subsequent in-process run. *)
+
+val build_scenario :
+  exe:string ->
+  topo:Dtr_topology.Gen.kind ->
+  nodes:int ->
+  degree:float ->
+  avg_util:float ->
+  seed:int ->
+  params:Dtr_core.Scenario.params ->
+  topology_file:string option ->
+  traffic_file:string option ->
+  Dtr_core.Scenario.t
+(** The instance of a dtr executable's command line: the topology from
+    [topology_file] or the [topo] generator, the two traffic classes from
+    [traffic_file] or a gravity pair calibrated to [avg_util], both drawn
+    from [seed]'s stream.  A rejected file, or traffic matrices whose size
+    is not the topology's, ends the process as {!load_input} does. *)

@@ -128,8 +128,20 @@ let failed_arcs_of_mask mask =
   Array.iteri (fun id dead -> if dead then acc := id :: !acc) mask;
   !acc
 
+type sweep_cache = {
+  rows_d : float array array; (* rows_d.(dest).(arc): delay-class share *)
+  rows_t : float array array;
+  base_tloads : float array;
+  base_loads : float array;
+  base_delay : float array;
+  base_phi : float array; (* per-arc congestion term (0. off the L set) *)
+  base_lam : float array;
+  base_viol : int array;
+  base_unreach : int array;
+}
+
 (* Per-domain sweep working memory: Dijkstra + dynamic-SPF repair buffers, a
-   failure mask, and the cached sweep engine's per-arc flag arrays, cached
+   failure mask, and the cached sweep engine's working arrays, cached
    across parallel operations (pool workers are persistent domains) and keyed
    by graph identity so concurrent scenarios do not collide.  The cache is
    bounded; evicting an entry only costs a reallocation on the next sweep
@@ -137,9 +149,22 @@ let failed_arcs_of_mask mask =
 type sweep_scratch = {
   buffers : Routing.buffers;
   mask : bool array;
+  node_flow : float array;  (* Routing.add_loads_dest's per-node flows *)
   touched : bool array;  (* per-arc: some replaced row differs here *)
+  arcs : int array;  (* the touched arcs, [n_arcs] of them *)
+  mutable n_arcs : int;
   keep_d : bool array;  (* per-destination: take the resident state (false between uses) *)
   keep_t : bool array;
+  (* Between two failures of a sweep these mirror the sweep cache [synced]:
+     its total loads and delays, and its rows.  A failure patches them at
+     its touched arcs and re-routed destinations and undoes the patch once
+     it is priced. *)
+  mutable synced : sweep_cache option;
+  tloads : float array;
+  loads : float array;
+  arc_delay : float array;
+  view_d : float array array;  (* view_d.(dest): the row the failure routes *)
+  view_t : float array array;
 }
 
 let make_sweep_scratch g =
@@ -147,9 +172,18 @@ let make_sweep_scratch g =
   {
     buffers = Routing.make_buffers g;
     mask = Array.make m false;
+    node_flow = Array.make n 0.;
     touched = Array.make m false;
+    arcs = Array.make m 0;
+    n_arcs = 0;
     keep_d = Array.make n false;
     keep_t = Array.make n false;
+    synced = None;
+    tloads = Array.make m 0.;
+    loads = Array.make m 0.;
+    arc_delay = Array.make m 0.;
+    view_d = Array.make n [||];
+    view_t = Array.make n [||];
   }
 
 let sweep_slot : (Graph.t * sweep_scratch) list ref Scratch.t =
@@ -260,34 +294,15 @@ let a_seconds = Metric.Accum.create "eval.sweep.seconds"
    routing ([Routing.uses_arc] probes one hop row), so the cache carries
    nothing proportional to the DAGs. *)
 
-type sweep_cache = {
-  rows_d : float array array; (* rows_d.(dest).(arc): delay-class share *)
-  rows_t : float array array;
-  base_tloads : float array;
-  base_loads : float array;
-  base_delay : float array;
-  base_phi : float array; (* per-arc congestion term (0. off the L set) *)
-  base_lam : float array;
-  base_viol : int array;
-  base_unreach : int array;
-}
-
-let make_sweep_cache (scenario : Scenario.t) ~rows_d ~rows_t ~tloads ~loads ~arc_delay
-    ~lam ~viol ~unreach =
-  let cap = Graph.arc_capacities scenario.Scenario.graph in
-  let base_phi =
-    Array.mapi
-      (fun a tl ->
-        if tl > 1e-9 then Congestion.arc_cost ~capacity:cap.(a) ~load:loads.(a) else 0.)
-      tloads
-  in
+let make_sweep_cache ~rows_d ~rows_t ~tloads ~loads ~arc_delay ~phi_arc ~lam ~viol
+    ~unreach =
   {
     rows_d;
     rows_t;
     base_tloads = tloads;
     base_loads = loads;
     base_delay = arc_delay;
-    base_phi;
+    base_phi = phi_arc;
     base_lam = lam;
     base_viol = viol;
     base_unreach = unreach;
@@ -335,12 +350,13 @@ let build_sweep_cache (scenario : Scenario.t) ~base_d ~base_t ~dense_rd ~dense_r
       unreach.(dest) <- u
     end
   done;
-  make_sweep_cache scenario ~rows_d ~rows_t ~tloads ~loads ~arc_delay ~lam ~viol ~unreach
-
-(* Whether [dest]'s ECMP DAG in [routing] holds any of the arcs. *)
-let rec uses_any routing ~dest = function
-  | [] -> false
-  | id :: rest -> Routing.uses_arc routing ~dest id || uses_any routing ~dest rest
+  let cap = Graph.arc_capacities g in
+  let phi_arc =
+    Array.init m (fun a ->
+        if tloads.(a) > 1e-9 then Congestion.arc_cost ~capacity:cap.(a) ~load:loads.(a)
+        else 0.)
+  in
+  make_sweep_cache ~rows_d ~rows_t ~tloads ~loads ~arc_delay ~phi_arc ~lam ~viol ~unreach
 
 (* --- Resident post-failure states --------------------------------------
 
@@ -388,11 +404,13 @@ type move = {
   inc_t : Routing.t;
 }
 
+let rec mem_int x = function [] -> false | y :: rest -> x = y || mem_int x rest
+
 (* The move cannot reach [rc]'s state for [dest]: this class's weight on the
    arc went from [old_w] to [new_w]. *)
 let unreached mv ~failed ~old_w ~new_w rc ~dest =
   old_w = new_w
-  || List.mem mv.arc failed
+  || mem_int mv.arc failed
   ||
   let r = rc.r_routing in
   if new_w > old_w then not (Routing.uses_arc r ~dest mv.arc)
@@ -478,23 +496,89 @@ module Residents = struct
         if Option.is_none t.move then t.committed.(i) <- fresh else t.staged.(i) <- fresh
 end
 
+(* Makes the scratch's working arrays mirror [cache]: the loads, delays and
+   rows a failure patches and then restores.  A sweep hands the same record
+   to every failure, so this copies once per sweep and domain. *)
+let sync_scratch s cache =
+  match s.synced with
+  | Some c when c == cache -> ()
+  | _ ->
+      let m = Array.length s.tloads and n = Array.length s.view_d in
+      Array.blit cache.base_tloads 0 s.tloads 0 m;
+      Array.blit cache.base_loads 0 s.loads 0 m;
+      Array.blit cache.base_delay 0 s.arc_delay 0 m;
+      Array.blit cache.rows_d 0 s.view_d 0 n;
+      Array.blit cache.rows_t 0 s.view_t 0 n;
+      s.synced <- Some cache
+
+(* Drops the scratch's references to a sweep's rows once the sweep is done. *)
+let unsync_scratch s =
+  if Option.is_some s.synced then begin
+    s.synced <- None;
+    Array.fill s.view_d 0 (Array.length s.view_d) [||];
+    Array.fill s.view_t 0 (Array.length s.view_t) [||]
+  end
+
+(* Flags, into [s.arcs], each arc where [row] differs from [old].  Both are
+   annotated [float array], so the compare reads unboxed floats. *)
+let mark_diff s ~(old : float array) ~(row : float array) =
+  for a = 0 to Array.length row - 1 do
+    if row.(a) <> old.(a) && not s.touched.(a) then begin
+      s.touched.(a) <- true;
+      s.arcs.(s.n_arcs) <- a;
+      s.n_arcs <- s.n_arcs + 1
+    end
+  done
+
+(* The failure's row of every re-routed destination: the resident row of a
+   destination flagged in [keep] (clearing its flag), otherwise a fresh
+   re-route.  Each goes into [view] and has its differing arcs flagged. *)
+let rec replace_rows s ~m ~rows ~view ~routing ~demands ~keep ~resident_rows = function
+  | [] -> ()
+  | dest :: rest ->
+      let row =
+        if keep.(dest) then begin
+          keep.(dest) <- false;
+          resident_rows.(dest)
+        end
+        else begin
+          let row = Array.make m 0. in
+          let (_ : float) =
+            Routing.add_loads_dest ~node_flow:s.node_flow routing ~demands ~dest ~into:row
+          in
+          row
+        end
+      in
+      view.(dest) <- row;
+      mark_diff s ~old:rows.(dest) ~row;
+      replace_rows s ~m ~rows ~view ~routing ~demands ~keep ~resident_rows rest
+
+let rec restore_rows ~view ~rows = function
+  | [] -> ()
+  | dest :: rest ->
+      view.(dest) <- rows.(dest);
+      restore_rows ~view ~rows rest
+
 (* One failure priced from the sweep cache.  Only valid when the failure
    excludes no node (a node failure also drops the node's demands, which
    invalidates the cached rows — those fall back to [assess_failure]).  The
-   scratch's [touched] and [keep_*] arrays must be (and are left) all-false
-   between calls.  [resident] is the failure's committed
-   resident state and [move] the pending trial's move ([None]: pricing the
-   committed state itself); with [track] the pricing also returns its own
-   post-failure state for the resident store.  Returns the detail, that
-   state, and how many destination re-routes were taken from [resident]
-   versus repaired. *)
+   scratch's flag arrays must be (and are left) all-false between calls,
+   and its working arrays are left mirroring [cache].  [resident] is the
+   failure's committed resident state and [move] the pending trial's move
+   ([None]: pricing the committed state itself); with [track] the pricing
+   also returns its own post-failure state for the resident store.  With
+   [want_loads] the detail carries copies of the post-failure loads,
+   otherwise empty arrays.  Returns the detail, that state, and how many
+   destination re-routes were taken from [resident] versus repaired. *)
 let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_t
-    ~dense_rd ~dense_rt ~sinks ?resident ?move ~track w f =
+    ~dense_rd ~dense_rt ~sinks ?resident ?move ~track ~want_loads w f =
   let g = scenario.Scenario.graph in
   let params = scenario.Scenario.params in
   let cap = Graph.arc_capacities g and prop = Graph.arc_prop_delays g in
   let n = Graph.num_nodes g and m = Graph.num_arcs g in
-  let { buffers; mask; touched; keep_d; keep_t } = scratch in
+  let s = scratch in
+  let { buffers; mask; touched; keep_d; keep_t; _ } = s in
+  sync_scratch s cache;
   Failure.set_mask g f mask;
   let failed = failed_arcs_of_mask mask in
   (* Destinations whose DAG uses a failed arc, in increasing order — exactly
@@ -504,7 +588,7 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
   let changed_of base =
     let acc = ref [] in
     for dest = n - 1 downto 0 do
-      if uses_any base ~dest failed then acc := dest :: !acc
+      if Routing.uses_any base ~dest failed then acc := dest :: !acc
     done;
     !acc
   in
@@ -550,81 +634,45 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
     Routing.with_failed_arcs ~buffers ~changed:changed_t ?resident:hook_t base_t
       ~weights:(Weights.throughput_of w) ~disabled:mask ~failed
   in
-  let touched_list = ref [] in
-  let mark_touched a =
-    if not touched.(a) then begin
-      touched.(a) <- true;
-      touched_list := a :: !touched_list
-    end
-  in
   (* A replaced row can differ from the cached one only on the union of the
-     old and new DAG supports: contributions are zero everywhere else.  A
-     destination flagged in [keep] takes the resident row (and clears its
-     flag) instead of re-routing. *)
-  let replace_rows rows base routing demands changed keep resident_rows =
-    List.map
-      (fun dest ->
-        let row =
-          if keep.(dest) then begin
-            keep.(dest) <- false;
-            resident_rows.(dest)
-          end
-          else begin
-            let row = Array.make m 0. in
-            let (_ : float) = Routing.add_loads_dest routing ~demands ~dest ~into:row in
-            row
-          end
-        in
-        let old = rows.(dest) in
-        let cmp a = if row.(a) <> old.(a) then mark_touched a in
-        Routing.iter_dag_arcs base ~dest cmp;
-        Routing.iter_dag_arcs routing ~dest cmp;
-        (dest, row))
-      changed
-  in
+     old and new DAG supports (contributions are zero everywhere else); a
+     full-row compare finds those arcs without walking either DAG. *)
   let rd, rt =
     match resident with None -> ([||], [||]) | Some r -> (r.r_d.r_rows, r.r_t.r_rows)
   in
-  let new_t = replace_rows cache.rows_t base_t routing_t dense_rt changed_t keep_t rt in
-  let new_d = replace_rows cache.rows_d base_d routing_d dense_rd changed_d keep_d rd in
-  let tloads = Array.copy cache.base_tloads in
-  let loads = Array.copy cache.base_loads in
-  let cur_t = Array.copy cache.rows_t in
-  List.iter (fun (dest, row) -> cur_t.(dest) <- row) new_t;
-  let cur_d = Array.copy cache.rows_d in
-  List.iter (fun (dest, row) -> cur_d.(dest) <- row) new_d;
+  replace_rows s ~m ~rows:cache.rows_t ~view:s.view_t ~routing:routing_t
+    ~demands:dense_rt ~keep:keep_t ~resident_rows:rt changed_t;
+  replace_rows s ~m ~rows:cache.rows_d ~view:s.view_d ~routing:routing_d
+    ~demands:dense_rd ~keep:keep_d ~resident_rows:rd changed_d;
   (* Re-sum only the touched arcs, in destination order: per-arc
      accumulations across destinations are independent, so untouched arcs
      keep the cached totals bit-for-bit. *)
-  List.iter
-    (fun a ->
-      let tl = ref 0. in
-      for dest = 0 to n - 1 do
-        tl := !tl +. cur_t.(dest).(a)
-      done;
-      tloads.(a) <- !tl;
-      let l = ref !tl in
-      for dest = 0 to n - 1 do
-        l := !l +. cur_d.(dest).(a)
-      done;
-      loads.(a) <- !l)
-    !touched_list;
-  let arc_delay = Array.copy cache.base_delay in
+  let view_t = s.view_t and view_d = s.view_d in
   let delay_arcs = ref [] in
-  List.iter
-    (fun a ->
-      let d =
-        Delay_model.arc_delay params.Scenario.delay ~capacity:cap.(a)
-          ~prop:prop.(a) ~load:loads.(a)
-      in
-      (* The queueing term is 0 up to utilisation µ, so most touched arcs
-         keep their propagation-only delay — and every delay-DP over a DAG
-         that reads no changed delay keeps its cached subtotal. *)
-      if d <> arc_delay.(a) then begin
-        arc_delay.(a) <- d;
-        delay_arcs := a :: !delay_arcs
-      end)
-    !touched_list;
+  for i = 0 to s.n_arcs - 1 do
+    let a = s.arcs.(i) in
+    let tl = ref 0. in
+    for dest = 0 to n - 1 do
+      tl := !tl +. view_t.(dest).(a)
+    done;
+    s.tloads.(a) <- !tl;
+    let l = ref !tl in
+    for dest = 0 to n - 1 do
+      l := !l +. view_d.(dest).(a)
+    done;
+    s.loads.(a) <- !l;
+    let d =
+      Delay_model.arc_delay params.Scenario.delay ~capacity:cap.(a) ~prop:prop.(a)
+        ~load:!l
+    in
+    (* The queueing term is 0 up to utilisation µ, so most touched arcs
+       keep their propagation-only delay — and every delay-DP over a DAG
+       that reads no changed delay keeps its cached subtotal. *)
+    if d <> s.arc_delay.(a) then begin
+      s.arc_delay.(a) <- d;
+      delay_arcs := a :: !delay_arcs
+    end
+  done;
   (* A subtotal is recomputed for a re-routed destination and for one whose
      DAG reads a changed delay; an unchanged destination shares the base
      DAG, so the latter is a membership probe on the base routing. *)
@@ -641,8 +689,8 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
     in
     if sinks.(dest) then begin
       let lam, viol, unreach =
-        if fresh || uses_any base_d ~dest delay_arcs then
-          dest_sla scenario ~routing_d ~arc_delay ~dense_rd
+        if fresh || Routing.uses_any base_d ~dest delay_arcs then
+          dest_sla scenario ~routing_d ~arc_delay:s.arc_delay ~dense_rd
             ~excluded:(fun _ -> false) ~dest
         else (cache.base_lam.(dest), cache.base_viol.(dest), cache.base_unreach.(dest))
       in
@@ -659,29 +707,42 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
   for a = 0 to m - 1 do
     let term =
       if touched.(a) then
-        if tloads.(a) > 1e-9 then
-          Congestion.arc_cost ~capacity:cap.(a) ~load:loads.(a)
+        if s.tloads.(a) > 1e-9 then
+          Congestion.arc_cost ~capacity:cap.(a) ~load:s.loads.(a)
         else 0.
       else cache.base_phi.(a)
     in
     phi := !phi +. term
   done;
-  List.iter (fun a -> touched.(a) <- false) !touched_list;
+  let loads, tloads =
+    if want_loads then (Array.copy s.loads, Array.copy s.tloads) else ([||], [||])
+  in
   let fresh =
     if not track then None
     else
-      let rows news =
+      let rows view changed =
         let a = Array.make n [||] in
-        List.iter (fun (dest, row) -> a.(dest) <- row) news;
+        List.iter (fun dest -> a.(dest) <- view.(dest)) changed;
         a
       in
       Some
         {
           r_failed = failed;
-          r_d = { r_routing = routing_d; r_rows = rows new_d };
-          r_t = { r_routing = routing_t; r_rows = rows new_t };
+          r_d = { r_routing = routing_d; r_rows = rows view_d changed_d };
+          r_t = { r_routing = routing_t; r_rows = rows view_t changed_t };
         }
   in
+  (* Undo the patch: the working arrays mirror [cache] again. *)
+  for i = 0 to s.n_arcs - 1 do
+    let a = s.arcs.(i) in
+    touched.(a) <- false;
+    s.tloads.(a) <- cache.base_tloads.(a);
+    s.loads.(a) <- cache.base_loads.(a);
+    s.arc_delay.(a) <- cache.base_delay.(a)
+  done;
+  s.n_arcs <- 0;
+  restore_rows ~view:view_t ~rows:cache.rows_t changed_t;
+  restore_rows ~view:view_d ~rows:cache.rows_d changed_d;
   ( {
       cost = Lexico.make ~lambda:!lambda ~phi:!phi;
       violations = !violations;
@@ -727,7 +788,7 @@ type bounded_sweep =
 
    Returns the details of the priced failures, in order, and the outcome. *)
 let run_sweep (scenario : Scenario.t) ?exec ?residents ?cache ?rd ?rt ~base_d ~base_t
-    ?(init = Lexico.zero) ?prune w failure_list =
+    ?(init = Lexico.zero) ?prune ~want_loads w failure_list =
   let exec = resolve_exec exec in
   let g = scenario.Scenario.graph in
   let rd = Option.value rd ~default:scenario.Scenario.rd in
@@ -742,7 +803,7 @@ let run_sweep (scenario : Scenario.t) ?exec ?residents ?cache ?rd ?rt ~base_d ~b
   let trace_id = if Trace.enabled () then Hashtbl.hash scenario land 0x3FFFFFFF else 0 in
   if Trace.enabled () then Trace.emit_sweep_begin ~scenario:trace_id ~failures:num;
   let use_cache = Spf_delta.enabled () && (Option.is_some cache || num >= 2) in
-  let cached f = use_cache && Failure.excluded_node f = None in
+  let cached f = use_cache && Option.is_none (Failure.excluded_node f) in
   let cache = ref cache in
   let get_cache () =
     match !cache with
@@ -754,12 +815,12 @@ let run_sweep (scenario : Scenario.t) ?exec ?residents ?cache ?rd ?rt ~base_d ~b
         c
   in
   let move = Option.bind residents (fun r -> r.Residents.move) in
-  let track = residents <> None in
+  let track = Option.is_some residents in
   let price ~scratch i f =
     if cached f then
       let resident = Option.bind residents (fun r -> r.Residents.committed.(i)) in
       assess_failure_cached scenario ~cache:(get_cache ()) ~scratch ~base_d ~base_t
-        ~dense_rd ~dense_rt ~sinks ?resident ?move ~track w f
+        ~dense_rd ~dense_rt ~sinks ?resident ?move ~track ~want_loads w f
     else
       ( assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask ~base_d
           ~base_t ~dense_rd ~dense_rt ~sinks w f,
@@ -787,6 +848,7 @@ let run_sweep (scenario : Scenario.t) ?exec ?residents ?cache ?rd ?rt ~base_d ~b
           (match prune with Some p -> stop := p (Lexico.add init !sum) | None -> ());
           incr i
         done;
+        unsync_scratch scratch;
         !stop
     | _ ->
         if Array.exists cached failures then ignore (get_cache () : sweep_cache);
@@ -810,20 +872,24 @@ let costs details = Array.of_list (List.map (fun d -> d.cost) details)
 
 (* Failure sweeps compute the no-failure routing once and re-route only the
    destinations whose ECMP DAG lost an arc (see Routing.with_failed_arcs). *)
-let sweep_details (scenario : Scenario.t) ?exec ?rd ?rt w failures =
+let sweep_fresh (scenario : Scenario.t) ?exec ?rd ?rt ~want_loads w failures =
   let g = scenario.Scenario.graph in
   let buffers = Routing.make_buffers g in
   let base_d = Routing.compute g ~weights:(Weights.delay_of w) ~buffers () in
   let base_t = Routing.compute g ~weights:(Weights.throughput_of w) ~buffers () in
-  fst (run_sweep scenario ?exec ?rd ?rt ~base_d ~base_t w failures)
+  fst (run_sweep scenario ?exec ?rd ?rt ~base_d ~base_t ~want_loads w failures)
 
-let sweep scenario ?exec w failures = costs (sweep_details scenario ?exec w failures)
+let sweep_details scenario ?exec ?rd ?rt w failures =
+  sweep_fresh scenario ?exec ?rd ?rt ~want_loads:true w failures
+
+let sweep scenario ?exec w failures =
+  costs (sweep_fresh scenario ?exec ~want_loads:false w failures)
 
 let sweep_from scenario ?exec ?residents ?cache ~routing_d ~routing_t w ~failures =
   costs
     (fst
-       (run_sweep scenario ?exec ?residents ?cache ~base_d:routing_d ~base_t:routing_t w
-          failures))
+       (run_sweep scenario ?exec ?residents ?cache ~base_d:routing_d ~base_t:routing_t
+          ~want_loads:false w failures))
 
 let compound costs = Array.fold_left Lexico.add Lexico.zero costs
 
@@ -831,7 +897,7 @@ let compound_sweep_bounded scenario ?exec ?residents ?cache ~routing_d ~routing_
     ~prune w ~failures =
   snd
     (run_sweep scenario ?exec ?residents ?cache ~base_d:routing_d ~base_t:routing_t ?init
-       ~prune w failures)
+       ~prune ~want_loads:false w failures)
 
 (* What-if pricing from resident bases: the daemon holds its incumbent's
    no-failure routing states alive across events, so a query needs no SPF at

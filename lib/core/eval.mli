@@ -155,12 +155,12 @@ type sweep_cache
     destination's SLA subtotal, violations and unreachable pairs. *)
 
 val make_sweep_cache :
-  Scenario.t ->
   rows_d:float array array ->
   rows_t:float array array ->
   tloads:float array ->
   loads:float array ->
   arc_delay:float array ->
+  phi_arc:float array ->
   lam:float array ->
   viol:int array ->
   unreach:int array ->
@@ -172,9 +172,12 @@ val make_sweep_cache :
     from the bases: [rows_*.(dest)] the {!Dtr_spf.Routing.add_loads_dest}
     row, [tloads] the destination-order sum of [rows_t] from zeros,
     [loads] that of [rows_d] from [tloads], [arc_delay] the delay model
-    at [loads], and for every delay-sink destination [lam]/[viol]/
-    [unreach] its {!Internal.dest_sla} at those delays.  Only the per-arc
-    congestion terms are computed here, in [O(arcs)]. *)
+    at [loads], [phi_arc.(a)] the congestion term of arc [a] at [loads]
+    ([0.] where [tloads.(a) <= 1e-9]), and for every delay-sink
+    destination [lam]/[viol]/[unreach] its {!Internal.dest_sla} at those
+    delays.  A sweep reads the arrays of the record it was handed: a
+    caller that changes them in place passes a fresh record to the next
+    sweep. *)
 
 val sweep_from :
   Scenario.t ->

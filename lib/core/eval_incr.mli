@@ -6,12 +6,17 @@
     engine caches, per traffic class, the routing state, each destination's
     arc-load contribution and each destination's SLA penalty subtotal, and
     recomputes only the destinations the single-arc move can affect (see
-    {!Dtr_spf.Routing.with_changed_arc}).  Load and [Lambda] totals are
-    re-summed from the per-destination caches in destination order, which —
-    together with the per-destination fold in {!Eval.Internal.dest_sla} —
-    makes every result {e bit-identical} to the full evaluation: not merely
-    close, the same floats.  [Phi] is recomputed exactly, in [O(m)], from the
-    patched loads.
+    {!Dtr_spf.Routing.with_changed_arc}).  Load totals are re-summed from
+    the per-destination rows in destination order, on the arcs where a
+    re-routed destination's row changed; [Lambda] is re-summed from the
+    per-destination subtotals, recomputed where the routing or a delay the
+    destination reads changed; [Phi] is folded from per-arc congestion
+    terms, recomputed where a load changed.  Together with the
+    per-destination fold in {!Eval.Internal.dest_sla} this makes every
+    result {e bit-identical} to the full evaluation: not merely close, the
+    same floats.  A trial writes into the engine's own arrays and rows
+    taken from a pool, keeping what it overwrote for {!rollback}, so it
+    allocates no rows or load arrays.
 
     The same caching pattern is reused {e across failure states}: a failure
     sweep ({!Eval.sweep_details}, {!Eval.sweep_from}) builds the

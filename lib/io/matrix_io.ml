@@ -89,3 +89,9 @@ let pair_of_string s =
         failwith "Matrix_io: class sections have different sizes";
       (rd, rt)
   | _ -> failwith "Matrix_io: expected exactly two class sections"
+
+let load_pair ~path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> pair_of_string (really_input_string ic (in_channel_length ic)))

@@ -384,10 +384,15 @@ let handle_resize t ~max_util ~step =
   let scenario, report =
     Resize.resize_congested ?step ?max_util t.scenario t.incumbent
   in
-  t.scenario <- scenario;
-  t.graph_epoch <- t.graph_epoch + 1;
-  Delta_cache.bump t.delta;
-  invalidate_bases t;
+  (* A resize that upgrades nothing leaves the graph as it was, so the
+     daemon stays in its state: same epoch, routing bases and answers. *)
+  (match report.Resize.upgrades with
+  | [] -> ()
+  | _ :: _ ->
+      t.scenario <- scenario;
+      t.graph_epoch <- t.graph_epoch + 1;
+      Delta_cache.bump t.delta;
+      invalidate_bases t);
   Ok
     (Json.Obj
        [
@@ -939,6 +944,14 @@ let run_pipe t ic oc =
     | n -> serve_chunk t ~stop ~hang_up peer chunk n
   done
 
+(* The readable descriptors, waiting as long as it takes: a signal that
+   interrupts the wait (EINTR) restarts it, as [read_chunk] restarts a
+   read. *)
+let rec wait_readable fds =
+  match Unix.select fds [] [] (-1.) with
+  | readable, _, _ -> readable
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_readable fds
+
 (* Socket mode: one select loop over the listening socket, the connected
    clients and (optionally) stdio. *)
 let run_socket t ~socket ?stdio () =
@@ -979,7 +992,7 @@ let run_socket t ~socket ?stdio () =
       | Some p when !stdio_open -> [ p.fd ]
       | _ -> []
     in
-    let readable, _, _ = Unix.select watched [] [] (-1.) in
+    let readable = wait_readable watched in
     List.iter
       (fun fd ->
         if fd = listen_fd then begin

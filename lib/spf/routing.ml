@@ -29,6 +29,7 @@ type buffers = {
   heap : Int_heap.t;
   scratch : int array;
   rebuilt : bool array; (* repaired_dest: membership flags for the rebuild set *)
+  count : int array; (* repaired_dest: new row length of each rebuilt node *)
   delta : Spf_delta.scratch;
 }
 
@@ -38,6 +39,7 @@ let make_buffers g =
     heap = Int_heap.create ~capacity:n ();
     scratch = Array.make n 0;
     rebuilt = Array.make n false;
+    count = Array.make n 0;
     delta = Spf_delta.make_scratch g;
   }
 
@@ -74,61 +76,65 @@ let fill_hops g ~weights ~disabled ~d u ~into ~at =
    same sequence as [Array.sort (fun a b -> Int.compare keys.(b) keys.(a))],
    so it returns the same permutation, ties included — which pins the node
    order, and with it the float summation order of [route_dest], to code in
-   this repository rather than to the stdlib's unspecified internals.  The
-   comparator is inlined and [maxson]'s child selection is branch-free: for
-   keys in [0, max_int / 2], [(x - y) lsr sign_bit] is 1 when [x < y], else
-   0. *)
+   this repository rather than to the stdlib's unspecified internals.
+
+   It sorts {e packed} elements, [key lsl sh lor node] with [sh] bits for
+   the node id, and compares them on [p lsr sh]: the key itself, so every
+   comparison, and with it the permutation, is that of a sort of the ids by
+   key, without the [keys.(a.(i))] indirection.  The comparator is inlined
+   and [maxson]'s child selection is branch-free: for keys in
+   [0, max_int / 2], [(x - y) lsr sign_bit] is 1 when [x < y], else 0. *)
 let sign_bit = Sys.int_size - 1
 
 (* Index of the child of [i] that sorts first (smallest key; leftmost on
    ties), or -1 when [i] has no child below [l]. *)
-let maxson keys a l i =
+let maxson sh a l i =
   let i31 = i + i + i + 1 in
   if i31 + 2 < l then begin
-    let k0 = keys.(a.(i31)) and k1 = keys.(a.(i31 + 1)) in
+    let k0 = a.(i31) lsr sh and k1 = a.(i31 + 1) lsr sh in
     let c1 = (k1 - k0) lsr sign_bit in
     let x = i31 + c1 and kx = k0 + (c1 * (k1 - k0)) in
-    let c2 = (keys.(a.(i31 + 2)) - kx) lsr sign_bit in
+    let c2 = ((a.(i31 + 2) lsr sh) - kx) lsr sign_bit in
     x + (c2 * (i31 + 2 - x))
   end
-  else if i31 + 1 < l && keys.(a.(i31 + 1)) < keys.(a.(i31)) then i31 + 1
+  else if i31 + 1 < l && a.(i31 + 1) lsr sh < a.(i31) lsr sh then i31 + 1
   else if i31 < l then i31
   else -1
 
-let rec trickle keys a l i e ke =
-  let j = maxson keys a l i in
-  if j >= 0 && keys.(a.(j)) < ke then begin
+let rec trickle sh a l i e ke =
+  let j = maxson sh a l i in
+  if j >= 0 && a.(j) lsr sh < ke then begin
     a.(i) <- a.(j);
-    trickle keys a l j e ke
+    trickle sh a l j e ke
   end
   else a.(i) <- e
 
-let rec bubble keys a l i =
-  let j = maxson keys a l i in
+let rec bubble sh a l i =
+  let j = maxson sh a l i in
   if j < 0 then i
   else begin
     a.(i) <- a.(j);
-    bubble keys a l j
+    bubble sh a l j
   end
 
-let rec trickleup keys a i e ke =
+let rec trickleup sh a i e ke =
   let father = (i - 1) / 3 in
-  if ke < keys.(a.(father)) then begin
+  if ke < a.(father) lsr sh then begin
     a.(i) <- a.(father);
-    if father > 0 then trickleup keys a father e ke else a.(0) <- e
+    if father > 0 then trickleup sh a father e ke else a.(0) <- e
   end
   else a.(i) <- e
 
-let sort_decreasing ~keys a =
-  let l = Array.length a in
+(* Sorts the packed prefix [a.(0 .. l - 1)]. *)
+let sort_packed ~sh a l =
   for i = ((l + 1) / 3) - 1 downto 0 do
     let e = a.(i) in
-    trickle keys a l i e keys.(e)
+    trickle sh a l i e (e lsr sh)
   done;
   for i = l - 1 downto 2 do
     let e = a.(i) in
     a.(i) <- a.(0);
-    trickleup keys a (bubble keys a i 0) e keys.(e)
+    trickleup sh a (bubble sh a i 0) e (e lsr sh)
   done;
   if l > 1 then begin
     let e = a.(1) in
@@ -136,20 +142,82 @@ let sort_decreasing ~keys a =
     a.(0) <- e
   end
 
+(* Bits that hold every node id below [n], and the largest key that packs
+   above them with the packed element still in [0, max_int / 2]. *)
+let id_bits n =
+  let rec go s = if 1 lsl s >= n then s else go (s + 1) in
+  go 0
+
+let pack_limit sh = max_int lsr (sh + 1)
+
+(* Packs the ids [a.(0 .. l - 1)] with the rank of their key among those
+   keys in place of the key: ranks are below [l], so they always pack, and
+   they compare exactly as the keys do, so the sort makes the same
+   comparisons.  For keys above [pack_limit], which no distance of a
+   search-range weight setting reaches. *)
+let pack_ranks ~keys ~sh a l =
+  let sorted = Array.init l (fun i -> keys.(a.(i))) in
+  Array.sort Int.compare sorted;
+  (* the first index of [k] in [sorted] *)
+  let rec rank k lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if sorted.(mid) < k then rank k (mid + 1) hi else rank k lo mid
+  in
+  for i = 0 to l - 1 do
+    a.(i) <- (rank keys.(a.(i)) 0 l lsl sh) lor a.(i)
+  done
+
+let sort_decreasing ~keys a =
+  let l = Array.length a in
+  let sh = id_bits (Array.length keys) in
+  let top = ref 0 in
+  for i = 0 to l - 1 do
+    if keys.(a.(i)) > !top then top := keys.(a.(i))
+  done;
+  if !top > pack_limit sh then pack_ranks ~keys ~sh a l
+  else
+    for i = 0 to l - 1 do
+      a.(i) <- (keys.(a.(i)) lsl sh) lor a.(i)
+    done;
+  sort_packed ~sh a l;
+  let mask = (1 lsl sh) - 1 in
+  for i = 0 to l - 1 do
+    a.(i) <- a.(i) land mask
+  done
+
 (* Reachable non-destination nodes by decreasing distance.  The sort is
    deterministic, so identical distances always yield an identical
-   permutation — including tie order — whichever path built [d]. *)
+   permutation — including tie order — whichever path built [d].  The scan
+   writes packed elements straight into [scratch]; their low [sh] bits are
+   the node id even when a distance overflowed the shift, so a row with a
+   distance above the packing limit is re-packed by rank from them. *)
 let order_row ~scratch ~d ~dest =
   let n = Array.length d in
-  let reachable = ref 0 in
+  let sh = id_bits n in
+  let mask = (1 lsl sh) - 1 in
+  let reachable = ref 0 and top = ref 0 in
   for u = 0 to n - 1 do
-    if u <> dest && d.(u) < Dijkstra.infinity then begin
-      scratch.(!reachable) <- u;
-      incr reachable
+    let du = d.(u) in
+    if u <> dest && du < Dijkstra.infinity then begin
+      scratch.(!reachable) <- (du lsl sh) lor u;
+      incr reachable;
+      if du > !top then top := du
     end
   done;
-  let ord = Array.sub scratch 0 !reachable in
-  sort_decreasing ~keys:d ord;
+  let l = !reachable in
+  if !top > pack_limit sh then begin
+    for i = 0 to l - 1 do
+      scratch.(i) <- scratch.(i) land mask
+    done;
+    pack_ranks ~keys:d ~sh scratch l
+  end;
+  sort_packed ~sh scratch l;
+  let ord = Array.make l 0 in
+  for i = 0 to l - 1 do
+    ord.(i) <- scratch.(i) land mask
+  done;
   ord
 
 (* Per-destination routing state: distances, the CSR ECMP hop rows, and the
@@ -218,7 +286,36 @@ let uses_arc t ~dest id =
   let st = t.dests.(dest) in
   st.dist.(s) < Dijkstra.infinity && row_has st.hop_ids id st.hop_off.(s) st.hop_off.(s + 1)
 
+let rec uses_any t ~dest = function
+  | [] -> false
+  | id :: rest -> uses_arc t ~dest id || uses_any t ~dest rest
+
 let shares_dest a b ~dest = a.dests.(dest) == b.dests.(dest)
+
+(* Flags the rebuilt nodes and records their new row lengths; answers
+   whether every one keeps its old length ([boff] being the old offsets). *)
+let rec count_rebuilt g ~weights ~disabled ~dest ~dist ~buffers ~boff same = function
+  | [] -> same
+  | u :: rest ->
+      let len =
+        if u <> dest && dist.(u) < Dijkstra.infinity then
+          count_hops g ~weights ~disabled ~d:dist u
+        else 0
+      in
+      buffers.rebuilt.(u) <- true;
+      buffers.count.(u) <- len;
+      count_rebuilt g ~weights ~disabled ~dest ~dist ~buffers ~boff
+        (same && len = boff.(u + 1) - boff.(u))
+        rest
+
+(* Refills the rebuilt rows in place at offsets [off], clearing their
+   flags. *)
+let rec refill_rebuilt g ~weights ~disabled ~dist ~buffers ~off ~into = function
+  | [] -> ()
+  | u :: rest ->
+      buffers.rebuilt.(u) <- false;
+      if off.(u + 1) > off.(u) then fill_hops g ~weights ~disabled ~d:dist u ~into ~at:off.(u);
+      refill_rebuilt g ~weights ~disabled ~dist ~buffers ~off ~into rest
 
 (* The one place incremental paths build a destination's state, from a
    {!Spf_delta} outcome: rows of the nodes it lists are recomputed from its
@@ -231,34 +328,52 @@ let repaired_dest g ~weights ~disabled ~buffers ~dest bst
     (outcome : Spf_delta.outcome) =
   let n = Graph.num_nodes g in
   let dist = outcome.dist and flag = buffers.rebuilt in
-  List.iter (fun u -> flag.(u) <- true) outcome.rebuild;
+  let boff = bst.hop_off in
+  let same =
+    count_rebuilt g ~weights ~disabled ~dest ~dist ~buffers ~boff true outcome.rebuild
+  in
   let order =
     if outcome.changed_dist then order_row ~scratch:buffers.scratch ~d:dist ~dest
     else bst.order
   in
-  let hop_off = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    let len =
-      if flag.(u) then
-        if u <> dest && dist.(u) < Dijkstra.infinity then
-          count_hops g ~weights ~disabled ~d:dist u
-        else 0
-      else bst.hop_off.(u + 1) - bst.hop_off.(u)
-    in
-    hop_off.(u + 1) <- hop_off.(u) + len
-  done;
-  let hop_ids = Array.make hop_off.(n) 0 in
-  for u = 0 to n - 1 do
-    let len = hop_off.(u + 1) - hop_off.(u) in
-    if flag.(u) then begin
-      flag.(u) <- false;
-      if len > 0 then
-        fill_hops g ~weights ~disabled ~d:dist u ~into:hop_ids ~at:hop_off.(u)
-    end
-    else if len > 0 then
-      Array.blit bst.hop_ids bst.hop_off.(u) hop_ids hop_off.(u) len
-  done;
-  { dist; hop_off; hop_ids; order }
+  if same then begin
+    (* Every row keeps its length, so every offset stays: the base's
+       offsets are shared and only the rebuilt rows are rewritten. *)
+    let hop_ids = Array.copy bst.hop_ids in
+    refill_rebuilt g ~weights ~disabled ~dist ~buffers ~off:boff ~into:hop_ids
+      outcome.rebuild;
+    { dist; hop_off = boff; hop_ids; order }
+  end
+  else begin
+    let hop_off = Array.make (n + 1) 0 in
+    for u = 0 to n - 1 do
+      let len = if flag.(u) then buffers.count.(u) else boff.(u + 1) - boff.(u) in
+      hop_off.(u + 1) <- hop_off.(u) + len
+    done;
+    let hop_ids = Array.make hop_off.(n) 0 in
+    (* Rebuilt rows are filled; each maximal run of kept rows is one blit,
+       since their offsets all moved by the same amount. *)
+    let u = ref 0 in
+    while !u < n do
+      let v = !u in
+      if flag.(v) then begin
+        flag.(v) <- false;
+        if hop_off.(v + 1) > hop_off.(v) then
+          fill_hops g ~weights ~disabled ~d:dist v ~into:hop_ids ~at:hop_off.(v);
+        u := v + 1
+      end
+      else begin
+        let e = ref (v + 1) in
+        while !e < n && not flag.(!e) do
+          incr e
+        done;
+        let len = boff.(!e) - boff.(v) in
+        if len > 0 then Array.blit bst.hop_ids boff.(v) hop_ids hop_off.(v) len;
+        u := !e
+      end
+    done;
+    { dist; hop_off; hop_ids; order }
+  end
 
 let with_failed_arcs ?buffers ?changed ?resident base ~weights ~disabled ~failed =
   let g = base.graph in
@@ -277,23 +392,23 @@ let with_failed_arcs ?buffers ?changed ?resident base ~weights ~disabled ~failed
      (cached failure pricing computes them first) pass the sorted list in;
      otherwise scan.  The list must equal the [uses_arc] criterion. *)
   let remaining = ref (match changed with Some l -> l | None -> []) in
-  let is_changed dest =
-    match changed with
-    | None -> List.exists (fun id -> uses_arc base ~dest id) failed
-    | Some _ -> (
-        match !remaining with
-        | d :: tl when d = dest ->
-            remaining := tl;
-            true
-        | _ -> false)
-  in
   let some_disabled = Some disabled in
   let dests = Array.make n base.dests.(0) in
   for dest = 0 to n - 1 do
+    let is_changed =
+      match changed with
+      | None -> uses_any base ~dest failed
+      | Some _ -> (
+          match !remaining with
+          | d :: tl when d = dest ->
+              remaining := tl;
+              true
+          | _ -> false)
+    in
     (* Arcs on no shortest path towards [dest] can be removed without
        changing any shortest path, so the base state is reused verbatim. *)
     dests.(dest) <-
-      (if is_changed dest then
+      (if is_changed then
          match resident with
          | Some (r, keep) when keep dest ->
              (* the caller vouches that an earlier post-failure state for
@@ -444,9 +559,9 @@ let check_demands t ~demands ~into =
   let g = t.graph in
   let n = Graph.num_nodes g in
   if Array.length demands <> n then invalid_arg "Routing.add_loads: demands rows";
-  Array.iter
-    (fun row -> if Array.length row <> n then invalid_arg "Routing.add_loads: demands cols")
-    demands;
+  for s = 0 to n - 1 do
+    if Array.length demands.(s) <> n then invalid_arg "Routing.add_loads: demands cols"
+  done;
   if Array.length into <> Graph.num_arcs g then
     invalid_arg "Routing.add_loads: load array length"
 
@@ -465,11 +580,16 @@ let add_loads t ~demands ~exclude_node ~into () =
 let add_loads t ~demands ?exclude_node ~into () =
   add_loads t ~demands ~exclude_node ~into ()
 
-let add_loads_dest t ~demands ~dest ~into =
+let add_loads_dest ?node_flow t ~demands ~dest ~into =
   check_demands t ~demands ~into;
   let n = Graph.num_nodes t.graph in
   if dest < 0 || dest >= n then invalid_arg "Routing.add_loads_dest: bad destination";
-  let node_flow = Array.make n 0. in
+  let node_flow =
+    match node_flow with
+    | Some a when Array.length a >= n -> a
+    | Some _ -> invalid_arg "Routing.add_loads_dest: node_flow too short"
+    | None -> Array.make n 0.
+  in
   route_dest t ~demands ~excluded:(fun _ -> false) ~node_flow ~into dest
 
 let loads t ~graph ~demands ?exclude_node () =

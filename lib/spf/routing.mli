@@ -37,6 +37,9 @@ val uses_arc : t -> dest:Graph.node -> Graph.arc_id -> bool
 (** Whether the arc lies on some shortest path towards [dest] (i.e. belongs
     to the destination's ECMP DAG). *)
 
+val uses_any : t -> dest:Graph.node -> Graph.arc_id list -> bool
+(** Whether any of the arcs satisfies {!uses_arc}. *)
+
 val exists_dag_arc : t -> dest:Graph.node -> (Graph.arc_id -> bool) -> bool
 (** Whether any arc of [dest]'s ECMP DAG satisfies the predicate — exactly
     the arcs the delay DPs read, so a negative answer certifies that a
@@ -111,7 +114,10 @@ val sort_decreasing : keys:int array -> Graph.node array -> unit
     keys, and returns exactly the permutation of
     [Array.sort (fun x y -> Int.compare keys.(y) keys.(x)) a], ties
     included.  Keys must be non-negative and at most [max_int / 2]
-    (distances are). *)
+    (distances are).  It sorts [key lsl sh lor id] packed elements, [sh]
+    being the bits of a node id below [Array.length keys]; a key that does
+    not fit above them is replaced by its rank among the keys of [a],
+    which makes the same comparisons. *)
 
 val reachable : t -> src:Graph.node -> dst:Graph.node -> bool
 (** Whether the pair is connected in the routed (surviving) topology. *)
@@ -153,13 +159,16 @@ val add_loads :
     @raise Invalid_argument on dimension mismatches. *)
 
 val add_loads_dest :
+  ?node_flow:float array ->
   t -> demands:float array array -> dest:Graph.node -> into:float array -> float
 (** Single-destination restriction of {!add_loads} (no node exclusion):
     accumulates only the loads of demand sunk at [dest] and returns that
     destination's unroutable volume.  Because every arc receives at most one
     addition per destination, summing these per-destination contributions in
     destination order reproduces {!add_loads}'s totals bit-for-bit — the
-    invariant the incremental evaluation engine builds on. *)
+    invariant the incremental evaluation engine builds on.  [node_flow], at
+    least one entry per node, is the per-node flow scratch; callers that
+    route many destinations pass one so that the call allocates nothing. *)
 
 val loads :
   t -> graph:Graph.t -> demands:float array array -> ?exclude_node:Graph.node -> unit ->

@@ -138,17 +138,17 @@ let repair g ~weights ~failed ~relax_cut ~dist:base_dist ~hop_off ~hop_ids ~heap
   done;
   let affected_nodes = List.rev scratch.affected_rev in
   let dist, changed_dist =
-    if affected_nodes = [] then (base_dist, false)
-    else begin
-      let d = Array.copy base_dist in
-      (* A failed arc is absent from the repaired graph; a heavier one stays
-         relaxable at its new weight. *)
-      let disabled = if relax_cut then None else Some mask in
-      Dijkstra.repair_arc_removal g ~weights ~disabled ~dist:d ~heap
-        ~is_affected:(fun v -> st.(v) = affected)
-        ~affected:affected_nodes;
-      (d, true)
-    end
+    match affected_nodes with
+    | [] -> (base_dist, false)
+    | _ :: _ ->
+        let d = Array.copy base_dist in
+        (* A failed arc is absent from the repaired graph; a heavier one
+           stays relaxable at its new weight. *)
+        let disabled = if relax_cut then None else Some mask in
+        Dijkstra.repair_arc_removal g ~weights ~disabled ~dist:d ~heap
+          ~is_affected:(fun v -> st.(v) = affected)
+          ~affected:affected_nodes;
+        (d, true)
   in
   let rebuild = ref [] in
   for i = scratch.n_processed - 1 downto 0 do

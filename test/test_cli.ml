@@ -50,6 +50,111 @@ let test_jobs_conv_parse () =
   | Ok 8 -> ()
   | _ -> Alcotest.fail "expected Ok 8 for padded input"
 
+(* --cache-capacity refuses counts below 1 in its converter, as --jobs
+   does. *)
+let test_cache_capacity_conv () =
+  let parse = Arg.conv_parser Cli.cache_capacity_conv in
+  (match parse "64" with Ok 64 -> () | _ -> Alcotest.fail "expected Ok 64");
+  List.iter
+    (fun bad ->
+      match parse bad with
+      | Error (`Msg _) -> ()
+      | Ok _ -> Alcotest.failf "expected an error for %S" bad)
+    [ "0"; "-1"; "many" ]
+
+(* --- Rejected input files ---------------------------------------------
+
+   Both binaries load weights, topology and traffic files.  A file the
+   loader rejects must end the run with the loader's message and exit
+   code 1, not an uncaught exception (exit 125). *)
+
+let exe name =
+  match
+    List.find_opt Sys.file_exists
+      [ Printf.sprintf "../bin/%s.exe" name; Printf.sprintf "_build/default/bin/%s.exe" name ]
+  with
+  | Some p -> p
+  | None -> Alcotest.failf "%s.exe is not built" name
+
+(* Runs [name] with [args], stdin and stdout on /dev/null; the exit status
+   and what it wrote to stderr. *)
+let run_exe name args =
+  let err = Filename.temp_file "dtr_cli" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  let path = exe name in
+  let fd_err = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process path (Array.of_list (path :: args)) null_in null_out fd_err
+  in
+  List.iter Unix.close [ fd_err; null_in; null_out ];
+  let _, status = Unix.waitpid [] pid in
+  (status, In_channel.with_open_bin err In_channel.input_all)
+
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+  go 0
+
+(* One bad file per kind, the flags that load it, and the loader's
+   message. *)
+let bad_inputs =
+  [
+    ( "weights",
+      "# dtr weights v1\narcs 2\nw 0 0 1\nw 1 1 1\n",
+      (fun path -> [ "-n"; "8"; "--seed"; "3"; "-w"; path ]),
+      "Weights_io: line 3: weights start at 1" );
+    ( "topology",
+      "nodes 2\nedge 0 0 10 1\n",
+      (fun path -> [ "--topology-file"; path ]),
+      "Graph_io: Graph.of_edges: self-loop" );
+    ( "traffic",
+      "class d\nsize 8\ndemand 0 1 -5\nclass t\nsize 8\n",
+      (fun path -> [ "-n"; "8"; "--traffic-file"; path ]),
+      "Matrix_io: line 3: Matrix.set: negative demand" );
+  ]
+
+let test_rejected_input ~name ~subcommand (kind, contents, flags, message) () =
+  let path = Filename.temp_file "dtr_bad" ("." ^ kind) in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  let status, err = run_exe name (subcommand @ flags path) in
+  Alcotest.(check string) (name ^ " exit status") "exited 1"
+    (match status with
+    | Unix.WEXITED c -> Printf.sprintf "exited %d" c
+    | Unix.WSIGNALED s | Unix.WSTOPPED s -> Printf.sprintf "signal %d" s);
+  if not (contains err message) then
+    Alcotest.failf "%s: stderr %S lacks the loader's message %S" name err message;
+  if contains err "uncaught exception" then
+    Alcotest.failf "%s: stderr %S reports an uncaught exception" name err
+
+let rejected_input_cases =
+  List.concat_map
+    (fun ((kind, _, _, _) as input) ->
+      [
+        Alcotest.test_case
+          (Printf.sprintf "dtr-opt: rejected %s file exits 1" kind)
+          `Quick
+          (test_rejected_input ~name:"dtr_opt"
+             ~subcommand:[ (if kind = "weights" then "evaluate" else "optimize") ]
+             input);
+        Alcotest.test_case
+          (Printf.sprintf "dtr-serve: rejected %s file exits 1" kind)
+          `Quick
+          (test_rejected_input ~name:"dtr_serve" ~subcommand:[] input);
+      ])
+    bad_inputs
+
+let test_serve_cache_capacity_zero () =
+  let status, err = run_exe "dtr_serve" [ "-n"; "8"; "--cache-capacity"; "0" ] in
+  Alcotest.(check string) "exit status" (Printf.sprintf "exited %d" Cmd.Exit.cli_error)
+    (match status with
+    | Unix.WEXITED c -> Printf.sprintf "exited %d" c
+    | Unix.WSIGNALED s | Unix.WSTOPPED s -> Printf.sprintf "signal %d" s);
+  if not (contains err "cache capacity must be at least 1") then
+    Alcotest.failf "stderr %S lacks the converter's message" err
+
 let test_exec_of_jobs () =
   Alcotest.(check int) "explicit 1 is serial" 1 (Exec.jobs (Cli.exec_of_jobs (Some 1)));
   Alcotest.(check int) "explicit 2 forces 2 domains" 2
@@ -423,6 +528,9 @@ let suite =
     Alcotest.test_case "--jobs validation exit codes" `Quick
       test_jobs_conv_exit_codes;
     Alcotest.test_case "jobs_conv parser" `Quick test_jobs_conv_parse;
+    Alcotest.test_case "cache_capacity_conv parser" `Quick test_cache_capacity_conv;
+    Alcotest.test_case "dtr-serve --cache-capacity 0 is a usage error" `Quick
+      test_serve_cache_capacity_zero;
     Alcotest.test_case "exec_of_jobs" `Quick test_exec_of_jobs;
     Alcotest.test_case "obs_start symmetry" `Quick test_obs_start_symmetry;
     Alcotest.test_case "with_obs exception safety" `Quick
@@ -452,3 +560,4 @@ let suite =
     Alcotest.test_case "trace CLI exit codes" `Quick test_trace_cli_exit_codes;
     Alcotest.test_case "sparkline rendering" `Quick test_sparkline;
   ]
+  @ rejected_input_cases

@@ -16,6 +16,11 @@ module Eval_incr = Dtr_core.Eval_incr
 module Phase1 = Dtr_core.Phase1
 module Phase2 = Dtr_core.Phase2
 module Criticality = Dtr_core.Criticality
+module Matrix = Dtr_traffic.Matrix
+module Spf_delta = Dtr_spf.Spf_delta
+module Metric = Dtr_obs.Metric
+module Prune = Dtr_core.Prune
+module Exec = Dtr_exec.Exec
 
 let scenario_of_seed seed =
   let rng = Rng.create seed in
@@ -294,6 +299,239 @@ let test_phase2_identity () =
   Alcotest.(check int) "same eval count" a.Phase2.stats.Phase2.evals
     b.Phase2.stats.Phase2.evals
 
+(* --- Touched-arc re-sums ------------------------------------------------
+
+   A trial re-sums only the arcs where a re-routed destination's row
+   differs, recomputes delays and congestion terms there, and stages its
+   rows in pooled arrays that commit keeps and rollback recycles.  The
+   cases below are the ones that bookkeeping must get right. *)
+
+(* [scenario] with demand left only towards [sinks]: a move that re-routes
+   only other destinations changes no load at all. *)
+let with_sinks (scenario : Scenario.t) sinks =
+  let keep m = Matrix.map m (fun ~src:_ ~dst v -> if List.mem dst sinks then v else 0.) in
+  Scenario.make ~graph:scenario.Scenario.graph ~rd:(keep scenario.Scenario.rd)
+    ~rt:(keep scenario.Scenario.rt) ~params:scenario.Scenario.params
+
+(* Whether the staged trial re-routed some destination of either class. *)
+let rerouted ~before:(d0, t0) engine =
+  let d1, t1 = Eval_incr.current_routing engine in
+  let n = Graph.num_nodes (Eval_incr.scenario engine).Scenario.graph in
+  let rec go dest =
+    dest < n
+    && ((not (Routing.shares_dest d0 d1 ~dest))
+       || (not (Routing.shares_dest t0 t1 ~dest))
+       || go (dest + 1))
+  in
+  go 0
+
+let bit_equal (a : float array) (b : float array) = Array.for_all2 (fun x y -> x = y) a b
+
+(* Moves whose re-routed rows differ on no arc (demand sinks at two nodes
+   only), in commit chains of four commits per rollback: every staged and
+   settled state equals the full evaluation, and such moves do occur. *)
+let prop_touched_resum_chains =
+  QCheck.Test.make ~name:"touched-arc re-sums: unchanged rows, commit chains" ~count:20
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let base = scenario_of_seed seed in
+      let n = Scenario.num_nodes base and m = Scenario.num_arcs base in
+      let scenario = with_sinks base [ 0; n - 1 ] in
+      let wmax = scenario.Scenario.params.Scenario.wmax in
+      let rng = Rng.create (seed + 7) in
+      let w = Weights.random rng ~num_arcs:m ~wmax in
+      let engine = Eval_incr.create scenario in
+      let (_ : Lexico.t) = Eval_incr.anchor engine w in
+      let unchanged_rows = ref 0 in
+      for i = 1 to 60 do
+        let arc = Rng.int rng m in
+        let saved = Weights.save_arc w arc in
+        Weights.perturb_arc rng w ~arc ~wmax;
+        let before = Eval_incr.current_routing engine in
+        let loads = Eval_incr.loads engine in
+        let (_ : Lexico.t) = Eval_incr.try_arc engine w ~arc in
+        if rerouted ~before engine && bit_equal loads (Eval_incr.loads engine) then
+          incr unchanged_rows;
+        ignore (check_against_full scenario engine w : bool);
+        if i mod 5 <> 0 then Eval_incr.commit engine
+        else begin
+          Eval_incr.rollback engine;
+          Weights.restore_arc w saved
+        end;
+        ignore (check_against_full scenario engine w : bool)
+      done;
+      if !unchanged_rows = 0 then
+        QCheck.Test.fail_reportf "seed %d: no move re-routed without changing a load" seed;
+      true)
+
+type abort = Floor | Sla | Phi
+
+(* A scenario whose Lambda floor is positive (the 12 ms SLA bound lies
+   below some pairs' propagation delay) and whose loads cross µ. *)
+let floored_scenario seed =
+  let rng = Rng.create seed in
+  let sc =
+    Scenario.random_instance ~params:Fixtures.tiny_params ~nodes:(7 + Rng.int rng 5)
+      ~degree:3. ~avg_util:(0.7 +. Rng.float rng 0.4) rng Gen.Rand_topo
+  in
+  Scenario.make ~graph:sc.Scenario.graph ~rd:sc.Scenario.rd ~rt:sc.Scenario.rt
+    ~params:{ sc.Scenario.params with Scenario.sla = Dtr_cost.Sla.with_theta 0.012 }
+
+(* Bounded trials set up to abort at a chosen stage: below the trial's own
+   floor (the floor stage), between its floor and its Lambda (the SLA
+   stage), or at half its Phi (the Phi stage, which the Lambda stages
+   never reach with their [phi = 0] partials).  After each abort and
+   rollback the engine must price exactly as before, and a completed
+   bounded trial must equal the unbounded one.  Returns how many aborts of
+   each kind happened. *)
+let run_abort_case seed =
+  let metrics_were = Metric.enabled () in
+  Metric.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metric.set_enabled metrics_were) @@ fun () ->
+  let scenario = floored_scenario seed in
+  let m = Scenario.num_arcs scenario in
+  let wmax = scenario.Scenario.params.Scenario.wmax in
+  let rng = Rng.create (seed + 3) in
+  let w = Weights.random rng ~num_arcs:m ~wmax in
+  let engine = Eval_incr.create scenario in
+  let (_ : Lexico.t) = Eval_incr.anchor engine w in
+  let floor_aborts = ref 0 and sla_aborts = ref 0 and phi_aborts = ref 0 in
+  for _ = 1 to 40 do
+    let arc = Rng.int rng m in
+    let saved = Weights.save_arc w arc in
+    Weights.perturb_arc rng w ~arc ~wmax;
+    let c = Eval_incr.try_arc engine w ~arc in
+    let floor = Eval_incr.lambda_floor engine in
+    Eval_incr.rollback engine;
+    (* a zero floor cannot be undercut: such a trial goes to the SLA stage *)
+    let kind =
+      match [| Floor; Sla; Phi |].(Rng.int rng 3) with
+      | Floor when floor <= 0. -> Sla
+      | kind -> kind
+    in
+    let prune =
+      match kind with
+      | Floor -> fun (q : Lexico.t) -> q.Lexico.lambda > floor /. 2.
+      | Sla ->
+          let b = (floor +. c.Lexico.lambda) /. 2. in
+          fun q -> q.Lexico.lambda > b
+      | Phi -> fun q -> q.Lexico.phi > c.Lexico.phi /. 2.
+    in
+    let floor_before = Prune.floor_aborts () in
+    (match Eval_incr.try_arc_bounded engine ~prune w ~arc with
+    | None ->
+        let at_floor = Prune.floor_aborts () > floor_before in
+        (match kind with
+        | Floor when at_floor -> incr floor_aborts
+        | Sla when (not at_floor) && floor < c.Lexico.lambda -> incr sla_aborts
+        | Phi when not at_floor -> incr phi_aborts
+        | _ -> QCheck.Test.fail_reportf "seed %d: abort at an unexpected stage" seed);
+        Eval_incr.rollback engine;
+        Weights.restore_arc w saved
+    | Some c' ->
+        if Lexico.compare c c' <> 0 || c.Lexico.phi <> c'.Lexico.phi then
+          QCheck.Test.fail_reportf "seed %d: bounded trial differs from unbounded" seed;
+        if Rng.bool rng then Eval_incr.commit engine
+        else begin
+          Eval_incr.rollback engine;
+          Weights.restore_arc w saved
+        end);
+    ignore (check_against_full scenario engine w : bool)
+  done;
+  (!floor_aborts, !sla_aborts, !phi_aborts)
+
+let prop_rollback_after_abort =
+  QCheck.Test.make ~name:"rollback after a floor, SLA or Phi abort" ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let (_ : int * int * int) = run_abort_case seed in
+      true)
+
+(* The property above reaches every abort stage: on a few fixed seeds,
+   each kind happens. *)
+let test_abort_kinds_reached () =
+  let f, s, p =
+    List.fold_left
+      (fun (f, s, p) seed ->
+        let f', s', p' = run_abort_case seed in
+        (f + f', s + s', p + p'))
+      (0, 0, 0) [ 1; 2; 3; 4 ]
+  in
+  Alcotest.(check bool) (Printf.sprintf "floor aborts (%d)" f) true (f > 0);
+  Alcotest.(check bool) (Printf.sprintf "SLA aborts (%d)" s) true (s > 0);
+  Alcotest.(check bool) (Printf.sprintf "Phi aborts (%d)" p) true (p > 0)
+
+(* Allocation pin.  A fixed sequence of unbounded, bounded and probe
+   trials with commits and rollbacks, then one engine sweep, on a fixed
+   fixture: the minor words it allocates are deterministic.  Trials stage
+   their rows, totals, delays and congestion terms in engine-owned
+   buffers, so what is left per trial is the routing repair and the SLA
+   dynamic programme of the destinations it re-routes.  A change that
+   allocates rows or load arrays per trial again prices bit-identically,
+   and only this bound catches it. *)
+let alloc_sequence () =
+  let scenario = Fixtures.small ~seed:5 ~nodes:10 ~avg_util:0.6 () in
+  let m = Scenario.num_arcs scenario in
+  let wmax = scenario.Scenario.params.Scenario.wmax in
+  let w = Weights.random (Rng.create 8) ~num_arcs:m ~wmax in
+  let failures = List.init 6 (fun i -> Failure.Arc (i * m / 6)) in
+  let engine = Eval_incr.create scenario in
+  let cur = ref (Eval_incr.anchor engine w) in
+  (* one sweep first, so the resident states exist before the count *)
+  let (_ : Lexico.t array) = Eval_incr.sweep engine ~exec:Exec.serial w ~failures in
+  let before = Gc.minor_words () in
+  for i = 0 to 89 do
+    let arc = i * 7 mod m in
+    let saved = Weights.save_arc w arc in
+    let bump x = if x < wmax then x + 1 else x - 1 in
+    Weights.set_arc w ~arc ~wd:(bump saved.Weights.old_wd) ~wt:(bump saved.Weights.old_wt);
+    let keep c =
+      if Lexico.is_better c ~than:!cur then begin
+        Eval_incr.commit engine;
+        cur := c
+      end
+      else begin
+        Eval_incr.rollback engine;
+        Weights.restore_arc w saved
+      end
+    in
+    match i mod 3 with
+    | 0 -> keep (Eval_incr.try_arc engine w ~arc)
+    | 1 -> (
+        match
+          Eval_incr.try_arc_bounded engine ~prune:(fun p -> Lexico.prunes p ~than:!cur) w ~arc
+        with
+        | Some c -> keep c
+        | None ->
+            Eval_incr.rollback engine;
+            Weights.restore_arc w saved)
+    | _ ->
+        let (_ : Lexico.t) = Eval_incr.try_arc engine w ~arc in
+        Eval_incr.rollback engine;
+        Weights.restore_arc w saved
+  done;
+  let (_ : Lexico.t array) = Eval_incr.sweep engine ~exec:Exec.serial w ~failures in
+  Gc.minor_words () -. before
+
+let test_allocation_pin () =
+  let was_spf = Spf_delta.enabled () and was_metric = Metric.enabled () in
+  Spf_delta.set_enabled true;
+  Metric.set_enabled false;
+  let words =
+    Fun.protect
+      ~finally:(fun () ->
+        Spf_delta.set_enabled was_spf;
+        Metric.set_enabled was_metric)
+      alloc_sequence
+  in
+  (* The sequence allocates 124,380 words (1,382 per trial, its last sweep
+     included); an engine that allocates a row per re-routed destination
+     and fresh load arrays per trial allocates 205,160. *)
+  let per_trial = words /. 90. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per trial, at most 1,420" per_trial)
+    true (per_trial <= 1420.)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_bit_identical;
@@ -302,4 +540,8 @@ let suite =
     Alcotest.test_case "diamond exact staged cost" `Quick test_diamond_exact;
     Alcotest.test_case "phase1 incremental = plain" `Quick test_phase1_identity;
     Alcotest.test_case "phase2 incremental = plain" `Quick test_phase2_identity;
+    QCheck_alcotest.to_alcotest prop_touched_resum_chains;
+    QCheck_alcotest.to_alcotest prop_rollback_after_abort;
+    Alcotest.test_case "abort stages reached" `Quick test_abort_kinds_reached;
+    Alcotest.test_case "allocation pin" `Quick test_allocation_pin;
   ]

@@ -238,6 +238,33 @@ let prop_sort_matches_stdlib =
       Routing.sort_decreasing ~keys ids;
       ids = expected)
 
+(* Tie-heavy keys (one or two distinct values) and keys around the packing
+   limit [max_int lsr (sh + 1)], [sh] being the bits a node id takes: the
+   packed sort and its keyed fallback, which keys above the limit take,
+   must both give [Array.sort]'s permutation. *)
+let prop_sort_ties_and_limit =
+  QCheck.Test.make ~name:"sort_decreasing: ties and the packing limit" ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 300 in
+      let rec bits s = if 1 lsl s >= n then s else bits (s + 1) in
+      let limit = max_int lsr (bits 0 + 1) in
+      let pool =
+        match Rng.int rng 3 with
+        | 0 -> [| Rng.int rng 3 |]
+        | 1 -> [| Rng.int rng 3; 1 + Rng.int rng 5 |]
+        | _ -> [| 0; limit - 1; limit; limit + 1; max_int / 2 |]
+      in
+      let keys = Array.init n (fun _ -> pool.(Rng.int rng (Array.length pool))) in
+      let ids = Array.init n Fun.id in
+      Rng.shuffle rng ids;
+      let ids = Array.sub ids 0 (Rng.int rng (n + 1)) in
+      let expected = Array.copy ids in
+      Array.sort (fun a b -> Int.compare keys.(b) keys.(a)) expected;
+      Routing.sort_decreasing ~keys ids;
+      ids = expected)
+
 let suite =
   [
     Alcotest.test_case "ECMP even split" `Quick test_ecmp_split;
@@ -251,4 +278,5 @@ let suite =
       test_incremental_failure_equivalence;
     Alcotest.test_case "weights validated once, at entry" `Quick test_weight_validation;
     QCheck_alcotest.to_alcotest prop_sort_matches_stdlib;
+    QCheck_alcotest.to_alcotest prop_sort_ties_and_limit;
   ]

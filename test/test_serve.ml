@@ -438,6 +438,22 @@ let test_eval_cache_writes_leave_state () =
       ({|{"id": 4, "event": "resize"}|}, ignore);
     ]
 
+(* A resize that upgrades nothing keeps the daemon in its state: the
+   second of two resizes answers no upgrades and the first one's graph
+   epoch, and an answer priced before it is still served from the cache. *)
+let test_noop_resize_keeps_state () =
+  let _, d = state_daemon ~seed:44 ~nodes:8 () in
+  let first = result_of d {|{"id": 2, "event": "resize"}|} in
+  Alcotest.(check bool) "the first resize upgrades" true
+    (Json.member "upgrades" first <> Some (Json.Num 0.));
+  Alcotest.(check bool) "primed" false (eval_cached d "");
+  let second = result_of d {|{"id": 3, "event": "resize"}|} in
+  Alcotest.(check bool) "the second upgrades nothing" true
+    (Json.member "upgrades" second = Some (Json.Num 0.));
+  Alcotest.(check bool) "same graph epoch" true
+    (Json.member "graph_epoch" second = Json.member "graph_epoch" first);
+  Alcotest.(check bool) "eval still cached" true (eval_cached d "")
+
 (* stats' hits and misses count answers, length counts states, and
    answers counts the answers the resident states hold. *)
 let test_stats_count_answers () =
@@ -1173,6 +1189,8 @@ let suite =
       test_eval_cache_revisited_state;
     Alcotest.test_case "eval cache: writes leave the state" `Quick
       test_eval_cache_writes_leave_state;
+    Alcotest.test_case "eval cache: a no-op resize keeps the state" `Quick
+      test_noop_resize_keeps_state;
     Alcotest.test_case "stats: hits and misses count answers" `Quick
       test_stats_count_answers;
     Alcotest.test_case "daemon: non-finite numbers are refused" `Quick
