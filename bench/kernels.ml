@@ -815,36 +815,26 @@ let serve_replay () =
 (* --- move_search: the pruned move-pricing loop ----------------------------
 
    Throughput of the searches' innermost loop — propose a single-arc move,
-   price it, accept or reject — with and without the move-space pruning
-   stack (lexicographic early-abort pricing + the weight-vector delta
-   cache).  Pruning is exact, so every A/B pair must follow the identical
+   price it, accept or reject — with and without the exact move-space
+   prunes (the bounded normal stage and lexicographic early-abort sweep
+   pricing).  Pruning is exact, so every A/B pair must follow the identical
    trajectory: the kernel asserts bit-identical weights and objective, and
    the eval counts agree by construction.  Moves/s is therefore a clean
-   like-for-like measure; the abort and cache-hit rates explain where the
-   time went.
+   like-for-like measure; the abort rate explains where the time went.
 
    The workload is the serve daemon's own: traffic has drifted away from
    the incumbent (a tm_update), and the daemon warm-starts a bounded
-   re-optimization from the stale weights.  The [rewarm x2] tier re-runs
-   the same re-optimization on the already-warm delta cache — the flapping
-   traffic case (update, revert, same update again) the cache exists for:
-   the stored full costs and abort lower bounds reject almost every repeat
-   probe without pricing anything.
+   re-optimization from the stale weights.  The [phase2 exact] row times a
+   default Phase 2 on the undrifted scenario from the same Phase-1 output.
 
    The failure list is priced in descending order of per-failure cost under
    the incumbent (one untimed sweep).  Order is caller-controlled and both
    arms price the identical ordered list, so exactness is untouched —
-   fronting the expensive scenarios only moves the abort earlier.
-
-   The --fast criticality-gated proposal filter is NOT exact — it changes
-   the trajectory — so it is reported separately, with its quality delta
-   (Phase-2 fail-cost ratio against the exact run) printed next to the time
-   ratio rather than folded into a single speedup number. *)
+   fronting the expensive scenarios only moves the abort earlier. *)
 
 module Phase1 = Dtr_core.Phase1
 module Phase2 = Dtr_core.Phase2
 module Prune = Dtr_core.Prune
-module Delta_cache = Dtr_core.Delta_cache
 module Matrix = Dtr_traffic.Matrix
 
 (* Deterministic traffic drift: a band of demand pairs surges, the rest
@@ -876,19 +866,13 @@ let move_search_params =
   }
 
 let move_search () =
-  Harness.section "move_search: early-abort pricing, delta cache, --fast filter";
+  Harness.section "move_search: early-abort move pricing";
   Harness.with_span_report ~kernel:"move_search" @@ fun () ->
   let json = ref [] in
   let t =
     Dtr_util.Table.create
       ~title:"move pricing throughput (serial; prune A/B is bit-identical)"
-      ~columns:
-        [ "instance"; "variant"; "moves"; "time"; "moves/s"; "aborted"; "cache"; "speedup" ]
-  in
-  let q =
-    Dtr_util.Table.create
-      ~title:"--fast proposal filter (trajectory-changing quality/time trade)"
-      ~columns:[ "instance"; "time exact"; "time fast"; "time ratio"; "skipped"; "fail-cost phi ratio" ]
+      ~columns:[ "instance"; "variant"; "moves"; "time"; "moves/s"; "aborted"; "speedup" ]
   in
   let pct num den = if den = 0 then "-" else Printf.sprintf "%.0f%%" (100. *. float_of_int num /. float_of_int den) in
   let run_case ~prefix ~label ~topology ~kind ~nodes ~degree ~seed =
@@ -898,10 +882,9 @@ let move_search () =
     in
     let g = scenario.Scenario.graph in
     let arcs = Graph.num_arcs g in
-    (* Untimed setup: the Phase-1 output supplies the incumbent, the
-       criticality ranking (--fast's gate) and the critical failure set;
-       then the traffic drifts and the warm tiers re-optimize the stale
-       incumbent on the drifted scenario. *)
+    (* Untimed setup: the Phase-1 output supplies the incumbent and the
+       critical failure set; then the traffic drifts and the warm tier
+       re-optimizes the stale incumbent on the drifted scenario. *)
     let phase1 = Phase1.run ~rng:(Rng.create (seed + 1)) scenario in
     let failures_id =
       List.map (fun a -> Failure.Arc a) (Phase1.critical_set scenario phase1)
@@ -923,163 +906,98 @@ let move_search () =
              | c -> c)
       |> List.map fst
     in
-    (* Warm-start tiers: no feasibility gate, every move prices the full
-       objective, so they isolate the abort + cache gain.  [reps] runs
-       share one delta cache; reps = 2 is the flapping-traffic repeat. *)
+    (* Warm tier: no feasibility gate, every move prices the full
+       objective, so it isolates the abort gain. *)
     let budget = Optimizer.{ max_sweeps = 8; max_rounds = 1 } in
-    let warm_once ~cache =
-      Optimizer.warm_start
-        ~rng:(Rng.create (seed + 3))
-        ~exec:Dtr_exec.Exec.serial ~failures ~budget ~cache
-        ~incumbent:phase1.Phase1.best drifted
+    (* The last result and the faster of two timed runs. *)
+    let best_of_two f =
+      let best = ref Float.infinity and out = ref None in
+      for _ = 1 to 2 do
+        let t0 = Unix.gettimeofday () in
+        out := Some (f ());
+        best := Float.min !best (Unix.gettimeofday () -. t0)
+      done;
+      (Option.get !out, !best)
     in
-    let time_warm ~tier ~reps ~best_of ~prune =
+    let time_warm ~prune =
       let was = Prune.enabled () in
       Prune.set_enabled prune;
       Fun.protect
         ~finally:(fun () -> Prune.set_enabled was)
         (fun () ->
-          Dtr_obs.Span.with_
-            ~name:(Printf.sprintf "%s.%s.prune_%b" tier prefix prune)
+          Dtr_obs.Span.with_ ~name:(Printf.sprintf "warm.%s.prune_%b" prefix prune)
           @@ fun () ->
-          let best = ref Float.infinity in
-          let out = ref None in
-          for _ = 1 to best_of do
-            let cache = Delta_cache.create ~capacity:4096 in
-            let t0 = Unix.gettimeofday () in
-            let r = ref (warm_once ~cache) in
-            for _ = 2 to reps do
-              r := warm_once ~cache
-            done;
-            let dt = Unix.gettimeofday () -. t0 in
-            if dt < !best then best := dt;
-            out := Some (!r, Delta_cache.stats cache)
-          done;
-          let r, cs = Option.get !out in
-          (r, cs, !best))
+          best_of_two (fun () ->
+              Optimizer.warm_start
+                ~rng:(Rng.create (seed + 3))
+                ~exec:Dtr_exec.Exec.serial ~failures ~budget
+                ~incumbent:phase1.Phase1.best drifted))
     in
-    let warm_tier ~tier ~reps ~best_of =
-      let r_off, _, t_off = time_warm ~tier ~reps ~best_of ~prune:false in
-      let r_on, cs, t_on = time_warm ~tier ~reps ~best_of ~prune:true in
-      if
-        not
-          (Weights.equal r_off.Optimizer.weights r_on.Optimizer.weights
-          && same_float r_off.Optimizer.objective.Lexico.lambda
-               r_on.Optimizer.objective.Lexico.lambda
-          && same_float r_off.Optimizer.objective.Lexico.phi
-               r_on.Optimizer.objective.Lexico.phi
-          && r_off.Optimizer.warm_evals = r_on.Optimizer.warm_evals)
-      then
-        failwith
-          (Printf.sprintf
-             "move_search: pruned %s on %s is NOT identical to the unpruned \
-              trajectory — the exactness contract is broken"
-             tier label);
-      let moves = reps * r_on.Optimizer.warm_evals in
-      let mps dt = float_of_int moves /. dt in
-      let hits = cs.Delta_cache.hits + cs.Delta_cache.lower_hits in
-      let probes = hits + cs.Delta_cache.misses in
-      List.iter
-        (fun (variant, dt, aborted, cache_cell, speedup) ->
-          Dtr_util.Table.add_row t
-            [
-              label;
-              Printf.sprintf "%s %s" tier variant;
-              string_of_int moves;
-              Printf.sprintf "%.0f ms" (1e3 *. dt);
-              Printf.sprintf "%.0f" (mps dt);
-              aborted;
-              cache_cell;
-              Printf.sprintf "%.2fx" speedup;
-            ];
-          json :=
-            !json
-            @ [
-                Harness.bench_json_row
-                  ~name:(Printf.sprintf "%s%s %s" prefix tier variant)
-                  ~topology ~nodes:(Graph.num_nodes g) ~arcs ~seed
-                  ~ns_per_op:(1e9 *. dt /. float_of_int moves)
-                  ~speedup;
-              ])
-        [
-          ("prune=off", t_off, "-", "-", 1.0);
-          ( "prune=on",
-            t_on,
-            pct r_on.Optimizer.warm_pruned r_on.Optimizer.warm_evals,
-            Printf.sprintf "%s hit" (pct hits probes),
-            t_off /. t_on );
-        ];
-      (t_off /. t_on, r_on, cs, probes)
+    let r_off, t_off = time_warm ~prune:false in
+    let r_on, t_on = time_warm ~prune:true in
+    if
+      not
+        (Weights.equal r_off.Optimizer.weights r_on.Optimizer.weights
+        && same_float r_off.Optimizer.objective.Lexico.lambda
+             r_on.Optimizer.objective.Lexico.lambda
+        && same_float r_off.Optimizer.objective.Lexico.phi
+             r_on.Optimizer.objective.Lexico.phi
+        && r_off.Optimizer.warm_evals = r_on.Optimizer.warm_evals)
+    then
+      failwith
+        (Printf.sprintf
+           "move_search: pruned warm start on %s is NOT identical to the \
+            unpruned trajectory — the exactness contract is broken"
+           label);
+    let moves = r_on.Optimizer.warm_evals in
+    let aborted = pct r_on.Optimizer.warm_pruned moves in
+    let row ~name ~ns_per_op ~speedup =
+      Harness.bench_json_row ~name ~topology ~nodes:(Graph.num_nodes g) ~arcs ~seed
+        ~ns_per_op ~speedup
     in
-    let warm_speedup, r_on, cs, probes =
-      warm_tier ~tier:"warm" ~reps:1 ~best_of:2
-    in
-    let rewarm_speedup, _, _, _ = warm_tier ~tier:"rewarm2" ~reps:2 ~best_of:1 in
-    (* Phase-2 tier: exact vs --fast.  Different trajectories, so the
-       comparison is a (time, quality) pair, not a speedup. *)
-    let time_phase2 ~fast =
-      Dtr_obs.Span.with_ ~name:(Printf.sprintf "phase2.%s.fast_%b" prefix fast)
-      @@ fun () ->
-      let best = ref Float.infinity in
-      let out = ref None in
-      for _ = 1 to 2 do
-        let t0 = Unix.gettimeofday () in
-        let r =
+    List.iter
+      (fun (variant, dt, aborted, speedup) ->
+        Dtr_util.Table.add_row t
+          [
+            label;
+            "warm " ^ variant;
+            string_of_int moves;
+            Printf.sprintf "%.0f ms" (1e3 *. dt);
+            Printf.sprintf "%.0f" (float_of_int moves /. dt);
+            aborted;
+            Printf.sprintf "%.2fx" speedup;
+          ];
+        json :=
+          !json
+          @ [
+              row
+                ~name:(Printf.sprintf "%swarm %s" prefix variant)
+                ~ns_per_op:(1e9 *. dt /. float_of_int moves)
+                ~speedup;
+            ])
+      [ ("prune=off", t_off, "-", 1.0); ("prune=on", t_on, aborted, t_off /. t_on) ];
+    (* Phase-2 tier: a default Phase 2, timed per priced move. *)
+    let p2, t_p2 =
+      Dtr_obs.Span.with_ ~name:(Printf.sprintf "phase2.%s" prefix) @@ fun () ->
+      best_of_two (fun () ->
           Phase2.run
             ~rng:(Rng.create (seed + 5))
-            ~exec:Dtr_exec.Exec.serial ~fast scenario ~phase1 ~failures
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < !best then best := dt;
-        out := Some r
-      done;
-      (Option.get !out, !best)
+            ~exec:Dtr_exec.Exec.serial scenario ~phase1 ~failures)
     in
-    let p_exact, t_exact = time_phase2 ~fast:false in
-    let p_fast, t_fast = time_phase2 ~fast:true in
-    let phi_ratio =
-      p_fast.Phase2.fail_cost.Lexico.phi /. p_exact.Phase2.fail_cost.Lexico.phi
-    in
-    let proposals =
-      p_fast.Phase2.stats.Phase2.evals + p_fast.Phase2.stats.Phase2.skipped
-    in
-    Dtr_util.Table.add_row q
-      [
-        label;
-        Printf.sprintf "%.0f ms" (1e3 *. t_exact);
-        Printf.sprintf "%.0f ms" (1e3 *. t_fast);
-        Printf.sprintf "%.2fx" (t_exact /. t_fast);
-        pct p_fast.Phase2.stats.Phase2.skipped proposals;
-        Printf.sprintf "%.3f" phi_ratio;
-      ];
     json :=
       !json
       @ [
-          Harness.bench_json_row
+          row
             ~name:(Printf.sprintf "%sphase2 exact" prefix)
-            ~topology ~nodes:(Graph.num_nodes g) ~arcs ~seed
-            ~ns_per_op:
-              (1e9 *. t_exact /. float_of_int p_exact.Phase2.stats.Phase2.evals)
+            ~ns_per_op:(1e9 *. t_p2 /. float_of_int p2.Phase2.stats.Phase2.evals)
             ~speedup:1.0;
-          Harness.bench_json_row
-            ~name:(Printf.sprintf "%sphase2 fast" prefix)
-            ~topology ~nodes:(Graph.num_nodes g) ~arcs ~seed
-            ~ns_per_op:
-              (1e9 *. t_fast /. float_of_int (max 1 p_fast.Phase2.stats.Phase2.evals))
-            ~speedup:(t_exact /. t_fast);
         ];
-    Harness.note
-      "%s: warm %.2fx, rewarm2 %.2fx moves/s with pruning (%s aborted, cache \
-       %s of %d probes); --fast %.2fx time at phi ratio %.3f"
-      label warm_speedup rewarm_speedup
-      (pct r_on.Optimizer.warm_pruned r_on.Optimizer.warm_evals)
-      (pct (cs.Delta_cache.hits + cs.Delta_cache.lower_hits) probes)
-      probes (t_exact /. t_fast) phi_ratio
+    Harness.note "%s: warm %.2fx moves/s with pruning (%s aborted); phase2 %.0f ms"
+      label (t_off /. t_on) aborted (1e3 *. t_p2)
   in
   run_case ~prefix:"" ~label:"RandTopo (50n)" ~topology:"RandTopo"
     ~kind:Gen.Rand_topo ~nodes:50 ~degree:6. ~seed:4242;
   run_case ~prefix:"backbone " ~label:"Backbone (41n)" ~topology:"Backbone"
     ~kind:Gen.Backbone ~nodes:41 ~degree:3.9 ~seed:2008;
   Dtr_util.Table.print t;
-  Dtr_util.Table.print q;
   Harness.write_bench_json ~kernel:"move_search" !json

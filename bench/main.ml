@@ -35,7 +35,7 @@ let experiments =
     ("failure_sweep", "dynamic-SPF repair vs from-scratch sweep", Kernels.failure_sweep);
     ("joint_sweep", "multi-arc repair on SRLG/two-link/cascade events", Kernels.joint_sweep);
     ("serve_replay", "dtr-serve event replay + warm vs cold re-optimize", Kernels.serve_replay);
-    ("move_search", "pruned move pricing: early-abort + delta cache + --fast", Kernels.move_search);
+    ("move_search", "pruned move pricing: early-abort warm start + Phase 2", Kernels.move_search);
   ]
 
 let list_ids () =

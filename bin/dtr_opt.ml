@@ -118,34 +118,22 @@ let apply_chunk_size = Dtr_cli.Cli.apply_chunk_size
 let reference =
   Arg.(value & flag & info [ "reference" ]
          ~doc:"Reference mode: disable the dynamic-SPF failure-sweep engine \
-               and move-space pruning (lexicographic early-abort pricing \
-               and the cross-restart weight-vector delta cache), pricing \
-               every failure state from scratch and every candidate in \
-               full (mirrors the DTR_REFERENCE environment variable; \
-               results are bit-identical either way, the flag exists for \
-               A/B benchmarking).")
+               and move-space pruning (lexicographic early-abort pricing), \
+               pricing every failure state from scratch and every \
+               candidate in full (mirrors the DTR_REFERENCE environment \
+               variable; results are bit-identical either way, the flag \
+               exists for A/B benchmarking).")
 
 let apply_reference = Dtr_cli.Cli.apply_reference
-
-let fast =
-  Arg.(value & flag & info [ "fast" ]
-         ~doc:"Criticality-gated move proposals in Phase 2: arcs that are \
-               neither failure-critical nor loaded are progressively \
-               skipped (up to 60% of proposals) as the acceptance rate \
-               decays.  Faster, but the search trajectory changes — a \
-               quality/time trade, unlike $(b,--reference) which toggles \
-               exact optimizations.")
 
 let print_prune_breakdown (solution : Optimizer.solution) =
   let p1 = solution.Optimizer.phase1.Dtr_core.Phase1.stats in
   let p2 = solution.Optimizer.phase2.Dtr_core.Phase2.stats in
   Format.printf
     "prune breakdown: phase1 %d trials early-aborted; phase2 %d \
-     early-aborted, %d proposals skipped, delta cache %d hits / %d misses; \
-     %d bounded trials stopped by the propagation-delay floor (pruning %s)@."
+     early-aborted; %d bounded trials stopped by the propagation-delay \
+     floor (pruning %s)@."
     p1.Dtr_core.Phase1.pruned p2.Dtr_core.Phase2.pruned
-    p2.Dtr_core.Phase2.skipped p2.Dtr_core.Phase2.cache_hits
-    p2.Dtr_core.Phase2.cache_misses
     (Dtr_core.Prune.floor_aborts ())
     (if Dtr_core.Prune.enabled () then "on" else "off")
 
@@ -333,7 +321,7 @@ let print_failure_comparison scenario ~exec ~regular ~robust =
 
 let run_optimize topo nodes degree avg_util seed fraction selector fmodel srlg_radius
     pair_samples cascade_trip theta_ms paper_scale topology_file traffic_file
-    out_weights jobs chunk_size reference fast_mode verbose report trace log =
+    out_weights jobs chunk_size reference verbose report trace log =
   let exec = exec_of_jobs jobs in
   apply_chunk_size chunk_size;
   apply_reference reference;
@@ -359,8 +347,7 @@ let run_optimize topo nodes degree avg_util seed fraction selector fmodel srlg_r
     | `Cascade -> Optimizer.Cascade_failures cascade_trip
   in
   let solution =
-    Optimizer.optimize ~rng ~selector ~failure_model ~fraction ~exec
-      ~fast:fast_mode scenario
+    Optimizer.optimize ~rng ~selector ~failure_model ~fraction ~exec scenario
   in
   Format.printf "@.failure model: %s (%d scenarios)@."
     ((snd failure_model_conv) fmodel)
@@ -407,11 +394,8 @@ let run_optimize topo nodes degree avg_util seed fraction selector fmodel srlg_r
       ("critical_arcs", I (List.length solution.Optimizer.critical));
       ("phase1_seconds", F solution.Optimizer.phase1_seconds);
       ("phase2_seconds", F solution.Optimizer.phase2_seconds);
-      ("fast", B fast_mode);
       ("phase1_pruned", I solution.Optimizer.phase1.Dtr_core.Phase1.stats.Dtr_core.Phase1.pruned);
       ("phase2_pruned", I solution.Optimizer.phase2.Dtr_core.Phase2.stats.Dtr_core.Phase2.pruned);
-      ("phase2_skipped", I solution.Optimizer.phase2.Dtr_core.Phase2.stats.Dtr_core.Phase2.skipped);
-      ("phase2_cache_hits", I solution.Optimizer.phase2.Dtr_core.Phase2.stats.Dtr_core.Phase2.cache_hits);
     ]
   in
   let instance = instance_fields scenario ~topo ~topology_file ~seed ~exec in
@@ -553,7 +537,7 @@ let optimize_term =
     const run_optimize $ topo $ nodes $ degree $ avg_util $ seed $ fraction $ selector
     $ failure_model $ srlg_radius $ pair_samples $ cascade_trip
     $ theta $ paper_scale $ topology_file $ traffic_file $ out_weights $ jobs
-    $ chunk_size $ reference $ fast $ verbose $ report_path $ trace_path
+    $ chunk_size $ reference $ verbose $ report_path $ trace_path
     $ log_path)
 
 let optimize_cmd =

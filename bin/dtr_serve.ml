@@ -86,9 +86,9 @@ let chunk_size =
 let reference =
   Arg.(value & flag & info [ "reference" ]
          ~doc:"Reference mode: disable the dynamic-SPF failure-sweep engine \
-               and move-space pruning — early-abort pricing and the \
-               warm-restart weight-vector delta cache (mirrors \
-               DTR_REFERENCE; results are bit-identical either way).")
+               and the early-abort pricing of warm re-optimizations \
+               (mirrors DTR_REFERENCE; results are bit-identical either \
+               way).")
 
 let socket =
   Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"

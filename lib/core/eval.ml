@@ -382,8 +382,8 @@ let build_sweep_cache (scenario : Scenario.t) ~base_d ~base_t ~dense_rd ~dense_r
    the repair and its row the re-route, bit for bit.  Invariant: every
    committed entry equals a from-scratch repair under the committed
    weights.  A trial stages the states its sweep computed; [commit] installs
-   the staged failures and, for the rest (a delta-cache hit, an aborted
-   sweep), keeps only the entries the committed move cannot reach. *)
+   the staged failures and, for the rest (failures its sweep left
+   unstaged), keeps only the entries the committed move cannot reach. *)
 
 type resident_class = {
   r_routing : Routing.t;  (* the post-failure routing of the sweep that made it *)
@@ -773,10 +773,10 @@ type bounded_sweep =
    order, and a serial sweep stops at the first partial [init + sum] that
    [prune] accepts.  Per-failure costs are componentwise non-negative, so
    the partial only grows towards the final compound: it is a certified
-   lower bound, which the delta cache stores so a repeat probe of the same
-   vector is rejected without re-pricing.  [init] is added outside the sum
-   because float addition is not associative; [add init (compound costs)]
-   is what an unbounded caller computes.
+   lower bound, so the abort rejects exactly what the caller would have.
+   [init] is added outside the sum because float addition is not
+   associative; [add init (compound costs)] is what an unbounded caller
+   computes.
 
    Every sweep borrows its domain's cached scratch ([with_sweep_scratch]).
    At jobs > 1 the cache is built before the pool map and shared read-only,

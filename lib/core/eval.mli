@@ -111,7 +111,7 @@ val sweep_details :
     a sweep with no trial begun prices the committed state and fills the
     committed slots; after {!begin_trial} a sweep {e stages} the states it
     computed; {!commit} installs the staged failures and, for the others
-    (a delta-cache hit, an aborted sweep), keeps only the entries the
+    (failures its sweep left unstaged), keeps only the entries the
     committed move cannot reach; {!rollback} drops the staged states.
     Slots follow one failure list, by physical identity; a sweep over
     another list starts empty.  Failure [i] reads and writes only slot
@@ -225,9 +225,7 @@ val compound_sweep_bounded :
     non-negative, so partials are monotone lower bounds of the final
     compound and a [prune] built from {!Dtr_cost.Lexico.prunes} makes the
     abort exact: an abort certifies the caller would have rejected the
-    candidate, and the returned partial may be cached
-    ({!Delta_cache.add_lower}) to reject repeat probes of the same vector
-    without pricing anything.  [init] defaults to {!Lexico.zero} (Phase 2's
+    candidate.  [init] defaults to {!Lexico.zero} (Phase 2's
     pure [Kfail] objective); the warm-start path passes the normal cost so
     the partial bounds [J = normal + Kfail].
     Serial execution aborts mid-sweep; at jobs > 1 every failure is priced

@@ -36,7 +36,6 @@ type result = {
   evals : int;
   rounds_run : int;
   pruned : int;
-  skipped : int;
 }
 
 type verdict = Cost of Lexico.t | Infeasible | Pruned
@@ -47,8 +46,6 @@ type engine = {
   commit : unit -> unit;
   rollback : unit -> unit;
 }
-
-type filter = { score : float array; max_skip : float }
 
 let eval_engine eval =
   {
@@ -61,7 +58,7 @@ let eval_engine eval =
   }
 
 let run_engine ~rng ~num_arcs ~engine ~init ?observer ?on_improvement ?target
-    ?filter config =
+    config =
   if config.interval < 1 || config.rounds < 1 then
     invalid_arg "Local_search.run: interval and rounds must be positive";
   let exception Target_reached in
@@ -69,38 +66,8 @@ let run_engine ~rng ~num_arcs ~engine ~init ?observer ?on_improvement ?target
     match target with Some t -> Lexico.compare cost t <= 0 | None -> false
   in
   let best = ref None in
-  let evals = ref 0 and sweeps = ref 0 in
-  let pruned = ref 0 and skipped = ref 0 in
+  let evals = ref 0 and sweeps = ref 0 and pruned = ref 0 in
   let order = Array.init num_arcs (fun i -> i) in
-  (* --fast proposal filter: arcs ranked by static importance once; each
-     round skips the lowest-ranked fraction, ramped per sweep from the
-     acceptance-rate series (see below).  Skipped arcs consume no RNG, so
-     the filtered trajectory legitimately diverges — which is exactly why
-     the default mode passes no filter. *)
-  let skip_rank =
-    match filter with
-    | None -> [||]
-    | Some f ->
-        if Array.length f.score <> num_arcs then
-          invalid_arg "Local_search.run_engine: filter score size";
-        let ids = Array.init num_arcs (fun i -> i) in
-        Array.sort
-          (fun a b ->
-            match Float.compare f.score.(a) f.score.(b) with
-            | 0 -> compare a b
-            | c -> c)
-          ids;
-        let rank = Array.make num_arcs 0 in
-        Array.iteri (fun pos arc -> rank.(arc) <- pos) ids;
-        rank
-  in
-  let max_cutoff =
-    match filter with
-    | None -> 0
-    | Some f ->
-        min (num_arcs - 1)
-          (int_of_float (Float.max 0. (Float.min 1. f.max_skip) *. float_of_int num_arcs))
-  in
   let observe obs = match observer with None -> () | Some f -> f obs in
   let improved w cost = match on_improvement with None -> () | Some f -> f w cost in
   let note_best w cost =
@@ -138,12 +105,6 @@ let run_engine ~rng ~num_arcs ~engine ~init ?observer ?on_improvement ?target
         end;
         let current = ref start_cost in
         let stale = ref 0 and round_sweeps = ref 0 in
-        (* Per-round filter state: the skip fraction starts at zero (the
-           round's first sweep always visits every arc, establishing the
-           reference acceptance rate) and ramps towards [max_skip] as the
-           acceptance-rate EWMA decays — the same per-sweep series the
-           convergence recorder captures. *)
-        let cutoff = ref 0 and a_ref = ref Float.nan and ewma = ref Float.nan in
         while !stale < config.interval && !round_sweeps < config.max_sweeps do
           incr sweeps;
           incr round_sweeps;
@@ -152,13 +113,6 @@ let run_engine ~rng ~num_arcs ~engine ~init ?observer ?on_improvement ?target
           Rng.shuffle rng order;
           Array.iter
             (fun arc ->
-              if !cutoff > 0 && skip_rank.(arc) < !cutoff then begin
-                (* Filtered out this sweep: no perturbation is proposed and
-                   no RNG is consumed. *)
-                incr skipped;
-                Prune.note_skip ()
-              end
-              else begin
               let saved = Weights.save_arc w arc in
               Weights.perturb_arc rng w ~arc ~wmax:config.wmax;
               if saved.Weights.old_wd = w.Weights.wd.(arc) && saved.Weights.old_wt = w.Weights.wt.(arc)
@@ -216,7 +170,6 @@ let run_engine ~rng ~num_arcs ~engine ~init ?observer ?on_improvement ?target
                   engine.rollback ();
                   Weights.restore_arc w saved
                 end
-              end
               end)
             order;
           if Metric.enabled () then begin
@@ -229,18 +182,6 @@ let run_engine ~rng ~num_arcs ~engine ~init ?observer ?on_improvement ?target
               ~cur_phi:!current.Lexico.phi ~trials:!sweep_trials
               ~accepts:!sweep_accepts ~resets:round
           end;
-          (match filter with
-          | Some _ when !sweep_trials > 0 ->
-              let a = float_of_int !sweep_accepts /. float_of_int !sweep_trials in
-              if Float.is_nan !a_ref then begin
-                a_ref := Float.max a 1e-6;
-                ewma := a
-              end
-              else ewma := (0.5 *. !ewma) +. (0.5 *. a);
-              let frac = 1. -. Float.min 1. (!ewma /. !a_ref) in
-              cutoff :=
-                min max_cutoff (int_of_float (frac *. float_of_int max_cutoff))
-          | _ -> ());
           if !sweep_improved then stale := 0 else incr stale
         done;
         Some (note_best w !current)
@@ -263,7 +204,7 @@ let run_engine ~rng ~num_arcs ~engine ~init ?observer ?on_improvement ?target
   | None -> invalid_arg "Local_search.run: no feasible starting point"
   | Some (w, cost) ->
       { best = w; best_cost = cost; sweeps = !sweeps; evals = !evals;
-        rounds_run = !rounds_run; pruned = !pruned; skipped = !skipped }
+        rounds_run = !rounds_run; pruned = !pruned }
 
 let run ~rng ~num_arcs ~eval ~init ?observer ?on_improvement config =
   run_engine ~rng ~num_arcs ~engine:(eval_engine eval) ~init ?observer ?on_improvement

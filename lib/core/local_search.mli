@@ -45,7 +45,6 @@ type result = {
   evals : int;  (** total cost evaluations *)
   rounds_run : int;
   pruned : int;  (** trials abandoned early by a {!Pruned} verdict *)
-  skipped : int;  (** arcs never proposed because the [filter] cut them *)
 }
 
 type verdict =
@@ -76,19 +75,6 @@ type engine = {
     engines ({!Eval_incr}) patch cached state instead of re-evaluating from
     scratch; the cost sequence must be identical either way. *)
 
-type filter = {
-  score : float array;
-      (** per-arc importance (higher = more worth perturbing); length must
-          equal [num_arcs] *)
-  max_skip : float;  (** skip fraction ceiling, clamped to [0, 1] *)
-}
-(** Criticality-gated proposal filter ([--fast] mode).  Arcs are ranked
-    once by [score]; each sweep skips the lowest-ranked fraction, ramped
-    from 0 towards [max_skip] as the round's acceptance rate decays
-    relative to its first sweep.  Skipped arcs consume no RNG, so filtered
-    runs follow a different trajectory — the default mode passes no
-    filter and is bit-identical to the exhaustive search. *)
-
 val eval_engine : (Weights.t -> Lexico.t option) -> engine
 (** Stateless engine from a plain evaluation function ([commit]/[rollback]
     are no-ops; the bound is ignored). *)
@@ -101,7 +87,6 @@ val run_engine :
   ?observer:(observation -> unit) ->
   ?on_improvement:(Weights.t -> Lexico.t -> unit) ->
   ?target:Lexico.t ->
-  ?filter:filter ->
   config ->
   result
 (** [init ~round] provides the starting setting of each diversification
@@ -114,10 +99,7 @@ val run_engine :
     (the committed crossing setting becomes [best]).  The check happens
     after RNG consumption for the accepted move, so runs with and without
     a target follow the same trajectory up to the stopping point.
-    [filter] enables the criticality-gated proposal filter; omit it for
-    the exhaustive (default, reproducible) search.
-    @raise Invalid_argument if every starting point is infeasible, or if
-    the filter's score array does not match [num_arcs]. *)
+    @raise Invalid_argument if every starting point is infeasible. *)
 
 val run :
   rng:Dtr_util.Rng.t ->

@@ -117,16 +117,13 @@ let c_warm_evals = Dtr_obs.Metric.Counter.create "warm_start.evals"
 let c_warm_sweeps = Dtr_obs.Metric.Counter.create "warm_start.sweeps"
 
 let warm_start ~rng ?exec ?(failures = []) ?(budget = default_warm_budget)
-    ?target ?cache ~incumbent (scenario : Scenario.t) =
+    ?target ~incumbent (scenario : Scenario.t) =
   Dtr_obs.Span.with_ ~name:"warm_start" @@ fun () ->
   if Dtr_obs.Trace.enabled () then Dtr_obs.Trace.emit_phase ~name:"warm_start";
   let p = scenario.Scenario.params in
   let num_arcs = Scenario.num_arcs scenario in
-  (* The optional caller-held cache works because J is pure in the weight
-     vector for a fixed scenario and failure set; the caller bumps it when
-     anything else moves. *)
   let engine =
-    Phase2.engine ?exec ?cache (Eval_incr.create scenario) ~failures
+    Phase2.engine ?exec (Eval_incr.create scenario) ~failures
       Phase2.Normal_plus_kfail
   in
   let start_obj = ref None in
@@ -171,7 +168,7 @@ let warm_start ~rng ?exec ?(failures = []) ?(budget = default_warm_budget)
   }
 
 let optimize ~rng ?(selector = Ours) ?(failure_model = Link_failures) ?fraction
-    ?(incremental = true) ?exec ?fast scenario =
+    ?(incremental = true) ?exec scenario =
   Dtr_obs.Span.with_ ~name:"optimize" @@ fun () ->
   let phase1, phase1_seconds = regular_only ~rng ~incremental ?exec scenario in
   let phase1c name f =
@@ -263,6 +260,6 @@ let optimize ~rng ?(selector = Ours) ?(failure_model = Link_failures) ?fraction
   in
   let phase2, phase2_seconds =
     timed (fun () ->
-        Phase2.run ~rng ~incremental ?exec ?fast scenario ~phase1 ~failures)
+        Phase2.run ~rng ~incremental ?exec scenario ~phase1 ~failures)
   in
   assemble scenario ~phase1 ~phase1_seconds ~phase2 ~phase2_seconds ~critical ~failures

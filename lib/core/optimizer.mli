@@ -63,7 +63,6 @@ val optimize :
   ?fraction:float ->
   ?incremental:bool ->
   ?exec:Dtr_exec.Exec.t ->
-  ?fast:bool ->
   Scenario.t ->
   solution
 (** Defaults: [selector = Ours], [failure_model = Link_failures], [fraction]
@@ -74,9 +73,7 @@ val optimize :
     [|Ec| / |E|] for this call.  The execution context parallelises the
     failure-sweep fan-outs of both phases; for a given RNG seed the solution
     — weights, costs, eval counts, critical set — is bit-identical for
-    every job count.  [fast] (default [false]) enables Phase 2's
-    criticality-gated proposal filter — a quality/time trade that changes
-    the trajectory; see {!Phase2.run}. *)
+    every job count. *)
 
 val regular_only :
   rng:Dtr_util.Rng.t ->
@@ -118,7 +115,6 @@ val warm_start :
   ?failures:Failure.t list ->
   ?budget:warm_budget ->
   ?target:Lexico.t ->
-  ?cache:Delta_cache.t ->
   incumbent:Weights.t ->
   Scenario.t ->
   warm_result
@@ -135,10 +131,7 @@ val warm_start :
 
     Pricing prunes exactly against the search incumbent (early-abort in the
     incremental pricer, then the sweep seeded with the normal cost); gated
-    by {!Prune}.  [cache], if given, memoizes J across calls — the daemon
-    holds one per scenario epoch and must {!Delta_cache.bump} it whenever
-    the traffic matrices, graph, or failure set change.  A warm start
-    without failures never touches it. *)
+    by {!Prune}. *)
 
 val robust_with :
   rng:Dtr_util.Rng.t ->

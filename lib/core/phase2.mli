@@ -20,9 +20,11 @@ type stats = {
   sweeps : int;
   rounds : int;
   pruned : int;  (** trials abandoned by early-abort sweep pricing *)
-  skipped : int;  (** proposals cut by the [--fast] filter *)
-  cache_hits : int;  (** delta-cache hits (sweeps skipped entirely) *)
+  cache_hits : int;
   cache_misses : int;
+      (** [cache_hits] and [cache_misses] always read 0: Phase 2 memoizes
+          nothing.  They stay only because perfbench's [grid.ml] reads
+          them. *)
 }
 
 type output = {
@@ -39,11 +41,9 @@ type output = {
     the single-arc move from an {!Eval_incr} engine, bounded where the
     objective allows, then the failure sweep from the engine's cached state
     ({!Eval_incr.sweep_bounded}), aborted against the search incumbent
-    ({!Prune.against}).  A {!Delta_cache} memoizes the priced vectors: an
-    exact objective as a [Full] entry, an abort partial as a [Lower] one,
-    which later rejects the same vector with no pricing at all.  Early
-    aborts and the cache are exact and gated by {!Prune}: every cost,
-    verdict and search counter is the one full pricing gives. *)
+    ({!Prune.against}).  Early aborts are exact and gated by {!Prune}:
+    every cost, verdict and search counter is the one full pricing
+    gives. *)
 
 type objective =
   | Gated of { lambda_max : float; phi_max : float }
@@ -58,7 +58,6 @@ type objective =
 
 val engine :
   ?exec:Dtr_exec.Exec.t ->
-  ?cache:Delta_cache.t ->
   Eval_incr.t ->
   failures:Failure.t list ->
   objective ->
@@ -66,31 +65,21 @@ val engine :
 (** The search engine over the given {!Eval_incr} engine, which it
     anchors at every round start.
     [failures] is the sweep's fixed list (pass the same list throughout);
-    with [failures = []] the objective is the normal cost alone and the
-    cache is never touched.  [cache] is not consulted when pruning is off.
+    with [failures = []] the objective is the normal cost alone.
     [exec] (default {!Dtr_exec.Exec.default}) runs the sweeps. *)
 
 val run :
   rng:Dtr_util.Rng.t ->
   ?incremental:bool ->
   ?exec:Dtr_exec.Exec.t ->
-  ?fast:bool ->
   Scenario.t ->
   phase1:Phase1.output ->
   failures:Failure.t list ->
   output
 (** [incremental] (default [true]): search with {!engine} and its
-    {!Gated} objective over a per-run 128-entry {!Delta_cache};
-    bit-identical to pricing each move from scratch ({!Eval.cost}, then
-    {!Eval.sweep} when feasible), hence the same trajectory for a given
-    RNG.
-
-    [fast] (default [false]) enables the criticality-gated proposal filter
-    ({!Local_search.filter}): arcs scored by the larger of their Phase-1
-    normalised criticality and their utilisation under the Phase-1 best;
-    up to 60% of proposals are skipped as the acceptance rate decays.
-    Fast runs follow a different trajectory (a quality/time trade, not an
-    exact optimisation).
+    {!Gated} objective; bit-identical to pricing each move from scratch
+    ({!Eval.cost}, then {!Eval.sweep} when feasible), hence the same
+    trajectory for a given RNG.
 
     [exec] (default {!Dtr_exec.Exec.default}) parallelises every critical-set
     sweep — the per-move pricing of all failure scenarios, the dominant cost

@@ -102,7 +102,6 @@ let robust ~rng (scenario : Scenario.t) ?exec ~(phase1 : Phase1.output) model ?f
             sweeps = search.Local_search.sweeps;
             rounds = search.Local_search.rounds_run;
             pruned = search.Local_search.pruned;
-            skipped = search.Local_search.skipped;
             cache_hits = 0;
             cache_misses = 0;
           };

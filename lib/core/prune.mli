@@ -1,13 +1,12 @@
 (** Global gate and accounting for the move-space pruning engine.
 
-    Three pruning mechanisms share this switch: lexicographic early-abort
-    pricing (exact, bit-identical to full pricing), the cross-restart
-    weight-vector delta cache (exact: hits return previously computed
-    values), and — independently gated behind [--fast] — the
-    criticality-based move proposal filter.  Reference mode
-    ([DTR_REFERENCE=1] in the environment or the CLIs' [--reference] flag,
-    which also turn {!Dtr_spf.Spf_delta} off) or {!set_enabled}[ false]
-    force every pricer back onto the full reference path. *)
+    The switch gates the exact prunes of move pricing: lexicographic
+    early-abort pricing of the failure sweep, and the bounded normal stage
+    with its propagation-delay floor, each bit-identical to full pricing.
+    Reference mode ([DTR_REFERENCE=1] in the environment or the CLIs'
+    [--reference] flag, which also turn {!Dtr_spf.Spf_delta} off) or
+    {!set_enabled}[ false] force every pricer back onto the full reference
+    path. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
@@ -24,12 +23,6 @@ val against : Dtr_cost.Lexico.t option -> Dtr_cost.Lexico.t -> bool
 
 val note_abort : unit -> unit
 (** A candidate's pricing was abandoned on a partial sum. *)
-
-val note_skip : unit -> unit
-(** The [--fast] filter skipped proposing a move. *)
-
-val note_cache_hit : unit -> unit
-val note_cache_miss : unit -> unit
 
 val note_floor_abort : unit -> unit
 (** A bounded single-arc trial was abandoned on its propagation-delay

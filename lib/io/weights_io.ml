@@ -39,6 +39,9 @@ let of_string s =
                   fail_line lineno "arc id out of range";
                 if !seen.(id) then fail_line lineno "duplicate arc";
                 if wd < 1 || wt < 1 then fail_line lineno "weights start at 1";
+                let bound = Dtr_spf.Dijkstra.infinity / Weights.num_arcs w in
+                if wd > bound || wt > bound then
+                  fail_line lineno (Printf.sprintf "weight above %d (infinity / arcs)" bound);
                 !seen.(id) <- true;
                 Weights.set_arc w ~arc:id ~wd ~wt
             | None, _, _, _ -> fail_line lineno "weight before 'arcs' record"

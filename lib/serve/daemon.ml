@@ -10,7 +10,6 @@ module Scenario = Dtr_core.Scenario
 module Weights = Dtr_core.Weights
 module Eval = Dtr_core.Eval
 module Optimizer = Dtr_core.Optimizer
-module Delta_cache = Dtr_core.Delta_cache
 module Prune = Dtr_core.Prune
 module Resize = Dtr_core.Resize
 module Lexico = Dtr_cost.Lexico
@@ -84,12 +83,6 @@ type t = {
   states : priced Answers.t States.t;
   mutable hits : int;  (* what-if answers served from [states] *)
   mutable misses : int;  (* what-if answers priced *)
-  (* Weight-vector delta cache shared across warm re-optimizations: J is
-     pure in the weights for a fixed scenario and failure set, so repeated
-     repairs of the same incumbent skip whole failure sweeps.  Emptied by
-     [Delta_cache.bump] whenever traffic, graph, link state or the critical
-     set moves. *)
-  delta : Delta_cache.t;
   mutable warm_pruned : int;  (* trials early-aborted across warm repairs *)
   mutable warm_evals : int;  (* fully-priced trials across warm repairs *)
   metrics : metrics_sink option;
@@ -154,11 +147,6 @@ let create (cfg : config) =
     states = States.create ~capacity:cfg.cache_capacity;
     hits = 0;
     misses = 0;
-    (* Sized to outlive a whole warm re-optimization: aborted moves now
-       park Lower entries alongside Full costs, so a single event can push
-       thousands of vectors through the cache — at 128 the LRU evicts the
-       entire working set before the next event can reuse it. *)
-    delta = Delta_cache.create ~capacity:4096;
     warm_pruned = 0;
     warm_evals = 0;
     metrics = cfg.metrics;
@@ -319,7 +307,6 @@ let handle_tm_update t ev =
   in
   t.scenario <- Scenario.with_traffic t.scenario ~rd ~rt;
   t.matrix_epoch <- t.matrix_epoch + 1;
-  Delta_cache.bump t.delta;
   Ok
     (Json.Obj
        [
@@ -348,7 +335,6 @@ let handle_link_down t r =
     Error (P.Bad_arc, Printf.sprintf "arc %d is already down" id)
   else begin
     t.failed <- List.sort_uniq compare (id :: t.failed);
-    Delta_cache.bump t.delta;
     Ok (link_result t)
   end
 
@@ -358,7 +344,6 @@ let handle_link_up t r =
     Error (P.Bad_arc, Printf.sprintf "arc %d is not down" id)
   else begin
     t.failed <- List.filter (fun a -> a <> id) t.failed;
-    Delta_cache.bump t.delta;
     Ok (link_result t)
   end
 
@@ -373,7 +358,6 @@ let handle_srlg_down t gid =
     Error (P.Bad_arc, Printf.sprintf "SRLG group %d is already down" gid)
   else begin
     t.failed <- List.sort_uniq compare (fresh @ t.failed);
-    Delta_cache.bump t.delta;
     match link_result t with
     | Json.Obj fields ->
         Ok (Json.Obj (("group_arcs", Json.Arr (List.map int arcs)) :: fields))
@@ -391,7 +375,6 @@ let handle_resize t ~max_util ~step =
   | _ :: _ ->
       t.scenario <- scenario;
       t.graph_epoch <- t.graph_epoch + 1;
-      Delta_cache.bump t.delta;
       invalidate_bases t);
   Ok
     (Json.Obj
@@ -460,7 +443,7 @@ let handle_reopt_warm t ~max_sweeps ~max_rounds ~target =
   let t0 = Unix.gettimeofday () in
   let r =
     Optimizer.warm_start ~rng:t.warm_rng ~exec:t.exec ~failures ~budget ?target
-      ~cache:t.delta ~incumbent:t.incumbent t.scenario
+      ~incumbent:t.incumbent t.scenario
   in
   let seconds = Unix.gettimeofday () -. t0 in
   t.warm_pruned <- t.warm_pruned + r.Optimizer.warm_pruned;
@@ -497,10 +480,7 @@ let handle_reopt_full t =
   let rng = Rng.create (t.seed + 1) in
   let sol = Optimizer.optimize ~rng ?fraction:t.fraction ~exec:t.exec t.scenario in
   set_incumbent t sol.Optimizer.robust;
-  let critical = List.sort_uniq compare sol.Optimizer.critical in
-  (* A new critical set changes the warm objective's failure sweep. *)
-  if critical <> t.critical then Delta_cache.bump t.delta;
-  t.critical <- critical;
+  t.critical <- List.sort_uniq compare sol.Optimizer.critical;
   Ok
     (Json.Obj
        ([ ("mode", Json.Str "full") ]
@@ -537,7 +517,6 @@ let rolling_rates ~now =
 
 let handle_stats t =
   let s = cache_stats t in
-  let d = Delta_cache.stats t.delta in
   let now = Unix.gettimeofday () in
   let events_ps, hit_rate, abort_rate = rolling_rates ~now in
   let lookups = s.Lru.hits + s.Lru.misses in
@@ -576,12 +555,6 @@ let handle_stats t =
                ("enabled", Json.Bool (Prune.enabled ()));
                ("warm_pruned", int t.warm_pruned);
                ("warm_evals", int t.warm_evals);
-               ("delta_hits", int d.Delta_cache.hits);
-               ("delta_lower_hits", int d.Delta_cache.lower_hits);
-               ("delta_misses", int d.Delta_cache.misses);
-               ("delta_evictions", int d.Delta_cache.evictions);
-               ("delta_length", int d.Delta_cache.length);
-               ("delta_capacity", int d.Delta_cache.capacity);
              ] );
          ( "rolling",
            Json.Obj
@@ -604,7 +577,7 @@ let handle_stats t =
 
 (* One OpenMetrics text snapshot of everything the daemon can see: its own
    counters, the what-if cache (hits and misses count answers; evictions,
-   entries and capacity count states), the delta-cache and pruning state,
+   entries and capacity count states), the warm pruning counts,
    per-event-kind latency histograms and the rolling-window gauges.  Served
    inline by the [metrics] protocol request and dumped periodically by
    [--metrics]. *)
@@ -612,7 +585,6 @@ let exposition t =
   let now = Unix.gettimeofday () in
   let b = Openmetrics.create () in
   let s = cache_stats t in
-  let d = Delta_cache.stats t.delta in
   let fl = float_of_int in
   Openmetrics.counter b ~name:"dtr_serve_events" (fl t.events);
   Openmetrics.counter b ~name:"dtr_serve_errors" (fl t.errors);
@@ -628,18 +600,6 @@ let exposition t =
     [ ("hit", s.Lru.hits); ("miss", s.Lru.misses); ("evict", s.Lru.evictions) ];
   Openmetrics.gauge b ~name:"dtr_serve_cache_entries" (fl s.Lru.length);
   Openmetrics.gauge b ~name:"dtr_serve_cache_capacity" (fl s.Lru.capacity);
-  List.iter
-    (fun (op, v) ->
-      Openmetrics.counter b ~name:"dtr_serve_delta_cache_ops"
-        ~labels:[ ("op", op) ] (fl v))
-    [
-      ("hit", d.Delta_cache.hits);
-      ("lower_hit", d.Delta_cache.lower_hits);
-      ("miss", d.Delta_cache.misses);
-      ("evict", d.Delta_cache.evictions);
-    ];
-  Openmetrics.gauge b ~name:"dtr_serve_delta_cache_entries"
-    (fl d.Delta_cache.length);
   Openmetrics.counter b ~name:"dtr_serve_warm_pruned" (fl t.warm_pruned);
   Openmetrics.counter b ~name:"dtr_serve_warm_evals" (fl t.warm_evals);
   List.iter
@@ -697,9 +657,7 @@ let log_result_keys =
    selected result fields, the reoptimize cost delta (dlambda, dphi), the
    per-event cache/pruning deltas and the epoch coordinates after the
    event.  No-op unless a [Log] sink is attached. *)
-let log_event t ~id ~name ~seconds ~outcome ~h0 ~m0 ~(d0 : Delta_cache.stats)
-    ~wp0 ~we0 =
-  let d1 = Delta_cache.stats t.delta in
+let log_event t ~id ~name ~seconds ~outcome ~h0 ~m0 ~wp0 ~we0 =
   let result_fields =
     match outcome with
     | Ok (Json.Obj fields) ->
@@ -730,10 +688,6 @@ let log_event t ~id ~name ~seconds ~outcome ~h0 ~m0 ~(d0 : Delta_cache.stats)
     @ [
         ("cache_hits_delta", int (t.hits - h0));
         ("cache_misses_delta", int (t.misses - m0));
-        ( "delta_cache_hits_delta",
-          int
-            (d1.Delta_cache.hits + d1.Delta_cache.lower_hits
-            - (d0.Delta_cache.hits + d0.Delta_cache.lower_hits)) );
         ("warm_pruned_delta", int (t.warm_pruned - wp0));
         ("warm_evals_delta", int (t.warm_evals - we0));
         ( "epochs",
@@ -780,7 +734,7 @@ let handle_line t line =
       t.events <- t.events + 1;
       if Metric.enabled () then Metric.Counter.incr c_events;
       let name = P.event_name event in
-      let h0 = t.hits and m0 = t.misses and d0 = Delta_cache.stats t.delta in
+      let h0 = t.hits and m0 = t.misses in
       let wp0 = t.warm_pruned and we0 = t.warm_evals in
       let t0 = Unix.gettimeofday () in
       let outcome =
@@ -803,7 +757,7 @@ let handle_line t line =
       Rolling.add roll_trials ~now
         (float_of_int (t.warm_evals + t.warm_pruned - (we0 + wp0)));
       if Log.enabled () then
-        log_event t ~id ~name ~seconds ~outcome ~h0 ~m0 ~d0 ~wp0 ~we0;
+        log_event t ~id ~name ~seconds ~outcome ~h0 ~m0 ~wp0 ~we0;
       maybe_dump_metrics t;
       match outcome with
       | Ok result ->

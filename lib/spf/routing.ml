@@ -495,22 +495,6 @@ let num_next_hops t ~dest ~node =
   let st = t.dests.(dest) in
   st.hop_off.(node + 1) - st.hop_off.(node)
 
-let iter_next_hops t ~dest ~node f =
-  let st = t.dests.(dest) in
-  let off = st.hop_off and ids = st.hop_ids in
-  for j = off.(node) to off.(node + 1) - 1 do
-    f ids.(j)
-  done
-
-let fold_next_hops t ~dest ~node ~init f =
-  let st = t.dests.(dest) in
-  let off = st.hop_off and ids = st.hop_ids in
-  let acc = ref init in
-  for j = off.(node) to off.(node + 1) - 1 do
-    acc := f !acc ids.(j)
-  done;
-  !acc
-
 (* Distribute one destination's inbound demand over its ECMP DAG, adding the
    per-arc shares into [into]; returns the unroutable volume.  Every arc
    receives at most one addition per destination (its source node is routed

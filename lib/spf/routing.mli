@@ -128,20 +128,11 @@ val distance : t -> src:Graph.node -> dst:Graph.node -> int
 val next_hops : t -> dest:Graph.node -> node:Graph.node -> Graph.arc_id array
 (** Arcs leaving [node] on shortest paths towards [dest] (empty for the
     destination itself and for unreachable nodes).  Returns a fresh array
-    sliced out of the destination's packed CSR row — convenient for
-    inspection and tests; hot loops use the zero-allocation
-    {!iter_next_hops}/{!fold_next_hops} instead. *)
+    sliced out of the destination's packed CSR row, for inspection and
+    tests. *)
 
 val num_next_hops : t -> dest:Graph.node -> node:Graph.node -> int
 (** Length of [node]'s hop row towards [dest], without materializing it. *)
-
-val iter_next_hops : t -> dest:Graph.node -> node:Graph.node -> (Graph.arc_id -> unit) -> unit
-(** Applies the function to each next-hop arc in CSR row order — the same
-    order {!next_hops} returns — without allocating the slice. *)
-
-val fold_next_hops :
-  t -> dest:Graph.node -> node:Graph.node -> init:'a -> ('a -> Graph.arc_id -> 'a) -> 'a
-(** Left fold over the hop row in CSR order, allocation-free. *)
 
 val shares_dest : t -> t -> dest:Graph.node -> bool
 (** Whether the two states share [dest]'s routing data {e physically} (same

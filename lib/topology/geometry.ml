@@ -22,16 +22,3 @@ let great_circle_km ~lat1 ~lon1 ~lat2 ~lon2 =
     +. (cos phi1 *. cos phi2 *. (sin (dlambda /. 2.) ** 2.))
   in
   2. *. earth_radius_km *. atan2 (sqrt a) (sqrt (1. -. a))
-
-let nearest_neighbours pts i k =
-  let n = Array.length pts in
-  let k = min k (n - 1) in
-  let others = ref [] in
-  for j = n - 1 downto 0 do
-    if j <> i then others := j :: !others
-  done;
-  let by_distance a b =
-    Float.compare (distance pts.(i) pts.(a)) (distance pts.(i) pts.(b))
-  in
-  let sorted = List.sort by_distance !others in
-  List.filteri (fun rank _ -> rank < k) sorted

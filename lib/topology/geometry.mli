@@ -21,7 +21,3 @@ val random_points : Dtr_util.Rng.t -> int -> point array
 val great_circle_km : lat1:float -> lon1:float -> lat2:float -> lon2:float -> float
 (** Great-circle distance in kilometres between two (latitude, longitude)
     pairs given in degrees (haversine formula, mean Earth radius). *)
-
-val nearest_neighbours : point array -> int -> int -> int list
-(** [nearest_neighbours pts i k] is the list of the [k] indices (excluding
-    [i]) closest to point [i], nearest first.  [k] is clamped to [n-1]. *)

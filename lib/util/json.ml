@@ -310,5 +310,3 @@ let to_string j =
   let b = Buffer.create 256 in
   to_buffer b j;
   Buffer.contents b
-
-let to_channel oc j = output_string oc (to_string j)

@@ -4,10 +4,9 @@
     bench-check]): full value grammar, numbers as floats, [\uXXXX] escapes
     decoded to UTF-8, object members in file order.  The writer is its
     inverse — the serve wire protocol serializes whole values with
-    {!to_string}/{!to_channel}, and the report emitters use the
-    {!escaped}/{!number_string} primitives so string escaping and float
-    round-tripping are single-sourced instead of hand-rolled per
-    emitter. *)
+    {!to_string}, and the report emitters use the {!escaped}/
+    {!number_string} primitives so string escaping and float round-tripping
+    are single-sourced instead of hand-rolled per emitter. *)
 
 type t =
   | Null
@@ -63,5 +62,3 @@ val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 (** Single-line emission, [", "]/[": "] separators; [parse (to_string j)]
     yields [j] up to non-finite numbers (emitted as [Null]). *)
-
-val to_channel : out_channel -> t -> unit

@@ -3,15 +3,11 @@
    eviction victim.  A hit unlinks its entry and pushes it to the front, an
    insert at capacity unlinks the back, both in O(1).  The back is always
    the entry least recently found or added, because every use moves its
-   entry to the front and [mem] moves nothing.
+   entry to the front.
 
    Links are [node]s, an immediate [Nil] or an inline record, so relinking
    writes pointers and never allocates.  Each entry keeps its value already
-   boxed as the [Some] that [find] returns: a hit allocates nothing.
-
-   Functorized over the key so int-keyed caches (the optimizer's delta
-   cache) avoid polymorphic hashing, while the serve daemon's what-if
-   cache keys its states structurally. *)
+   boxed as the [Some] that [find] returns: a hit allocates nothing. *)
 
 type stats = {
   hits : int;
@@ -35,7 +31,7 @@ module Make (K : Hashtbl.HashedType) = struct
 
   type 'v t = {
     cap : int;
-    mutable tbl : 'v node Tbl.t;
+    tbl : 'v node Tbl.t;
     mutable newest : 'v node;
     mutable oldest : 'v node;
     mutable hits : int;
@@ -89,8 +85,6 @@ module Make (K : Hashtbl.HashedType) = struct
         t.misses <- t.misses + 1;
         None
 
-  let mem t k = Tbl.mem t.tbl k
-
   let evict_lru t =
     match t.oldest with
     | Nil -> ()
@@ -106,14 +100,6 @@ module Make (K : Hashtbl.HashedType) = struct
     let node = Node { key = k; found = Some v; prev = Nil; next = Nil } in
     push_front t node;
     Tbl.replace t.tbl k node
-
-  (* A fresh table rather than [Tbl.reset], which overwrites every bucket
-     through the write barrier: about 100 us for the delta cache's 8,192
-     buckets, against about 15 us for one new bucket array. *)
-  let clear t =
-    t.tbl <- Tbl.create (2 * t.cap);
-    t.newest <- Nil;
-    t.oldest <- Nil
 
   let fold f t acc =
     Tbl.fold

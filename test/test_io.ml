@@ -153,7 +153,16 @@ let test_weights_parse_errors () =
   check_fails "missing arcs" "arcs 2\nw 0 3 4\n";
   check_fails "duplicate" "arcs 1\nw 0 3 4\nw 0 5 6\n";
   check_fails "out of range" "arcs 1\nw 3 3 4\n";
-  check_fails "zero weight" "arcs 1\nw 0 0 4\n"
+  check_fails "zero weight" "arcs 1\nw 0 0 4\n";
+  (* Path sums must stay below Dijkstra.infinity: weights are bounded by
+     infinity / arcs, and a weight exactly at the bound loads. *)
+  check_fails "weight 4e18" "arcs 1\nw 0 3 4000000000000000000\n";
+  check_fails "weight max_int" (Printf.sprintf "arcs 2\nw 0 %d 4\nw 1 3 4\n" max_int);
+  let bound = Dtr_spf.Dijkstra.infinity / 2 in
+  check_fails "weight above the bound" (Printf.sprintf "arcs 2\nw 0 3 4\nw 1 3 %d\n" (bound + 1));
+  let w = Weights_io.of_string (Printf.sprintf "arcs 2\nw 0 %d 4\nw 1 3 %d\n" bound bound) in
+  Alcotest.(check (list int)) "weights at the bound load" [ bound; bound ]
+    [ w.Weights.wd.(0); w.Weights.wt.(1) ]
 
 let prop_graph_roundtrip =
   QCheck.Test.make ~name:"random graphs round-trip through the topology format" ~count:25

@@ -332,10 +332,10 @@ let test_warm_no_failures () =
     [ r.Optimizer.warm_sweeps; r.Optimizer.warm_evals; r.Optimizer.warm_rounds ];
   if Prune.enabled () then Alcotest.(check int) "pruned" 2575 r.Optimizer.warm_pruned
 
-(* A critical-set warm start run twice on one delta cache, as dtr-serve
-   re-warms an incumbent: the second run follows the same trajectory, and
-   the cache's counts are pinned too. *)
-let test_warm_critical_cached () =
+(* A critical-set warm start run twice, as dtr-serve re-warms an
+   incumbent: the second run follows the same trajectory to the same
+   pinned weights, objective and counts. *)
+let test_warm_critical_twice () =
   let scenario = Fixtures.small ~seed:5 ~nodes:10 () in
   let m = Scenario.num_arcs scenario in
   let incumbent =
@@ -345,13 +345,11 @@ let test_warm_critical_cached () =
   let critical = Phase1.critical_set scenario phase1 in
   Alcotest.(check (list int)) "critical set" [ 2; 5; 16; 18; 24; 35 ] critical;
   let failures = List.map (fun a -> Failure.Arc a) critical in
-  let cache = Dtr_core.Delta_cache.create ~capacity:4096 in
   let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
   let hex (c : Lexico.t) = Printf.sprintf "%h %h" c.Lexico.lambda c.Lexico.phi in
-  let run ~label ~cache_counts =
+  let run ~label =
     let r =
-      Optimizer.warm_start ~rng:(Rng.create 8) ~exec:Exec.serial ~failures ~cache ~incumbent
-        scenario
+      Optimizer.warm_start ~rng:(Rng.create 8) ~exec:Exec.serial ~failures ~incumbent scenario
     in
     let check what = Alcotest.(check string) (label ^ ": " ^ what) in
     check "delay weights"
@@ -367,16 +365,11 @@ let test_warm_critical_cached () =
       (hex r.Optimizer.start_objective);
     Alcotest.(check (list int)) (label ^ ": sweeps, evals, rounds") [ 118; 4709; 3 ]
       [ r.Optimizer.warm_sweeps; r.Optimizer.warm_evals; r.Optimizer.warm_rounds ];
-    if Prune.enabled () then begin
-      Alcotest.(check int) (label ^ ": pruned") 4370 r.Optimizer.warm_pruned;
-      let s = Dtr_core.Delta_cache.stats cache in
-      Alcotest.(check (list int)) (label ^ ": cache hits, lower hits, misses, length")
-        cache_counts
-        Dtr_core.Delta_cache.[ s.hits; s.lower_hits; s.misses; s.length ]
-    end
+    if Prune.enabled () then
+      Alcotest.(check int) (label ^ ": pruned") 4370 r.Optimizer.warm_pruned
   in
-  run ~label:"first" ~cache_counts:[ 2; 3; 4686; 4096 ];
-  run ~label:"second" ~cache_counts:[ 5; 6; 9371; 4096 ]
+  run ~label:"first";
+  run ~label:"second"
 
 (* --- the Lambda floor --------------------------------------------------- *)
 
@@ -526,8 +519,7 @@ let suite =
     Alcotest.test_case "single-failure warm start prices from the engine" `Quick
       test_warm_single_failure;
     Alcotest.test_case "warm start without failures" `Quick test_warm_no_failures;
-    Alcotest.test_case "critical-set warm start twice on one cache" `Quick
-      test_warm_critical_cached;
+    Alcotest.test_case "critical-set warm start twice" `Quick test_warm_critical_twice;
     QCheck_alcotest.to_alcotest prop_floor_sound;
     Alcotest.test_case "the floor fires and is counted" `Quick test_floor_fires;
   ]

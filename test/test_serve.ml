@@ -196,7 +196,7 @@ let test_warm_start_target () =
 
 (* --- LRU ------------------------------------------------------------------ *)
 
-type lru_op = Op_add of int * int | Op_find of int | Op_mem of int | Op_clear
+type lru_op = Op_add of int * int | Op_find of int
 
 let lru_op_gen =
   QCheck2.Gen.(
@@ -204,8 +204,6 @@ let lru_op_gen =
       [
         (4, map2 (fun k v -> Op_add (k, v)) (int_bound 12) (int_bound 1000));
         (4, map (fun k -> Op_find k) (int_bound 12));
-        (2, map (fun k -> Op_mem k) (int_bound 12));
-        (1, return Op_clear);
       ])
 
 let lru_ops_print ops =
@@ -213,20 +211,16 @@ let lru_ops_print ops =
     (List.map
        (function
          | Op_add (k, v) -> Printf.sprintf "add %d %d" k v
-         | Op_find k -> Printf.sprintf "find %d" k
-         | Op_mem k -> Printf.sprintf "mem %d" k
-         | Op_clear -> "clear")
+         | Op_find k -> Printf.sprintf "find %d" k)
        ops)
 
 (* Model check against an exact recency list (most recent first): [find]
-   and [add] move a key to the front, an insert at capacity drops the back,
-   [mem] moves nothing, [clear] keeps the counters.  After every operation
-   the cache must agree with the model on the answer of a [find] or [mem]
-   and on hits, misses, evictions and length.  A hit is then always the
-   most recently added value — the "eviction never changes results"
-   contract of the daemon's pricing cache — and the victim is always the
-   entry least recently found or added, which the optimizer's delta cache
-   relies on (its membership feeds the search's pruned counts). *)
+   and [add] move a key to the front, and an insert at capacity drops the
+   back.  After every operation the cache must agree with the model on the
+   answer of a [find] and on hits, misses, evictions and length.  A hit is
+   then always the most recently added value — the "eviction never changes
+   results" contract of the daemon's what-if cache — and the victim is
+   always the entry least recently found or added. *)
 let prop_lru_never_lies =
   QCheck2.Test.make ~name:"lru: finds are exact, occupancy bounded" ~count:500
     QCheck2.Gen.(
@@ -256,13 +250,7 @@ let prop_lru_never_lies =
             if got <> expected then
               QCheck2.Test.fail_reportf "op %d: find %d returned %s, model says %s" i k
                 (match got with Some v -> string_of_int v | None -> "None")
-                (match expected with Some v -> string_of_int v | None -> "None")
-        | Op_mem k ->
-            if Lru_int.mem lru k <> List.mem_assoc k !model then
-              QCheck2.Test.fail_reportf "op %d: mem %d disagrees with the model" i k
-        | Op_clear ->
-            Lru_int.clear lru;
-            model := []);
+                (match expected with Some v -> string_of_int v | None -> "None"));
         let s = Lru_int.stats lru in
         let expected = (!hits, !misses, !evictions, List.length !model)
         and got = Dtr_util.Lru.(s.hits, s.misses, s.evictions, s.length) in
@@ -645,6 +633,11 @@ let telemetry_events =
     {|{"id": 8, "event": "reoptimize", "mode": "warm", "max_sweeps": 2, "max_rounds": 1}|};
   ]
 
+let contains haystack needle =
+  let nn = String.length needle and hn = String.length haystack in
+  let rec go i = i + nn <= hn && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
 (* The metrics request returns a complete OpenMetrics exposition inline,
    and the exposition passes the same validator CI runs (well-formed
    families, cumulative buckets, +Inf = _count). *)
@@ -666,17 +659,10 @@ let test_metrics_request () =
         | _ -> Alcotest.fail "metrics result carries no exposition string")
     | None -> Alcotest.fail "metrics response has no result"
   in
-  let contains needle =
-    let nn = String.length needle and hn = String.length exposition in
-    let rec go i =
-      i + nn <= hn && (String.sub exposition i nn = needle || go (i + 1))
-    in
-    go 0
-  in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("exposition contains " ^ needle) true
-        (contains needle))
+        (contains exposition needle))
     [
       "# TYPE dtr_serve_events counter";
       "# TYPE dtr_serve_latency_seconds histogram";
@@ -738,42 +724,59 @@ let test_stats_telemetry_fields () =
         [ "window_seconds"; "events_per_second"; "cache_hit_rate"; "abort_rate" ]
   | None -> Alcotest.fail "rolling missing"
 
-(* A write ends the delta cache's epoch and drops its entries: after a warm
-   repair and a tm_update, stats reports an empty cache with the repair's
-   hit and miss counts kept.  Pruning is pinned on, since it gates the
-   cache. *)
-let test_stats_delta_cache_dropped_at_write () =
-  let was = Dtr_core.Prune.enabled () in
-  Dtr_core.Prune.set_enabled true;
-  Fun.protect ~finally:(fun () -> Dtr_core.Prune.set_enabled was) @@ fun () ->
+(* The daemon memoizes no weight vectors, so it reports none: after a warm
+   repair, stats' pruning block holds exactly the warm counts, the
+   exposition has no delta-cache family, and the repair's log line has no
+   delta-cache key. *)
+let test_no_delta_cache_telemetry () =
   let seed = 34 in
   let scenario = build_scenario ~seed ~nodes:8 in
+  let log_file = Filename.temp_file "dtr_test_serve" ".jsonl" in
+  Dtr_obs.Log.set_path (Some log_file);
+  Fun.protect
+    ~finally:(fun () ->
+      Dtr_obs.Log.set_path None;
+      Sys.remove log_file)
+  @@ fun () ->
   let d =
     make_daemon ~scenario
       ~incumbent:(Weights.create ~num_arcs:(Scenario.num_arcs scenario) ~init:1)
       ~critical:[ 0; 1 ] ~seed ~exec:(Exec.of_jobs 1) ()
   in
-  let pruning () =
-    let j = ok_line d {|{"id": 9, "event": "stats"}|} in
-    let p = Option.get (Json.member "pruning" (Option.get (Json.member "result" j))) in
-    fun k ->
-      match Json.member k p with
-      | Some (Json.Num n) -> int_of_float n
-      | _ -> Alcotest.failf "pruning.%s missing" k
-  in
   ignore
     (ok_line d
        {|{"id": 1, "event": "reoptimize", "mode": "warm", "max_sweeps": 2, "max_rounds": 1}|});
-  let before = pruning () in
-  Alcotest.(check bool) "the repair stored entries" true (before "delta_length" > 0);
-  ignore (ok_line d {|{"id": 2, "event": "tm_update", "model": "gaussian", "eps": 0.1}|});
-  let after = pruning () in
-  Alcotest.(check int) "delta_length after the write" 0 (after "delta_length");
-  Alcotest.(check int) "no evictions counted for the drop" (before "delta_evictions")
-    (after "delta_evictions");
-  List.iter
-    (fun k -> Alcotest.(check int) (k ^ " kept") (before k) (after k))
-    [ "delta_hits"; "delta_lower_hits"; "delta_misses" ]
+  let result id event =
+    let j = ok_line d (Printf.sprintf {|{"id": %d, "event": "%s"}|} id event) in
+    Option.get (Json.member "result" j)
+  in
+  (match Json.member "pruning" (result 2 "stats") with
+  | Some (Json.Obj fields) ->
+      Alcotest.(check (list string)) "pruning fields" [ "enabled"; "warm_pruned"; "warm_evals" ]
+        (List.map fst fields)
+  | _ -> Alcotest.fail "pruning missing");
+  (match Json.member "exposition" (result 3 "metrics") with
+  | Some (Json.Str text) ->
+      Alcotest.(check bool) "no dtr_serve_delta_cache family" false
+        (contains text "dtr_serve_delta_cache")
+  | _ -> Alcotest.fail "metrics result carries no exposition string");
+  Dtr_obs.Log.set_path None;
+  let lines = String.split_on_char '\n' (In_channel.with_open_text log_file In_channel.input_all) in
+  let repair =
+    List.find_map
+      (fun l ->
+        match Json.parse l with
+        | Ok j when Json.member "event" j = Some (Json.Str "reoptimize") -> Some j
+        | _ -> None)
+      lines
+  in
+  match repair with
+  | Some j ->
+      Alcotest.(check bool) "log line keeps warm_pruned_delta" true
+        (Json.member "warm_pruned_delta" j <> None);
+      Alcotest.(check bool) "log line has no delta_cache_hits_delta" true
+        (Json.member "delta_cache_hits_delta" j = None)
+  | None -> Alcotest.fail "no reoptimize log line"
 
 (* stats' latency summary is read from the per-kind latency histograms,
    so it stays bounded in memory.  The count is exact and per daemon (every
@@ -1207,8 +1210,8 @@ let suite =
       test_metrics_request;
     Alcotest.test_case "stats: cache and rolling telemetry fields" `Quick
       test_stats_telemetry_fields;
-    Alcotest.test_case "stats: a write drops the delta cache's entries" `Quick
-      test_stats_delta_cache_dropped_at_write;
+    Alcotest.test_case "stats, metrics and log report no delta cache" `Quick
+      test_no_delta_cache_telemetry;
     Alcotest.test_case "stats: latency summary from the histograms" `Quick
       test_stats_latency_from_histograms;
     Alcotest.test_case "telemetry never perturbs (fixed-seed identity)" `Quick
