@@ -57,10 +57,16 @@ type config = {
   metrics : metrics_sink option;
 }
 
-(* A cached what-if answer: just the scalars — the load arrays of a full
-   [Eval.detail] would pin O(arcs) memory per entry for data no query
-   reads. *)
-type priced = { lambda : float; phi : float; violations : int; unreachable : int }
+(* A cached what-if answer: the text of its reply's result, rendered once
+   when it was priced, and the cost the log line echoes.  The text stops
+   before the "cached" member and the closing brace, which each reply
+   appends.  The load arrays of a full [Eval.detail] would pin O(arcs)
+   memory per entry for data no query reads. *)
+type answer = { cost : Lexico.t; text : string }
+
+(* What a handler answers: a result value, or a what-if answer and whether
+   it came from the cache. *)
+type reply = Value of Json.t | Answer of answer * bool
 
 type t = {
   mutable scenario : Scenario.t;
@@ -80,7 +86,7 @@ type t = {
      srlg event and tagged with the graph epoch that produced them — a
      resize changes the graph and silently invalidates the clustering. *)
   mutable srlg : (int * Srlg.t) option;
-  states : priced Answers.t States.t;
+  states : answer Answers.t States.t;
   mutable hits : int;  (* what-if answers served from [states] *)
   mutable misses : int;  (* what-if answers priced *)
   mutable warm_pruned : int;  (* trials early-aborted across warm repairs *)
@@ -109,18 +115,15 @@ let c_errors = Metric.Counter.create "serve.errors"
    touches no RNG and no optimizer state, so the fixed-seed obs-on = obs-off
    identity holds by construction.  Memory stays bounded however long the
    daemon runs. *)
-let event_kinds =
-  [
-    "hello"; "tm_update"; "link_down"; "link_up"; "srlg_down"; "resize";
-    "eval"; "reoptimize"; "stats"; "metrics"; "shutdown";
-  ]
-
 let latency_hists =
   List.map
-    (fun k -> (k, Histogram.create ~labels:[ ("event", k) ] "serve.latency"))
-    event_kinds
+    (fun k -> Histogram.create ~labels:[ ("event", k) ] "serve.latency")
+    P.event_kinds
 
-let hist_for name = List.assoc name latency_hists
+(* The histogram and the span name of each event kind, by
+   [P.event_index]. *)
+let hist_of_kind = Array.of_list latency_hists
+let span_of_kind = Array.of_list (List.map (fun k -> "serve." ^ k) P.event_kinds)
 
 (* Rolling-window gauges over event time (the daemon stamps each handled
    event); totals feed the events/s, cache hit-rate and warm abort-rate
@@ -286,6 +289,23 @@ let num f = Json.Num f
 let int i = Json.Num (float_of_int i)
 let cost_fields (c : Lexico.t) = [ ("lambda", num c.Lexico.lambda); ("phi", num c.Lexico.phi) ]
 
+let answer_of (d : Eval.detail) =
+  let closed =
+    Json.to_string
+      (Json.Obj
+         (cost_fields d.Eval.cost
+         @ [
+             ("violations", int d.Eval.violations);
+             ("unreachable_pairs", int d.Eval.unreachable_pairs);
+           ]))
+  in
+  { cost = d.Eval.cost; text = String.sub closed 0 (String.length closed - 1) }
+
+let reply_text = function
+  | Value j -> Json.to_string j
+  | Answer (a, true) -> a.text ^ {|, "cached": true}|}
+  | Answer (a, false) -> a.text ^ {|, "cached": false}|}
+
 (* --- event handlers ------------------------------------------------------ *)
 
 let handle_hello t =
@@ -387,35 +407,18 @@ let handle_resize t ~max_util ~step =
 let handle_eval t spec =
   let* failure = combined_failure t spec in
   let answers = answers_here t and key = answer_key failure in
-  let priced, cached =
-    match Answers.find_opt answers key with
-    | Some p ->
-        t.hits <- t.hits + 1;
-        (p, true)
-    | None ->
-        t.misses <- t.misses + 1;
-        let routing_d, routing_t = bases t in
-        let d = Eval.evaluate_from t.scenario ~routing_d ~routing_t ?failure t.incumbent in
-        let p =
-          {
-            lambda = d.Eval.cost.Lexico.lambda;
-            phi = d.Eval.cost.Lexico.phi;
-            violations = d.Eval.violations;
-            unreachable = d.Eval.unreachable_pairs;
-          }
-        in
-        Answers.replace answers key p;
-        (p, false)
-  in
-  Ok
-    (Json.Obj
-       [
-         ("lambda", num priced.lambda);
-         ("phi", num priced.phi);
-         ("violations", int priced.violations);
-         ("unreachable_pairs", int priced.unreachable);
-         ("cached", Json.Bool cached);
-       ])
+  match Answers.find_opt answers key with
+  | Some a ->
+      t.hits <- t.hits + 1;
+      Ok (Answer (a, true))
+  | None ->
+      t.misses <- t.misses + 1;
+      let routing_d, routing_t = bases t in
+      let a =
+        answer_of (Eval.evaluate_from t.scenario ~routing_d ~routing_t ?failure t.incumbent)
+      in
+      Answers.replace answers key a;
+      Ok (Answer (a, false))
 
 let set_incumbent t w =
   if not (Weights.equal w t.incumbent) then begin
@@ -501,7 +504,7 @@ let handle_reopt_full t =
    process; its quantiles are bucket upper bounds (see
    [Histogram.quantile]). *)
 let latency_snapshot () =
-  let snaps = List.map (fun (_, h) -> Histogram.snapshot h) latency_hists in
+  let snaps = List.map Histogram.snapshot latency_hists in
   List.fold_left Histogram.merge (List.hd snaps) (List.tl snaps)
 
 let ratio num_ den_ = if den_ <= 0. then 0. else num_ /. den_
@@ -589,7 +592,7 @@ let exposition t =
   Openmetrics.counter b ~name:"dtr_serve_events" (fl t.events);
   Openmetrics.counter b ~name:"dtr_serve_errors" (fl t.errors);
   List.iter
-    (fun (_, h) ->
+    (fun h ->
       Openmetrics.histogram b ~name:"dtr_serve_latency_seconds"
         (Histogram.snapshot h))
     latency_hists;
@@ -626,22 +629,23 @@ let handle_metrics t =
   Ok (Json.Obj [ ("exposition", Json.Str (exposition t)) ])
 
 let dispatch t (event : P.event) =
+  let value r = Result.map (fun j -> Value j) r in
   match event with
-  | P.Hello -> handle_hello t
-  | P.Tm_update ev -> handle_tm_update t ev
-  | P.Link_down r -> handle_link_down t r
-  | P.Link_up r -> handle_link_up t r
-  | P.Srlg_down gid -> handle_srlg_down t gid
-  | P.Resize { max_util; step } -> handle_resize t ~max_util ~step
+  | P.Hello -> value (handle_hello t)
+  | P.Tm_update ev -> value (handle_tm_update t ev)
+  | P.Link_down r -> value (handle_link_down t r)
+  | P.Link_up r -> value (handle_link_up t r)
+  | P.Srlg_down gid -> value (handle_srlg_down t gid)
+  | P.Resize { max_util; step } -> value (handle_resize t ~max_util ~step)
   | P.Eval { failure } -> handle_eval t failure
   | P.Reoptimize { mode = P.Warm; max_sweeps; max_rounds; target } ->
-      handle_reopt_warm t ~max_sweeps ~max_rounds ~target
+      value (handle_reopt_warm t ~max_sweeps ~max_rounds ~target)
   | P.Reoptimize { mode = P.Full; max_sweeps = _; max_rounds = _; target = _ }
     ->
-      handle_reopt_full t
-  | P.Stats -> handle_stats t
-  | P.Metrics -> handle_metrics t
-  | P.Shutdown -> Ok (Json.Obj [])
+      value (handle_reopt_full t)
+  | P.Stats -> value (handle_stats t)
+  | P.Metrics -> value (handle_metrics t)
+  | P.Shutdown -> Ok (Value (Json.Obj []))
 
 (* Result fields worth echoing into the structured log line: the cost
    coordinates, cache outcome and re-optimization effort of the handler's
@@ -658,20 +662,24 @@ let log_result_keys =
    per-event cache/pruning deltas and the epoch coordinates after the
    event.  No-op unless a [Log] sink is attached. *)
 let log_event t ~id ~name ~seconds ~outcome ~h0 ~m0 ~wp0 ~we0 =
+  let logged fields =
+    let picked =
+      List.filter (fun (k, _) -> List.mem k log_result_keys) fields
+    in
+    let delta k k0 =
+      match (List.assoc_opt k fields, List.assoc_opt k0 fields) with
+      | Some (Json.Num v), Some (Json.Num v0) ->
+          [ ("d" ^ k, Json.Num (v -. v0)) ]
+      | _ -> []
+    in
+    picked @ delta "lambda" "start_lambda" @ delta "phi" "start_phi"
+  in
   let result_fields =
     match outcome with
-    | Ok (Json.Obj fields) ->
-        let picked =
-          List.filter (fun (k, _) -> List.mem k log_result_keys) fields
-        in
-        let delta k k0 =
-          match (List.assoc_opt k fields, List.assoc_opt k0 fields) with
-          | Some (Json.Num v), Some (Json.Num v0) ->
-              [ ("d" ^ k, Json.Num (v -. v0)) ]
-          | _ -> []
-        in
-        picked @ delta "lambda" "start_lambda" @ delta "phi" "start_phi"
-    | Ok _ -> []
+    | Ok (Value (Json.Obj fields)) -> logged fields
+    | Ok (Answer (a, cached)) ->
+        logged (cost_fields a.cost @ [ ("cached", Json.Bool cached) ])
+    | Ok (Value _) -> []
     | Error (code, message) ->
         [
           ("code", Json.Str (P.error_code_name code));
@@ -733,12 +741,13 @@ let handle_line t line =
   | Ok { P.id; event } -> (
       t.events <- t.events + 1;
       if Metric.enabled () then Metric.Counter.incr c_events;
+      let kind = P.event_index event in
       let name = P.event_name event in
       let h0 = t.hits and m0 = t.misses in
       let wp0 = t.warm_pruned and we0 = t.warm_evals in
       let t0 = Unix.gettimeofday () in
       let outcome =
-        Span.with_ ~name:("serve." ^ name) @@ fun () ->
+        Span.with_ ~name:span_of_kind.(kind) @@ fun () ->
         match dispatch t event with
         | result -> result
         | exception Invalid_argument msg -> Error (P.Bad_request, msg)
@@ -747,7 +756,7 @@ let handle_line t line =
       let now = Unix.gettimeofday () in
       let seconds = now -. t0 in
       t.timed <- t.timed + 1;
-      Histogram.record (hist_for name) seconds;
+      Histogram.record hist_of_kind.(kind) seconds;
       Rolling.incr roll_events ~now;
       if Result.is_error outcome then Rolling.incr roll_errors ~now;
       Rolling.add roll_cache_hits ~now (float_of_int (t.hits - h0));
@@ -760,8 +769,8 @@ let handle_line t line =
         log_event t ~id ~name ~seconds ~outcome ~h0 ~m0 ~wp0 ~we0;
       maybe_dump_metrics t;
       match outcome with
-      | Ok result ->
-          (P.ok_response ~id ~event:name result, event <> P.Shutdown)
+      | Ok reply ->
+          (P.ok_response ~id ~event:name (reply_text reply), event <> P.Shutdown)
       | Error (code, message) ->
           t.errors <- t.errors + 1;
           if Metric.enabled () then Metric.Counter.incr c_errors;

@@ -34,6 +34,7 @@ type event =
 type request = { id : int; event : event }
 type error_code =
   | Parse_error
+  | Too_deep
   | Request_too_large
   | Unknown_event
   | Bad_request
@@ -44,24 +45,35 @@ let max_request_bytes = 1 lsl 20
 
 let error_code_name = function
   | Parse_error -> "parse_error"
+  | Too_deep -> "too_deep"
   | Request_too_large -> "request_too_large"
   | Unknown_event -> "unknown_event"
   | Bad_request -> "bad_request"
   | Bad_arc -> "bad_arc"
   | Internal -> "internal"
 
-let event_name = function
-  | Hello -> "hello"
-  | Tm_update _ -> "tm_update"
-  | Link_down _ -> "link_down"
-  | Link_up _ -> "link_up"
-  | Srlg_down _ -> "srlg_down"
-  | Resize _ -> "resize"
-  | Eval _ -> "eval"
-  | Reoptimize _ -> "reoptimize"
-  | Stats -> "stats"
-  | Metrics -> "metrics"
-  | Shutdown -> "shutdown"
+let kinds =
+  [|
+    "hello"; "tm_update"; "link_down"; "link_up"; "srlg_down"; "resize";
+    "eval"; "reoptimize"; "stats"; "metrics"; "shutdown";
+  |]
+
+let event_kinds = Array.to_list kinds
+
+let event_index = function
+  | Hello -> 0
+  | Tm_update _ -> 1
+  | Link_down _ -> 2
+  | Link_up _ -> 3
+  | Srlg_down _ -> 4
+  | Resize _ -> 5
+  | Eval _ -> 6
+  | Reoptimize _ -> 7
+  | Stats -> 8
+  | Metrics -> 9
+  | Shutdown -> 10
+
+let event_name e = kinds.(event_index e)
 
 (* --- request parsing ----------------------------------------------------- *)
 
@@ -206,8 +218,9 @@ let event_field j =
   | None -> bad "\"event\" is required"
 
 let parse_request line =
-  match Json.parse line with
-  | Error msg -> Error (None, Parse_error, msg)
+  match Json.parse_typed line with
+  | Error (Json.Malformed msg) -> Error (None, Parse_error, msg)
+  | Error (Json.Too_deep msg) -> Error (None, Too_deep, msg)
   | Ok (Json.Obj _ as j) -> (
       match Json.member "id" j with
       | None -> Error (None, Bad_request, "\"id\" is required")
@@ -222,16 +235,20 @@ let parse_request line =
 
 (* --- response printing --------------------------------------------------- *)
 
+(* The bytes [Json.to_string] writes for the envelope object, with the
+   result's text spliced in as it is. *)
 let ok_response ~id ~event result =
-  Json.to_string
-    (Json.Obj
-       [
-         ("schema", Json.Str schema);
-         ("id", Json.Num (float_of_int id));
-         ("ok", Json.Bool true);
-         ("event", Json.Str event);
-         ("result", result);
-       ])
+  let b = Buffer.create (String.length result + 96) in
+  Buffer.add_string b {|{"schema": |};
+  Json.to_buffer b (Json.Str schema);
+  Buffer.add_string b {|, "id": |};
+  Buffer.add_string b (Json.number_string (float_of_int id));
+  Buffer.add_string b {|, "ok": true, "event": |};
+  Json.to_buffer b (Json.Str event);
+  Buffer.add_string b {|, "result": |};
+  Buffer.add_string b result;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 let error_response ~id ~code ~message =
   Json.to_string

@@ -68,6 +68,9 @@ type request = { id : int; event : event }
 (** Machine-readable failure classes of the error envelope. *)
 type error_code =
   | Parse_error
+  | Too_deep
+      (** a request line nesting arrays and objects more than 512 deep;
+          its id is never read *)
   | Request_too_large
       (** a socket request line longer than {!max_request_bytes}; its id is
           never read *)
@@ -85,15 +88,24 @@ val error_code_name : error_code -> string
 val event_name : event -> string
 (** The [event] discriminator string echoed in response envelopes. *)
 
+val event_kinds : string list
+(** Every event kind's name, in {!event_index} order. *)
+
+val event_index : event -> int
+(** The position of the event's kind in {!event_kinds}. *)
+
 val parse_request : string -> (request, int option * error_code * string) result
-(** One request line.  [Parse_error] for malformed JSON or a non-object;
+(** One request line.  [Parse_error] for malformed JSON or a non-object,
+    [Too_deep] for JSON nested past the reader's depth cap;
     [Bad_request] for a missing/non-integral [id] or malformed parameters,
     non-finite numbers among them; [Unknown_event] for an unrecognized
     [event] kind.  An error carries the line's id once it parsed as an
     integer, and [None] before that. *)
 
-val ok_response : id:int -> event:string -> Json.t -> string
-(** Success envelope, serialized (no trailing newline). *)
+val ok_response : id:int -> event:string -> string -> string
+(** Success envelope around a result already serialized by
+    {!Json.to_string}, itself serialized (no trailing newline) with the
+    bytes [Json.to_string] writes for the whole envelope object. *)
 
 val error_response : id:int option -> code:error_code -> message:string -> string
 (** Error envelope; [id] is [null] when the request's id never parsed. *)

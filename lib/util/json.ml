@@ -17,12 +17,22 @@ type t =
 
 exception Parse_error of string
 
+type error = Malformed of string | Too_deep of string
+
+(* Raised past the depth cap, so that [parse_typed] can tell a hostile
+   nesting from malformed text. *)
+exception Nested_too_deep of string
+
 type state = { src : string; mutable pos : int }
 
 let fail st msg =
   raise (Parse_error (Printf.sprintf "%s at offset %d" msg st.pos))
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* The byte at the cursor, or NUL past the end.  It allocates nothing; a
+   caller that must tell the end of input from a NUL byte tests [st.pos]
+   itself, and the others treat both as "not what was expected". *)
+let peek st =
+  if st.pos < String.length st.src then String.unsafe_get st.src st.pos else '\000'
 
 let skip_ws st =
   while
@@ -34,13 +44,13 @@ let skip_ws st =
   done
 
 let expect st c =
-  match peek st with
-  | Some d when d = c -> st.pos <- st.pos + 1
-  | _ -> fail st (Printf.sprintf "expected %C" c)
+  if st.pos < String.length st.src && st.src.[st.pos] = c then st.pos <- st.pos + 1
+  else fail st (Printf.sprintf "expected %C" c)
 
 let expect_word st word value =
   let n = String.length word in
-  if st.pos + n <= String.length st.src && String.sub st.src st.pos n = word then begin
+  let rec matches i = i = n || (st.src.[st.pos + i] = word.[i] && matches (i + 1)) in
+  if st.pos + n <= String.length st.src && matches 0 then begin
     st.pos <- st.pos + n;
     value
   end
@@ -82,51 +92,89 @@ let unicode_escape st =
   end
   else code
 
+(* The rest of a string from its first escape on, [st.pos] at the
+   backslash; [b] holds the bytes before it. *)
+let rec unescape st b =
+  if st.pos >= String.length st.src then fail st "unterminated string"
+  else begin
+    let c = st.src.[st.pos] in
+    st.pos <- st.pos + 1;
+    match c with
+    | '"' -> Buffer.contents b
+    | '\\' ->
+        if st.pos >= String.length st.src then fail st "unterminated escape";
+        let e = st.src.[st.pos] in
+        st.pos <- st.pos + 1;
+        (match e with
+        | '"' -> Buffer.add_char b '"'
+        | '\\' -> Buffer.add_char b '\\'
+        | '/' -> Buffer.add_char b '/'
+        | 'b' -> Buffer.add_char b '\b'
+        | 'f' -> Buffer.add_char b '\012'
+        | 'n' -> Buffer.add_char b '\n'
+        | 'r' -> Buffer.add_char b '\r'
+        | 't' -> Buffer.add_char b '\t'
+        | 'u' -> Buffer.add_utf_8_uchar b (Uchar.of_int (unicode_escape st))
+        | _ -> fail st "unknown escape");
+        unescape st b
+    | c ->
+        Buffer.add_char b c;
+        unescape st b
+  end
+
+(* A string without escapes — every key and almost every value — is one
+   [String.sub] of the input; the first backslash hands the rest to
+   [unescape]. *)
 let parse_string st =
   expect st '"';
-  let b = Buffer.create 16 in
-  let rec go () =
-    if st.pos >= String.length st.src then fail st "unterminated string"
-    else begin
-      let c = st.src.[st.pos] in
-      st.pos <- st.pos + 1;
-      match c with
-      | '"' -> Buffer.contents b
-      | '\\' -> begin
-          if st.pos >= String.length st.src then fail st "unterminated escape";
-          let e = st.src.[st.pos] in
-          st.pos <- st.pos + 1;
-          (match e with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'n' -> Buffer.add_char b '\n'
-          | 'r' -> Buffer.add_char b '\r'
-          | 't' -> Buffer.add_char b '\t'
-          | 'u' -> Buffer.add_utf_8_uchar b (Uchar.of_int (unicode_escape st))
-          | _ -> fail st "unknown escape");
-          go ()
-        end
-      | c -> Buffer.add_char b c; go ()
+  let src = st.src and start = st.pos in
+  let rec scan i =
+    if i >= String.length src then begin
+      st.pos <- i;
+      fail st "unterminated string"
     end
+    else
+      match String.unsafe_get src i with
+      | '"' ->
+          st.pos <- i + 1;
+          String.sub src start (i - start)
+      | '\\' ->
+          let b = Buffer.create (i - start + 16) in
+          Buffer.add_substring b src start (i - start);
+          st.pos <- i;
+          unescape st b
+      | _ -> scan (i + 1)
   in
-  go ()
+  scan start
 
 let parse_number st =
-  let start = st.pos in
+  let src = st.src and start = st.pos in
   let numeric c =
     match c with
     | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
     | _ -> false
   in
-  while st.pos < String.length st.src && numeric st.src.[st.pos] do
+  while st.pos < String.length src && numeric src.[st.pos] do
     st.pos <- st.pos + 1
   done;
-  match float_of_string_opt (String.sub st.src start (st.pos - start)) with
-  | Some f -> Num f
-  | None -> fail st "bad number"
+  (* An optional minus and at most 15 digits — ids, arc numbers, counts —
+     make an integer below 10^15, which converts exactly, as
+     [float_of_string] would; "-0" stays -0. *)
+  let negative = src.[start] = '-' in
+  let first = if negative then start + 1 else start in
+  let rec digits i n =
+    if i = st.pos then n
+    else
+      match src.[i] with
+      | '0' .. '9' as c -> digits (i + 1) ((10 * n) + Char.code c - Char.code '0')
+      | _ -> -1
+  in
+  let n = if first < st.pos && st.pos - first <= 15 then digits first 0 else -1 in
+  if n >= 0 then Num (if negative then -.float_of_int n else float_of_int n)
+  else
+    match float_of_string_opt (String.sub src start (st.pos - start)) with
+    | Some f -> Num f
+    | None -> fail st "bad number"
 
 (* Arrays and objects recurse once per level, so a line of brackets could
    exhaust the stack and take a reader such as dtr-serve down with it.  No
@@ -135,18 +183,20 @@ let max_depth = 512
 
 let rec parse_value st ~depth =
   skip_ws st;
-  match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some '"' -> Str (parse_string st)
-  | Some 't' -> expect_word st "true" (Bool true)
-  | Some 'f' -> expect_word st "false" (Bool false)
-  | Some 'n' -> expect_word st "null" Null
-  | Some ('[' | '{') when depth >= max_depth ->
-      fail st (Printf.sprintf "nesting deeper than %d" max_depth)
-  | Some '[' ->
+  if st.pos >= String.length st.src then fail st "unexpected end of input";
+  match st.src.[st.pos] with
+  | '"' -> Str (parse_string st)
+  | 't' -> expect_word st "true" (Bool true)
+  | 'f' -> expect_word st "false" (Bool false)
+  | 'n' -> expect_word st "null" Null
+  | ('[' | '{') when depth >= max_depth ->
+      raise
+        (Nested_too_deep
+           (Printf.sprintf "nesting deeper than %d at offset %d" max_depth st.pos))
+  | '[' ->
       st.pos <- st.pos + 1;
       skip_ws st;
-      if peek st = Some ']' then begin
+      if peek st = ']' then begin
         st.pos <- st.pos + 1;
         Arr []
       end
@@ -155,20 +205,20 @@ let rec parse_value st ~depth =
           let v = parse_value st ~depth:(depth + 1) in
           skip_ws st;
           match peek st with
-          | Some ',' ->
+          | ',' ->
               st.pos <- st.pos + 1;
               items (v :: acc)
-          | Some ']' ->
+          | ']' ->
               st.pos <- st.pos + 1;
               Arr (List.rev (v :: acc))
           | _ -> fail st "expected ',' or ']'"
         in
         items []
       end
-  | Some '{' ->
+  | '{' ->
       st.pos <- st.pos + 1;
       skip_ws st;
-      if peek st = Some '}' then begin
+      if peek st = '}' then begin
         st.pos <- st.pos + 1;
         Obj []
       end
@@ -181,35 +231,44 @@ let rec parse_value st ~depth =
           let v = parse_value st ~depth:(depth + 1) in
           skip_ws st;
           match peek st with
-          | Some ',' ->
+          | ',' ->
               st.pos <- st.pos + 1;
               members ((k, v) :: acc)
-          | Some '}' ->
+          | '}' ->
               st.pos <- st.pos + 1;
               Obj (List.rev ((k, v) :: acc))
           | _ -> fail st "expected ',' or '}'"
         in
         members []
       end
-  | Some _ -> parse_number st
+  | _ -> parse_number st
 
-let parse s =
+let parse_typed s =
   let st = { src = s; pos = 0 } in
   match parse_value st ~depth:0 with
   | v ->
       skip_ws st;
-      if st.pos <> String.length s then Error "trailing garbage after JSON value"
+      if st.pos <> String.length s then
+        Error (Malformed "trailing garbage after JSON value")
       else Ok v
-  | exception Parse_error msg -> Error msg
+  | exception Parse_error msg -> Error (Malformed msg)
+  | exception Nested_too_deep msg -> Error (Too_deep msg)
+
+let parse s =
+  match parse_typed s with
+  | Ok v -> Ok v
+  | Error (Malformed msg | Too_deep msg) -> Error msg
 
 let parse_exn s =
   match parse s with Ok v -> v | Error msg -> raise (Parse_error msg)
 
 (* --- accessors ---------------------------------------------------------- *)
 
-let member key = function
-  | Obj kvs -> List.assoc_opt key kvs
-  | _ -> None
+let rec first_member key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else first_member key rest
+
+let member key = function Obj kvs -> first_member key kvs | _ -> None
 
 let to_string_opt = function Str s -> Some s | _ -> None
 let to_float_opt = function Num f -> Some f | _ -> None
@@ -261,18 +320,24 @@ let escaped s =
   escape_to_buffer b s;
   Buffer.contents b
 
+(* The C conversion behind [Printf]'s float formats: [Printf.sprintf
+   "%.15g" f] is [format_float "%.15g" f] after [Printf] has rebuilt the
+   format string, which is most of its cost. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Float emission: integral values in the exactly-representable range keep
-   the report files' historical "N.0" form; everything else uses the
-   shortest of %.15g / %.17g that parses back to the same bits, so values
-   round-trip exactly through [parse].  JSON has no non-finite numbers:
-   those emit [null], the same substitution the report emitter always
-   made. *)
+   the report files' historical "N.0" form (the bytes of [%.1f], -0.0
+   included); everything else uses the shortest of %.15g / %.17g that
+   parses back to the same bits, so values round-trip exactly through
+   [parse].  JSON has no non-finite numbers: those emit [null], the same
+   substitution the report emitter always made. *)
 let number_string f =
   if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else if Float.is_integer f && Float.abs f < 1e15 then
+    if f = 0. && Float.sign_bit f then "-0.0" else string_of_int (int_of_float f) ^ ".0"
   else
-    let s = Printf.sprintf "%.15g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = format_float "%.15g" f in
+    if float_of_string s = f then s else format_float "%.17g" f
 
 let to_buffer b j =
   let rec emit = function

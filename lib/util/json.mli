@@ -18,9 +18,18 @@ type t =
 
 exception Parse_error of string
 
+(** Why a document did not parse. *)
+type error =
+  | Malformed of string  (** not JSON, or trailing non-whitespace *)
+  | Too_deep of string  (** arrays and objects nested more than 512 deep *)
+
+val parse_typed : string -> (t, error) result
+(** Parse one complete JSON document. *)
+
 val parse : string -> (t, string) result
-(** Parse one complete JSON document; trailing non-whitespace is an error,
-    and so is nesting arrays and objects more than 512 deep. *)
+(** {!parse_typed} with the error's message only: trailing non-whitespace
+    is an error, and so is nesting arrays and objects more than 512
+    deep. *)
 
 val parse_exn : string -> t
 (** @raise Parse_error on malformed input. *)
@@ -54,8 +63,9 @@ val escaped : string -> string
 
 val number_string : float -> string
 (** Shortest decimal form that {!parse} reads back to the same bits:
-    integral values as ["N.0"], others via %.15g with a %.17g fallback.
-    Non-finite floats — which JSON cannot represent — become ["null"]. *)
+    integral values below 10{^15} as ["N.0"] (the bytes of [%.1f], so -0.
+    is ["-0.0"]), others via %.15g with a %.17g fallback.  Non-finite
+    floats — which JSON cannot represent — become ["null"]. *)
 
 val to_buffer : Buffer.t -> t -> unit
 

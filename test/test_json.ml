@@ -1,8 +1,10 @@
 (* Tests for the minimal JSON reader and writer (Dtr_util.Json).  Reader:
-   value grammar, string escapes, error positions as Result, and a
-   round-trip against the documents the project itself emits.  Writer:
-   escaping inverts the reader's unescaping, floats round-trip to the same
-   bits, and parse ∘ to_string is the identity on random values. *)
+   value grammar, string escapes, error positions as Result, a round-trip
+   against the documents the project itself emits, and agreement with the
+   1.17.0 reader ([Json_reference]) on random and damaged documents.
+   Writer: escaping inverts the reader's unescaping, floats round-trip to
+   the same bits and keep the bytes of the 1.17.0 Printf rule, and parse ∘
+   to_string is the identity on random values. *)
 
 module Json = Dtr_util.Json
 
@@ -70,12 +72,19 @@ let test_errors () =
   | _ -> Alcotest.fail "parse_exn must raise on malformed input"
 
 (* Nesting is capped, so a hostile line of brackets is a parse error rather
-   than a stack overflow; the cap sits at 512 levels. *)
+   than a stack overflow; the cap sits at 512 levels, and [parse_typed]
+   tells it from malformed text. *)
 let test_depth_cap () =
   let nested k = String.make k '[' ^ String.make k ']' in
   let is_ok = function Ok _ -> true | Error _ -> false in
   Alcotest.(check bool) "512 levels parse" true (is_ok (Json.parse (nested 512)));
   Alcotest.(check bool) "600 levels rejected" false (is_ok (Json.parse (nested 600)));
+  (match Json.parse_typed (nested 600) with
+  | Error (Json.Too_deep _) -> ()
+  | _ -> Alcotest.fail "600 levels: expected Too_deep");
+  (match Json.parse_typed (String.make 512 '[') with
+  | Error (Json.Malformed _) -> ()
+  | _ -> Alcotest.fail "512 unclosed levels: expected Malformed");
   let objects k =
     String.concat "" (List.init k (fun _ -> {|{"a":|})) ^ "1" ^ String.make k '}'
   in
@@ -165,7 +174,45 @@ let test_float_round_trip () =
       0.30000000000000004; 123456789.123456789; -2.5e-8;
     ]
 
-let json_gen =
+(* The 1.17.0 number rule, through Printf. *)
+let printf_number f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+(* Random bit patterns (every exponent, NaN payloads), integers on both
+   sides of ±10^15 and their halves, subnormals, and the extremes. *)
+let float_gen =
+  let open QCheck2.Gen in
+  let near_1e15 =
+    map2
+      (fun k half -> (1e15 +. float_of_int k) +. if half then 0.5 else 0.)
+      (int_range (-2000) 2000) bool
+  in
+  oneof
+    [
+      map Int64.float_of_bits int64;
+      near_1e15;
+      map Float.neg near_1e15;
+      map (fun m -> Int64.float_of_bits (Int64.of_int m)) (int_bound ((1 lsl 52) - 1));
+      map (fun i -> float_of_int i) int;
+      oneofl
+        [
+          0.; -0.; 1e15; -1e15; 999999999999999.; -999999999999999.; Float.max_float;
+          -.Float.max_float; Float.min_float; 4.9e-324; -4.9e-324; Float.epsilon;
+          Float.infinity; Float.neg_infinity; Float.nan; 9007199254740992.; 0.1;
+        ];
+    ]
+
+let prop_number_bytes =
+  QCheck2.Test.make ~name:"number rendering keeps the Printf rule's bytes" ~count:20_000
+    ~print:(Printf.sprintf "%h") float_gen (fun f ->
+      let got = Json.to_string (Json.Num f) and want = printf_number f in
+      got = want || QCheck2.Test.fail_reportf "%h: wrote %s, the rule writes %s" f got want)
+
+let json_sized =
   let open QCheck2.Gen in
   let scalar =
     oneof
@@ -178,7 +225,7 @@ let json_gen =
         map (fun s -> Json.Str s) string;
       ]
   in
-  sized @@ fix (fun self n ->
+  fix (fun self n ->
       if n <= 0 then scalar
       else
         oneof
@@ -190,12 +237,81 @@ let json_gen =
               (list_size (0 -- 4) (pair string_printable (self (n / 2))));
           ])
 
+let json_gen = QCheck2.Gen.sized json_sized
+
 (* NaN can't survive (emitted as null), so normalize both sides. *)
 let rec finite = function
   | Json.Num f when not (Float.is_finite f) -> Json.Null
   | Json.Arr l -> Json.Arr (List.map finite l)
   | Json.Obj kvs -> Json.Obj (List.map (fun (k, v) -> (k, finite v)) kvs)
   | j -> j
+
+(* --- the reader against the 1.17.0 one ------------------------------------ *)
+
+(* Equal documents, numbers compared by their bits (so -0. is not 0.). *)
+let rec same a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Arr xs, Json.Arr ys -> List.equal same xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.equal (fun (k, v) (k', v') -> String.equal k k' && same v v') xs ys
+  | _ -> a = b
+
+let agrees doc =
+  match (Json.parse doc, Json_reference.parse doc) with
+  | Ok a, Ok b -> same a b
+  | Error _, Error _ -> true
+  | Ok _, Error e -> QCheck2.Test.fail_reportf "accepted; the reference said %s" e
+  | Error e, Ok _ -> QCheck2.Test.fail_reportf "rejected (%s); the reference accepted" e
+
+(* Bare number tokens (the writer always adds ".0" to integers), escapes
+   the writer never emits, and request lines. *)
+let token_gen =
+  let open QCheck2.Gen in
+  let numeral = oneofl [ '0'; '1'; '5'; '9'; '-'; '+'; '.'; 'e'; 'E' ] in
+  let digits = string_size ~gen:(char_range '0' '9') (1 -- 20) in
+  oneof
+    [
+      map (fun t -> "[" ^ t ^ "]") (string_size ~gen:numeral (0 -- 20));
+      map2 (fun neg d -> (if neg then "-" else "") ^ d) bool digits;
+      map (fun d -> Printf.sprintf {|{"id": %s, "event": "eval", "failure": {"arc": 7}}|} d) digits;
+      oneofl
+        [
+          "-0"; "-000"; "007"; "1e400"; "-1e400"; "123456789012345"; "1234567890123456";
+          "-999999999999999"; "+5"; "1-2"; "-"; "0x10"; "1_000"; {|"\ud83d\ude00"|};
+          {|"\ud83d"|}; {|"\udc00"|}; {|"\ud83d\u0041"|}; {|"a\u00e9b\/c"|}; {|"\u00G1"|};
+          {|"tab\tquote\"end"|}; {|{"id": 3, "event": "eval"}|}; " [ 1 , { \"a\" : null } ] ";
+        ];
+    ]
+
+(* Truncations, flipped bytes, inserted NULs and nestings around the cap. *)
+let damaged_gen =
+  let open QCheck2.Gen in
+  let* doc = oneof [ map Json.to_string (sized_size (0 -- 16) json_sized); token_gen ] in
+  let n = String.length doc in
+  let splice i s = String.sub doc 0 i ^ s ^ String.sub doc i (n - i) in
+  oneof
+    [
+      return doc;
+      map (fun i -> String.sub doc 0 (i mod (n + 1))) nat;
+      map2
+        (fun i x ->
+          if n = 0 then doc
+          else
+            String.mapi
+              (fun j c -> if j = i mod n then Char.chr (Char.code c lxor (1 + (x mod 255))) else c)
+              doc)
+        nat nat;
+      map (fun i -> splice (i mod (n + 1)) "\000") nat;
+      map (fun k -> String.make k '[' ^ doc ^ String.make k ']') (int_range 505 515);
+      map
+        (fun k -> String.concat "" (List.init k (fun _ -> {|{"a": |})) ^ doc ^ String.make k '}')
+        (int_range 505 515);
+    ]
+
+let prop_reader_matches_reference =
+  QCheck2.Test.make ~name:"the reader agrees with the 1.17.0 reader" ~count:2000
+    ~print:(Printf.sprintf "%S") damaged_gen agrees
 
 let prop_write_parse_identity =
   QCheck2.Test.make ~name:"parse (to_string j) = j" ~count:500 json_gen
@@ -218,4 +334,6 @@ let suite =
     Alcotest.test_case "writer escaping" `Quick test_writer_escaping;
     Alcotest.test_case "float round-trip" `Quick test_float_round_trip;
     QCheck_alcotest.to_alcotest prop_write_parse_identity;
+    QCheck_alcotest.to_alcotest prop_number_bytes;
+    QCheck_alcotest.to_alcotest prop_reader_matches_reference;
   ]

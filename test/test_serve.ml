@@ -506,6 +506,152 @@ let test_error_reply_keeps_id () =
       ("garbage", None);
     ]
 
+(* --- the cached read path ------------------------------------------------ *)
+
+(* A fixed read session on an 8-node setting: a plain eval and arc, edge,
+   node and SRLG what-ifs, each asked twice (priced, then cached), before
+   and after a tm_update, inside a link_down / link_up pair, and after it,
+   where the revisited state answers from its cache. *)
+let read_session =
+  let ids = ref 0 in
+  let line body =
+    incr ids;
+    Printf.sprintf {|{"id": %d, %s}|} !ids body
+  in
+  let twice specs =
+    List.concat_map
+      (fun spec ->
+        let priced = line ({|"event": "eval"|} ^ spec) in
+        let cached = line ({|"event": "eval"|} ^ spec) in
+        [ priced; cached ])
+      specs
+  in
+  let arc = {|, "failure": {"arc": 1}|}
+  and edge = {|, "failure": {"edge": 2}|}
+  and node = {|, "failure": {"node": 3}|}
+  and srlg = {|, "failure": {"srlg": 0}|} in
+  let before = twice [ ""; arc; edge; node; srlg ] in
+  let tm = line {|"event": "tm_update", "model": "gaussian", "eps": 0.1|} in
+  let after_tm = twice [ ""; arc; edge; node; srlg ] in
+  let down = line {|"event": "link_down", "arc": 5|} in
+  let link_down = twice [ ""; arc; edge; srlg ] in
+  let up = line {|"event": "link_up", "arc": 5|} in
+  let revisited = twice [ ""; arc; edge; node; srlg ] in
+  before @ [ tm ] @ after_tm @ [ down ] @ link_down @ [ up ] @ revisited
+
+(* The replies of [read_session], as dtr-serve 1.17.0 wrote them, before
+   answers kept their rendered text. *)
+let read_session_replies =
+  [
+    {|{"schema": "dtr-serve/1", "id": 1.0, "ok": true, "event": "eval", "result": {"lambda": 1308.0737925733806, "phi": 51469.124643349278, "violations": 12.0, "unreachable_pairs": 0.0, "cached": false}}|};
+    {|{"schema": "dtr-serve/1", "id": 2.0, "ok": true, "event": "eval", "result": {"lambda": 1308.0737925733806, "phi": 51469.124643349278, "violations": 12.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 3.0, "ok": true, "event": "eval", "result": {"lambda": 1308.0737925733806, "phi": 51740.637858055117, "violations": 12.0, "unreachable_pairs": 0.0, "cached": false}}|};
+    {|{"schema": "dtr-serve/1", "id": 4.0, "ok": true, "event": "eval", "result": {"lambda": 1308.0737925733806, "phi": 51740.637858055117, "violations": 12.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 5.0, "ok": true, "event": "eval", "result": {"lambda": 4386.9375621612107, "phi": 2613081.6499445396, "violations": 20.0, "unreachable_pairs": 0.0, "cached": false}}|};
+    {|{"schema": "dtr-serve/1", "id": 6.0, "ok": true, "event": "eval", "result": {"lambda": 4386.9375621612107, "phi": 2613081.6499445396, "violations": 20.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 7.0, "ok": true, "event": "eval", "result": {"lambda": 1450.0843263971533, "phi": 38200.914719153086, "violations": 13.0, "unreachable_pairs": 0.0, "cached": false}}|};
+    {|{"schema": "dtr-serve/1", "id": 8.0, "ok": true, "event": "eval", "result": {"lambda": 1450.0843263971533, "phi": 38200.914719153086, "violations": 13.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 9.0, "ok": true, "event": "eval", "result": {"lambda": 4386.9375621612107, "phi": 2613081.6499445396, "violations": 20.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 10.0, "ok": true, "event": "eval", "result": {"lambda": 4386.9375621612107, "phi": 2613081.6499445396, "violations": 20.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 11.0, "ok": true, "event": "tm_update", "result": {"matrix_epoch": 1.0, "rd_total": 1362.4177239897028, "rt_total": 3080.7869890526567}}|};
+    {|{"schema": "dtr-serve/1", "id": 12.0, "ok": true, "event": "eval", "result": {"lambda": 1271.5065412386919, "phi": 33662.193398115029, "violations": 12.0, "unreachable_pairs": 0.0, "cached": false}}|};
+    {|{"schema": "dtr-serve/1", "id": 13.0, "ok": true, "event": "eval", "result": {"lambda": 1271.5065412386919, "phi": 33662.193398115029, "violations": 12.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 14.0, "ok": true, "event": "eval", "result": {"lambda": 1271.5065412386919, "phi": 33947.951914851335, "violations": 12.0, "unreachable_pairs": 0.0, "cached": false}}|};
+    {|{"schema": "dtr-serve/1", "id": 15.0, "ok": true, "event": "eval", "result": {"lambda": 1271.5065412386919, "phi": 33947.951914851335, "violations": 12.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 16.0, "ok": true, "event": "eval", "result": {"lambda": 4026.0802814283052, "phi": 2261243.5149326427, "violations": 20.0, "unreachable_pairs": 0.0, "cached": false}}|};
+    {|{"schema": "dtr-serve/1", "id": 17.0, "ok": true, "event": "eval", "result": {"lambda": 4026.0802814283052, "phi": 2261243.5149326427, "violations": 20.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 18.0, "ok": true, "event": "eval", "result": {"lambda": 1421.8804270477312, "phi": 31062.499743490178, "violations": 13.0, "unreachable_pairs": 0.0, "cached": false}}|};
+    {|{"schema": "dtr-serve/1", "id": 19.0, "ok": true, "event": "eval", "result": {"lambda": 1421.8804270477312, "phi": 31062.499743490178, "violations": 13.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 20.0, "ok": true, "event": "eval", "result": {"lambda": 4026.0802814283052, "phi": 2261243.5149326427, "violations": 20.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 21.0, "ok": true, "event": "eval", "result": {"lambda": 4026.0802814283052, "phi": 2261243.5149326427, "violations": 20.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 22.0, "ok": true, "event": "link_down", "result": {"failed": [5.0], "connected": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 23.0, "ok": true, "event": "eval", "result": {"lambda": 2302.3941253469343, "phi": 655169.075274271, "violations": 16.0, "unreachable_pairs": 0.0, "cached": false}}|};
+    {|{"schema": "dtr-serve/1", "id": 24.0, "ok": true, "event": "eval", "result": {"lambda": 2302.3941253469343, "phi": 655169.075274271, "violations": 16.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 25.0, "ok": true, "event": "eval", "result": {"lambda": 2302.3941253469343, "phi": 655454.83379100717, "violations": 16.0, "unreachable_pairs": 0.0, "cached": false}}|};
+    {|{"schema": "dtr-serve/1", "id": 26.0, "ok": true, "event": "eval", "result": {"lambda": 2302.3941253469343, "phi": 655454.83379100717, "violations": 16.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 27.0, "ok": true, "event": "eval", "result": {"lambda": 7628.915375172538, "phi": 4719290.0337121915, "violations": 21.0, "unreachable_pairs": 0.0, "cached": false}}|};
+    {|{"schema": "dtr-serve/1", "id": 28.0, "ok": true, "event": "eval", "result": {"lambda": 7628.915375172538, "phi": 4719290.0337121915, "violations": 21.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 29.0, "ok": true, "event": "eval", "result": {"lambda": 7628.915375172538, "phi": 4719290.0337121915, "violations": 21.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 30.0, "ok": true, "event": "eval", "result": {"lambda": 7628.915375172538, "phi": 4719290.0337121915, "violations": 21.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 31.0, "ok": true, "event": "link_up", "result": {"failed": [], "connected": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 32.0, "ok": true, "event": "eval", "result": {"lambda": 1271.5065412386919, "phi": 33662.193398115029, "violations": 12.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 33.0, "ok": true, "event": "eval", "result": {"lambda": 1271.5065412386919, "phi": 33662.193398115029, "violations": 12.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 34.0, "ok": true, "event": "eval", "result": {"lambda": 1271.5065412386919, "phi": 33947.951914851335, "violations": 12.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 35.0, "ok": true, "event": "eval", "result": {"lambda": 1271.5065412386919, "phi": 33947.951914851335, "violations": 12.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 36.0, "ok": true, "event": "eval", "result": {"lambda": 4026.0802814283052, "phi": 2261243.5149326427, "violations": 20.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 37.0, "ok": true, "event": "eval", "result": {"lambda": 4026.0802814283052, "phi": 2261243.5149326427, "violations": 20.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 38.0, "ok": true, "event": "eval", "result": {"lambda": 1421.8804270477312, "phi": 31062.499743490178, "violations": 13.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 39.0, "ok": true, "event": "eval", "result": {"lambda": 1421.8804270477312, "phi": 31062.499743490178, "violations": 13.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 40.0, "ok": true, "event": "eval", "result": {"lambda": 4026.0802814283052, "phi": 2261243.5149326427, "violations": 20.0, "unreachable_pairs": 0.0, "cached": true}}|};
+    {|{"schema": "dtr-serve/1", "id": 41.0, "ok": true, "event": "eval", "result": {"lambda": 4026.0802814283052, "phi": 2261243.5149326427, "violations": 20.0, "unreachable_pairs": 0.0, "cached": true}}|};
+  ]
+
+(* Rendering an answer once, when it is priced, changes no byte of any
+   reply, and the log line of every eval, priced or cached, still echoes
+   its lambda, phi and cached flag. *)
+let test_read_session_bytes () =
+  let _, d = state_daemon ~seed:46 ~nodes:8 () in
+  let log_file = Filename.temp_file "dtr_test_serve" ".jsonl" in
+  Dtr_obs.Log.set_path (Some log_file);
+  Fun.protect
+    ~finally:(fun () ->
+      Dtr_obs.Log.set_path None;
+      Sys.remove log_file)
+  @@ fun () ->
+  let replies = List.map (fun line -> fst (Daemon.handle_line d line)) read_session in
+  List.iteri
+    (fun i (want, got) -> Alcotest.(check string) (Printf.sprintf "reply %d" (i + 1)) want got)
+    (List.combine read_session_replies replies);
+  Dtr_obs.Log.set_path None;
+  let logs =
+    In_channel.with_open_text log_file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun l ->
+           match Json.parse l with
+           | Ok j when Json.member "event" j = Some (Json.Str "eval") -> Some j
+           | _ -> None)
+  in
+  let evals =
+    List.filter_map
+      (fun r ->
+        let j = Json.parse_exn r in
+        if Json.member "event" j = Some (Json.Str "eval") then Json.member "result" j else None)
+      replies
+  in
+  Alcotest.(check int) "one log line per eval" (List.length evals) (List.length logs);
+  List.iter2
+    (fun log result ->
+      Alcotest.(check (list string)) "eval log line members"
+        [
+          "schema"; "event"; "id"; "ok"; "latency_ms"; "lambda"; "phi"; "cached";
+          "cache_hits_delta"; "cache_misses_delta"; "warm_pruned_delta";
+          "warm_evals_delta"; "epochs";
+        ]
+        (List.map fst (Json.to_obj log));
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) (k ^ " as in the reply") true (Json.member k log = Json.member k result))
+        [ "lambda"; "phi"; "cached" ])
+    logs evals
+
+(* A cached what-if formats no float and prices nothing: one allocates at
+   most 400 minor words in [handle_line] (358 here; 950 when every reply
+   re-rendered its answer's numbers through Printf). *)
+let test_cached_eval_allocation () =
+  let _, d = state_daemon ~seed:46 ~nodes:8 () in
+  let line = {|{"id": 1, "event": "eval", "failure": {"arc": 1}}|} in
+  let was = Dtr_obs.Metric.enabled () in
+  Dtr_obs.Metric.set_enabled false;
+  Fun.protect ~finally:(fun () -> Dtr_obs.Metric.set_enabled was) @@ fun () ->
+  ignore (Daemon.handle_line d line : string * bool);
+  ignore (Daemon.handle_line d line : string * bool);
+  let w0 = Gc.minor_words () in
+  let reply, _ = Daemon.handle_line d line in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "served from the cache" true
+    (is_cached (Option.get (Json.member "result" (Json.parse_exn reply))));
+  if words > 400. then Alcotest.failf "a cached eval allocated %.0f minor words (bound 400)" words
+
 (* --- protocol ------------------------------------------------------------- *)
 
 let test_protocol_parse () =
@@ -553,11 +699,15 @@ let test_protocol_errors () =
     Protocol.Bad_request;
   expect_error {|{"id": 1, "event": "tm_update", "model": "weird"}|}
     Protocol.Bad_request;
-  expect_error {|{"id": 1, "event": "link_down"}|} Protocol.Bad_request
+  expect_error {|{"id": 1, "event": "link_down"}|} Protocol.Bad_request;
+  expect_error (String.make 600 '[' ^ String.make 600 ']') Protocol.Too_deep;
+  expect_error ({|{"id": 1, "event": "eval", "failure": |} ^ String.make 600 '[') Protocol.Too_deep
 
 (* Response envelopes parse back with the documented shape. *)
 let test_protocol_envelopes () =
-  let ok = Protocol.ok_response ~id:9 ~event:"eval" (Json.Obj [ ("x", Json.Num 1.) ]) in
+  let ok =
+    Protocol.ok_response ~id:9 ~event:"eval" (Json.to_string (Json.Obj [ ("x", Json.Num 1.) ]))
+  in
   (match Json.parse ok with
   | Error e -> Alcotest.failf "ok envelope unparseable: %s" e
   | Ok j ->
@@ -1062,8 +1212,8 @@ let test_stdout_hangup () =
   check_exited_cleanly status;
   Alcotest.(check bool) "final metrics written" true (ends_with_eof metrics)
 
-(* A request line of 100,000 open brackets gets a parse_error reply and the
-   daemon serves the next request.  The JSON reader recurses once per
+(* A request line of 100,000 open brackets gets a too_deep reply with id
+   null, and the daemon serves the next request.  The JSON reader recurses once per
    nesting level; under the small stack limit given here, a reader without
    a depth cap overflows well before this depth. *)
 let test_deep_nesting () =
@@ -1096,8 +1246,9 @@ let test_deep_nesting () =
   let ok reply = reply_field [ "ok" ] reply = Some (Json.Bool true) in
   check_exited_cleanly status;
   Alcotest.(check bool) "hello answered" true (ok hello);
-  Alcotest.(check (option string)) "deep line is a parse error" (Some "parse_error")
+  Alcotest.(check (option string)) "deep line is too_deep" (Some "too_deep")
     (Option.bind (reply_field [ "error"; "code" ] deep) Json.to_string_opt);
+  Alcotest.(check bool) "its id is null" true (reply_field [ "id" ] deep = Some Json.Null);
   Alcotest.(check bool) "next request served" true (ok stats);
   Alcotest.(check bool) "shutdown acknowledged" true (ok bye)
 
@@ -1200,6 +1351,10 @@ let suite =
       test_non_finite_refused;
     Alcotest.test_case "daemon: error replies keep the request id" `Quick
       test_error_reply_keeps_id;
+    Alcotest.test_case "read session: replies and log lines unchanged" `Quick
+      test_read_session_bytes;
+    Alcotest.test_case "a cached eval allocates at most 400 words" `Quick
+      test_cached_eval_allocation;
     Alcotest.test_case "protocol: request parsing" `Quick test_protocol_parse;
     Alcotest.test_case "protocol: parse errors" `Quick test_protocol_errors;
     Alcotest.test_case "protocol: response envelopes" `Quick
@@ -1224,6 +1379,6 @@ let suite =
       test_oversized_line;
     Alcotest.test_case "oversized pipe request line is request_too_large" `Quick
       test_oversized_pipe_line;
-    Alcotest.test_case "deeply nested request line is a parse error" `Quick
+    Alcotest.test_case "deeply nested request line is too_deep" `Quick
       test_deep_nesting;
   ]
