@@ -47,16 +47,7 @@ let build_scenario ~exe ~topo ~nodes ~degree ~avg_util ~seed ~params ~topology_f
   let n = Dtr_topology.Graph.num_nodes graph in
   let rd, rt =
     match traffic_file with
-    | Some path ->
-        let ((rd, _) as pair) =
-          load_input ~exe (fun () -> Dtr_io.Matrix_io.load_pair ~path)
-        in
-        if Dtr_traffic.Matrix.size rd <> n then begin
-          Format.eprintf "%s: %s: traffic matrices of %d nodes for a topology of %d@."
-            exe path (Dtr_traffic.Matrix.size rd) n;
-          exit 1
-        end;
-        pair
+    | Some path -> load_input ~exe (fun () -> Dtr_io.Matrix_io.load_pair ~nodes:n ~path)
     | None ->
         let rd, rt = Dtr_traffic.Gravity.pair rng ~nodes:n ~total:1000. in
         Dtr_traffic.Scaling.calibrate graph ~rd ~rt

@@ -36,8 +36,7 @@ let timed f =
   let x = f () in
   (x, Sys.time () -. start)
 
-let regular_only ~rng ?(incremental = true) ?exec scenario =
-  timed (fun () -> Phase1.run ~rng ~incremental ?exec scenario)
+let regular_only ~rng ?exec scenario = timed (fun () -> Phase1.run ~rng ?exec scenario)
 
 let target_size (scenario : Scenario.t) fraction =
   let m = Scenario.num_arcs scenario in
@@ -82,9 +81,9 @@ let assemble scenario ~phase1 ~phase1_seconds ~phase2 ~phase2_seconds ~critical 
     phase2_seconds;
   }
 
-let robust_with ~rng ?(incremental = true) ?exec scenario ~phase1 ~failures ~critical =
+let robust_with ~rng ?exec scenario ~phase1 ~failures ~critical =
   let phase2, phase2_seconds =
-    timed (fun () -> Phase2.run ~rng ~incremental ?exec scenario ~phase1 ~failures)
+    timed (fun () -> Phase2.run ~rng ?exec scenario ~phase1 ~failures)
   in
   assemble scenario ~phase1 ~phase1_seconds:0. ~phase2 ~phase2_seconds ~critical ~failures
 
@@ -167,10 +166,10 @@ let warm_start ~rng ?exec ?(failures = []) ?(budget = default_warm_budget)
     warm_pruned = search.Local_search.pruned;
   }
 
-let optimize ~rng ?(selector = Ours) ?(failure_model = Link_failures) ?fraction
-    ?(incremental = true) ?exec scenario =
+let optimize ~rng ?(selector = Ours) ?(failure_model = Link_failures) ?fraction ?exec
+    scenario =
   Dtr_obs.Span.with_ ~name:"optimize" @@ fun () ->
-  let phase1, phase1_seconds = regular_only ~rng ~incremental ?exec scenario in
+  let phase1, phase1_seconds = regular_only ~rng ?exec scenario in
   let phase1c name f =
     Dtr_obs.Span.with_ ~name:"phase1c" (fun () ->
         if Dtr_obs.Trace.enabled () then Dtr_obs.Trace.emit_phase ~name;
@@ -259,7 +258,6 @@ let optimize ~rng ?(selector = Ours) ?(failure_model = Link_failures) ?fraction
         (critical, events)
   in
   let phase2, phase2_seconds =
-    timed (fun () ->
-        Phase2.run ~rng ~incremental ?exec scenario ~phase1 ~failures)
+    timed (fun () -> Phase2.run ~rng ?exec scenario ~phase1 ~failures)
   in
   assemble scenario ~phase1 ~phase1_seconds ~phase2 ~phase2_seconds ~critical ~failures

@@ -61,14 +61,11 @@ val optimize :
   ?selector:selector ->
   ?failure_model:failure_model ->
   ?fraction:float ->
-  ?incremental:bool ->
   ?exec:Dtr_exec.Exec.t ->
   Scenario.t ->
   solution
 (** Defaults: [selector = Ours], [failure_model = Link_failures], [fraction]
-    = the scenario's [critical_fraction], [incremental = true] (price
-    single-arc moves with the {!Eval_incr} engine — bit-identical results,
-    see {!Phase1.run}/{!Phase2.run}), [exec = Dtr_exec.Exec.default ()]
+    = the scenario's [critical_fraction], [exec = Dtr_exec.Exec.default ()]
     (serial unless [DTR_JOBS] is set).  [fraction] overrides the target
     [|Ec| / |E|] for this call.  The execution context parallelises the
     failure-sweep fan-outs of both phases; for a given RNG seed the solution
@@ -76,11 +73,7 @@ val optimize :
     every job count. *)
 
 val regular_only :
-  rng:Dtr_util.Rng.t ->
-  ?incremental:bool ->
-  ?exec:Dtr_exec.Exec.t ->
-  Scenario.t ->
-  Phase1.output * float
+  rng:Dtr_util.Rng.t -> ?exec:Dtr_exec.Exec.t -> Scenario.t -> Phase1.output * float
 (** Phase 1 alone (the "no robust" routing of the evaluation) and its
     wall-clock seconds. *)
 
@@ -135,7 +128,6 @@ val warm_start :
 
 val robust_with :
   rng:Dtr_util.Rng.t ->
-  ?incremental:bool ->
   ?exec:Dtr_exec.Exec.t ->
   Scenario.t ->
   phase1:Phase1.output ->

@@ -35,13 +35,8 @@ type output = {
   stats : stats;
 }
 
-val run :
-  rng:Dtr_util.Rng.t -> ?incremental:bool -> ?exec:Dtr_exec.Exec.t -> Scenario.t -> output
-(** [incremental] (default [true]) prices every single-arc move with the
-    {!Eval_incr} engine instead of a full {!Eval.cost}; the two paths
-    produce bit-identical cost sequences, hence identical results for a
-    given RNG — the flag exists so tests and benchmarks can cross-check
-    against the full-evaluation oracle.
+val run : rng:Dtr_util.Rng.t -> ?exec:Dtr_exec.Exec.t -> Scenario.t -> output
+(** Every single-arc move is priced by one {!Eval_incr} engine.
 
     [exec] (default {!Dtr_exec.Exec.default}) parallelises the Phase-1b
     top-up: each sweep's failure-emulating weight draws happen serially in

@@ -104,7 +104,7 @@ let engine ?exec e ~failures objective =
 
 (* --- Phase 2 --------------------------------------------------------------- *)
 
-let run ~rng ?(incremental = true) ?exec (scenario : Scenario.t)
+let run ~rng ?exec (scenario : Scenario.t)
     ~(phase1 : Phase1.output) ~failures =
   Span.with_ ~name:"phase2" @@ fun () ->
   if Trace.enabled () then Trace.emit_phase ~name:"phase2";
@@ -125,14 +125,7 @@ let run ~rng ?(incremental = true) ?exec (scenario : Scenario.t)
   (* Each Phase-2 evaluation prices the setting under every scenario of the
      optimized failure set; infeasibility w.r.t. Eqs. (5)-(6) short-circuits
      before the expensive sweep. *)
-  let engine =
-    if incremental then engine ~exec (Eval_incr.create scenario) ~failures gate
-    else
-      Local_search.eval_engine (fun w ->
-          if admits gate (Eval.cost scenario w) then
-            Some (Eval.compound (Eval.sweep scenario ~exec w failures))
-          else None)
-  in
+  let engine = engine ~exec (Eval_incr.create scenario) ~failures gate in
   let config =
     Local_search.
       {

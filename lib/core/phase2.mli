@@ -70,16 +70,12 @@ val engine :
 
 val run :
   rng:Dtr_util.Rng.t ->
-  ?incremental:bool ->
   ?exec:Dtr_exec.Exec.t ->
   Scenario.t ->
   phase1:Phase1.output ->
   failures:Failure.t list ->
   output
-(** [incremental] (default [true]): search with {!engine} and its
-    {!Gated} objective; bit-identical to pricing each move from scratch
-    ({!Eval.cost}, then {!Eval.sweep} when feasible), hence the same
-    trajectory for a given RNG.
+(** Searches with {!engine} and its {!Gated} objective.
 
     [exec] (default {!Dtr_exec.Exec.default}) parallelises every critical-set
     sweep — the per-move pricing of all failure scenarios, the dominant cost

@@ -43,7 +43,7 @@ let of_string s =
         match String.split_on_char ' ' line |> List.filter (fun t -> t <> "") with
         | [ "nodes"; n ] -> begin
             match int_of_string_opt n with
-            | Some n when n > 0 -> nodes := Some n
+            | Some n when n > 0 -> nodes := Some (lineno, n)
             | _ -> fail_line lineno "bad node count"
           end
         | [ "node"; i; x; y ] -> begin
@@ -65,7 +65,17 @@ let of_string s =
         | _ -> fail_line lineno "unrecognised record"
       end)
     lines;
-  let n = match !nodes with Some n -> n | None -> failwith "Graph_io: missing 'nodes' record" in
+  let n =
+    match !nodes with
+    | None -> failwith "Graph_io: missing 'nodes' record"
+    | Some (lineno, n) ->
+        (* [n] sizes the coordinates here and every n x n matrix later; a
+           node beyond twice the edge count would have no link *)
+        let edges = List.length !edges in
+        if n > 2 * edges then
+          fail_line lineno (Printf.sprintf "%d nodes, but only %d edges" n edges);
+        n
+  in
   let coords =
     if !coords = [] then None
     else begin

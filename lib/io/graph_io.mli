@@ -22,7 +22,8 @@ val to_string : Dtr_topology.Graph.t -> string
 (** Serialise to the topology format. *)
 
 val of_string : string -> Dtr_topology.Graph.t
-(** Parse the topology format.
+(** Parse the topology format.  A [nodes] count above twice the number of
+    [edge] records is refused: some node would have no link.
     @raise Failure with a line-numbered message on malformed input. *)
 
 val save : Dtr_topology.Graph.t -> path:string -> unit

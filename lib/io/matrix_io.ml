@@ -14,15 +14,21 @@ let to_string m =
 let fail_line lineno msg = failwith (Printf.sprintf "Matrix_io: line %d: %s" lineno msg)
 
 (* Parses a sequence of (size, demand, class) records; [multi] allows the
-   [class] markers used by the pair format. *)
-let parse ~multi s =
+   [class] markers used by the pair format.  A [size] record allocates an
+   n x n matrix, so with [nodes] (the topology's node count) any other size
+   is refused before anything is allocated. *)
+let parse ?nodes ~multi s =
   let current = ref None in
   let sections = ref [] in
   let finish () = match !current with Some m -> sections := m :: !sections | None -> () in
   let begin_section lineno n =
     finish ();
-    match n with
-    | Some n when n > 0 -> current := Some (Matrix.create n)
+    match (n, nodes) with
+    | Some n, Some nodes when n <> nodes ->
+        fail_line lineno (Printf.sprintf "size %d, but the topology has %d nodes" n nodes)
+    | Some n, _ when n > 0 -> (
+        try current := Some (Matrix.create n)
+        with Invalid_argument msg -> fail_line lineno msg)
     | _ -> fail_line lineno "bad size"
   in
   List.iteri
@@ -82,16 +88,19 @@ let pair_to_string ~rd ~rt =
   body_to_buffer buf rt;
   Buffer.contents buf
 
-let pair_of_string s =
-  match parse ~multi:true s with
+let pair_of_sections = function
   | [ rd; rt ] ->
       if Matrix.size rd <> Matrix.size rt then
         failwith "Matrix_io: class sections have different sizes";
       (rd, rt)
   | _ -> failwith "Matrix_io: expected exactly two class sections"
 
-let load_pair ~path =
+let pair_of_string s = pair_of_sections (parse ~multi:true s)
+
+let load_pair ~nodes ~path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> pair_of_string (really_input_string ic (in_channel_length ic)))
+    (fun () ->
+      let s = really_input_string ic (in_channel_length ic) in
+      pair_of_sections (parse ~nodes ~multi:true s))

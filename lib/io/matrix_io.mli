@@ -26,5 +26,7 @@ val pair_to_string : rd:Dtr_traffic.Matrix.t -> rt:Dtr_traffic.Matrix.t -> strin
 val pair_of_string : string -> Dtr_traffic.Matrix.t * Dtr_traffic.Matrix.t
 (** @raise Failure on malformed input or a missing class section. *)
 
-val load_pair : path:string -> Dtr_traffic.Matrix.t * Dtr_traffic.Matrix.t
-(** {!pair_of_string} of a file's contents. *)
+val load_pair : nodes:int -> path:string -> Dtr_traffic.Matrix.t * Dtr_traffic.Matrix.t
+(** {!pair_of_string} of a file's contents, for a topology of [nodes]
+    nodes: a [size] record of any other count is refused, with its line
+    number, before its matrix is allocated. *)

@@ -12,6 +12,7 @@ let to_string (w : Weights.t) =
 let fail_line lineno msg = failwith (Printf.sprintf "Weights_io: line %d: %s" lineno msg)
 
 let of_string s =
+  let lines = String.split_on_char '\n' s in
   let result = ref None in
   let seen = ref [||] in
   List.iteri
@@ -26,6 +27,12 @@ let of_string s =
         | [ "arcs"; n ] -> begin
             match int_of_string_opt n with
             | Some n when n > 0 ->
+                (* one [w] record per arc: a count above the document's
+                   line count cannot be met, so nothing is sized from it *)
+                if n > List.length lines then
+                  fail_line lineno
+                    (Printf.sprintf "%d arcs, but the document has %d lines" n
+                       (List.length lines));
                 result := Some (Weights.create ~num_arcs:n ~init:1);
                 seen := Array.make n false
             | _ -> fail_line lineno "bad arc count"
@@ -49,7 +56,7 @@ let of_string s =
           end
         | _ -> fail_line lineno "unrecognised record"
       end)
-    (String.split_on_char '\n' s);
+    lines;
   match !result with
   | None -> failwith "Weights_io: empty document"
   | Some w ->

@@ -17,7 +17,8 @@ val to_string : Dtr_core.Weights.t -> string
 
 val of_string : string -> Dtr_core.Weights.t
 (** @raise Failure with a line-numbered message on malformed, missing or
-    duplicated arcs, and on weights outside the bound above. *)
+    duplicated arcs, on an [arcs] count above the document's line count,
+    and on weights outside the bound above. *)
 
 val save : Dtr_core.Weights.t -> path:string -> unit
 val load : path:string -> Dtr_core.Weights.t

@@ -171,8 +171,14 @@ let reoptimize_of j =
     | Some (Json.Str "full") -> Ok Full
     | Some _ -> bad "\"mode\" must be \"warm\" or \"full\""
   in
-  let* max_sweeps = int_field j "max_sweeps" in
-  let* max_rounds = int_field j "max_rounds" in
+  let at_least least key =
+    let* v = int_field j key in
+    match v with
+    | Some i when i < least -> bad (Printf.sprintf "%S must be at least %d" key least)
+    | _ -> Ok v
+  in
+  let* max_sweeps = at_least 0 "max_sweeps" in
+  let* max_rounds = at_least 1 "max_rounds" in
   let* target_lambda = float_field j "target_lambda" in
   let* target_phi = float_field j "target_phi" in
   let* target =

@@ -50,8 +50,8 @@ type event =
   | Eval of { failure : failure_spec option }
   | Reoptimize of {
       mode : reopt_mode;
-      max_sweeps : int option;  (** warm-mode budget override *)
-      max_rounds : int option;
+      max_sweeps : int option;  (** warm-mode budget override, at least 0 *)
+      max_rounds : int option;  (** at least 1 *)
       target : (float * float) option;
           (** warm-mode recovery target [(lambda, phi)]: stop the repair as
               soon as J reaches it ("target_lambda"/"target_phi" on the
@@ -98,7 +98,8 @@ val parse_request : string -> (request, int option * error_code * string) result
 (** One request line.  [Parse_error] for malformed JSON or a non-object,
     [Too_deep] for JSON nested past the reader's depth cap;
     [Bad_request] for a missing/non-integral [id] or malformed parameters,
-    non-finite numbers among them; [Unknown_event] for an unrecognized
+    among them non-finite numbers, integers outside [[-2^62, 2^62)] and
+    budgets below their minimum; [Unknown_event] for an unrecognized
     [event] kind.  An error carries the line's id once it parsed as an
     integer, and [None] before that. *)
 

@@ -604,27 +604,6 @@ let expected_delays_to t ~arc_delay ~dest =
   done;
   del
 
-let max_delays_to t ~arc_delay ~dest =
-  let g = t.graph in
-  let n = Graph.num_nodes g in
-  if Array.length arc_delay <> Graph.num_arcs g then
-    invalid_arg "Routing: arc_delay length mismatch";
-  let st = t.dests.(dest) in
-  let arc_dst = Graph.arc_dests g in
-  let del = Array.make n Float.infinity in
-  del.(dest) <- 0.;
-  let ord = st.order and off = st.hop_off and ids = st.hop_ids in
-  for i = Array.length ord - 1 downto 0 do
-    let u = ord.(i) in
-    let worst = ref Float.neg_infinity in
-    for j = off.(u) to off.(u + 1) - 1 do
-      let id = ids.(j) in
-      worst := Float.max !worst (arc_delay.(id) +. del.(arc_dst.(id)))
-    done;
-    del.(u) <- !worst
-  done;
-  del
-
 let bottleneck_to t ~arc_value ~dest =
   let g = t.graph in
   let n = Graph.num_nodes g in
@@ -645,6 +624,3 @@ let bottleneck_to t ~arc_value ~dest =
     bn.(u) <- !acc
   done;
   bn
-
-let pair_expected_delay t ~arc_delay ~src ~dst =
-  if src = dst then 0. else (expected_delays_to t ~arc_delay ~dest:dst).(src)

@@ -173,10 +173,6 @@ val expected_delays_to :
     unreachable; [0.] at the destination).  [arc_delay] is indexed by arc
     id (seconds). *)
 
-val max_delays_to :
-  t -> arc_delay:float array -> dest:Graph.node -> float array
-(** Worst single shortest path delay instead of the even-split expectation. *)
-
 val bottleneck_to :
   t -> arc_value:float array -> dest:Graph.node -> float array
 (** [bottleneck_to t ~arc_value ~dest] maps each node to the largest
@@ -185,8 +181,3 @@ val bottleneck_to :
     unreachable).  With per-arc utilizations this yields the "maximum link
     utilization experienced by an SD pair on its path" metric of the
     paper's Table V. *)
-
-val pair_expected_delay :
-  t -> arc_delay:float array -> src:Graph.node -> dst:Graph.node -> float
-(** One-pair convenience over {!expected_delays_to} (recomputes the
-    destination's DP; prefer the bulk form in loops). *)

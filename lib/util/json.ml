@@ -273,8 +273,10 @@ let member key = function Obj kvs -> first_member key kvs | _ -> None
 let to_string_opt = function Str s -> Some s | _ -> None
 let to_float_opt = function Num f -> Some f | _ -> None
 
+(* [int_of_float] is unspecified outside the int range, so only integral
+   floats in [-2^62, 2^62) convert; each of those is an int exactly. *)
 let to_int_opt = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
+  | Num f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 -> Some (int_of_float f)
   | _ -> None
 
 let to_bool_opt = function Bool b -> Some b | _ -> None
@@ -288,9 +290,7 @@ let float_member key j ~default =
   match member key j with Some (Num f) -> f | _ -> default
 
 let int_member key j ~default =
-  match member key j with
-  | Some (Num f) when Float.is_integer f -> int_of_float f
-  | _ -> default
+  match Option.bind (member key j) to_int_opt with Some i -> i | None -> default
 
 (* --- writer ------------------------------------------------------------- *)
 

@@ -41,7 +41,8 @@ val to_string_opt : t -> string option
 val to_float_opt : t -> float option
 
 val to_int_opt : t -> int option
-(** Numbers with an integral value only. *)
+(** Numbers with an integral value in [[-2^62, 2^62)] only: outside that
+    range no OCaml int holds the value. *)
 
 val to_bool_opt : t -> bool option
 
@@ -54,6 +55,7 @@ val to_obj : t -> (string * t) list
 val string_member : string -> t -> default:string -> string
 val float_member : string -> t -> default:float -> float
 val int_member : string -> t -> default:int -> int
+(** [default] unless the member is a number {!to_int_opt} accepts. *)
 
 (** {1 Writer} *)
 

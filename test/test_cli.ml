@@ -113,6 +113,20 @@ let bad_inputs =
       "class d\nsize 8\ndemand 0 1 -5\nclass t\nsize 8\n",
       (fun path -> [ "-n"; "8"; "--traffic-file"; path ]),
       "Matrix_io: line 3: Matrix.set: negative demand" );
+    (* Counts no file of that size can back: each used to size an array
+       before anything checked it. *)
+    ( "arc count",
+      "# dtr weights v1\narcs 4611686018427387903\nw 0 1 1\n",
+      (fun path -> [ "-n"; "8"; "--seed"; "3"; "-w"; path ]),
+      "Weights_io: line 2: 4611686018427387903 arcs, but the document has 4 lines" );
+    ( "node count",
+      "# dtr topology v1\nnodes 4611686018427387903\nnode 0 0.5 0.5\nedge 0 1 500 0.005\n",
+      (fun path -> [ "--topology-file"; path ]),
+      "Graph_io: line 2: 4611686018427387903 nodes, but only 1 edges" );
+    ( "matrix size",
+      "class d\nsize 4611686018427387903\nclass t\nsize 8\n",
+      (fun path -> [ "-n"; "8"; "--traffic-file"; path ]),
+      "Matrix_io: line 2: size 4611686018427387903, but the topology has 8 nodes" );
   ]
 
 let test_rejected_input ~name ~subcommand (kind, contents, flags, message) () =
@@ -137,7 +151,8 @@ let rejected_input_cases =
           (Printf.sprintf "dtr-opt: rejected %s file exits 1" kind)
           `Quick
           (test_rejected_input ~name:"dtr_opt"
-             ~subcommand:[ (if kind = "weights" then "evaluate" else "optimize") ]
+             ~subcommand:
+               [ (if List.mem kind [ "weights"; "arc count" ] then "evaluate" else "optimize") ]
              input);
         Alcotest.test_case
           (Printf.sprintf "dtr-serve: rejected %s file exits 1" kind)

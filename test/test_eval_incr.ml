@@ -1,7 +1,7 @@
 (* Tests for the incremental single-arc evaluation engine: bit-identity with
    the full evaluation (costs, counters, loads — raw float equality, not a
-   tolerance), with_changed_arc vs from-scratch routing, engine protocol
-   errors, and fixed-seed identity of the incremental and plain phases. *)
+   tolerance), with_changed_arc vs from-scratch routing, and engine protocol
+   errors. *)
 
 module Rng = Dtr_util.Rng
 module Graph = Dtr_topology.Graph
@@ -13,8 +13,6 @@ module Scenario = Dtr_core.Scenario
 module Weights = Dtr_core.Weights
 module Eval = Dtr_core.Eval
 module Eval_incr = Dtr_core.Eval_incr
-module Phase1 = Dtr_core.Phase1
-module Phase2 = Dtr_core.Phase2
 module Criticality = Dtr_core.Criticality
 module Matrix = Dtr_traffic.Matrix
 module Spf_delta = Dtr_spf.Spf_delta
@@ -256,49 +254,6 @@ let test_diamond_exact () =
     (Routing.distance d ~src:0 ~dst:3);
   ignore t
 
-(* The incremental and plain paths must follow the exact same trajectory for
-   a fixed seed: same RNG stream, bit-identical costs, hence identical
-   results. *)
-let test_phase1_identity () =
-  let scenario = Fixtures.small ~seed:7 () in
-  let run incremental = Phase1.run ~rng:(Rng.create 99) ~incremental scenario in
-  let a = run true and b = run false in
-  Alcotest.(check bool) "same best weights" true (Weights.equal a.Phase1.best b.Phase1.best);
-  Alcotest.(check bool) "same best cost" true
-    (a.Phase1.best_cost.Lexico.lambda = b.Phase1.best_cost.Lexico.lambda
-    && a.Phase1.best_cost.Lexico.phi = b.Phase1.best_cost.Lexico.phi);
-  Alcotest.(check int) "same eval count" a.Phase1.stats.Phase1.evals
-    b.Phase1.stats.Phase1.evals;
-  Alcotest.(check int) "same sweep count" a.Phase1.stats.Phase1.sweeps
-    b.Phase1.stats.Phase1.sweeps;
-  Alcotest.(check (list int)) "same critical set"
-    (Phase1.critical_set scenario a)
-    (Phase1.critical_set scenario b);
-  Alcotest.(check int) "same acceptable pool size"
-    (List.length a.Phase1.acceptable)
-    (List.length b.Phase1.acceptable)
-
-let test_phase2_identity () =
-  let scenario = Fixtures.small ~seed:11 () in
-  let phase1 = Phase1.run ~rng:(Rng.create 5) scenario in
-  let failures =
-    List.map (fun a -> Failure.Arc a) (Phase1.critical_set scenario phase1)
-  in
-  let run incremental =
-    Phase2.run ~rng:(Rng.create 17) ~incremental scenario ~phase1 ~failures
-  in
-  let a = run true and b = run false in
-  Alcotest.(check bool) "same robust weights" true
-    (Weights.equal a.Phase2.robust b.Phase2.robust);
-  Alcotest.(check bool) "same fail cost" true
-    (a.Phase2.fail_cost.Lexico.lambda = b.Phase2.fail_cost.Lexico.lambda
-    && a.Phase2.fail_cost.Lexico.phi = b.Phase2.fail_cost.Lexico.phi);
-  Alcotest.(check bool) "same normal cost" true
-    (a.Phase2.normal_cost.Lexico.lambda = b.Phase2.normal_cost.Lexico.lambda
-    && a.Phase2.normal_cost.Lexico.phi = b.Phase2.normal_cost.Lexico.phi);
-  Alcotest.(check int) "same eval count" a.Phase2.stats.Phase2.evals
-    b.Phase2.stats.Phase2.evals
-
 (* --- Touched-arc re-sums ------------------------------------------------
 
    A trial re-sums only the arcs where a re-routed destination's row
@@ -538,8 +493,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_changed_arc_equivalence;
     Alcotest.test_case "engine protocol errors" `Quick test_protocol_errors;
     Alcotest.test_case "diamond exact staged cost" `Quick test_diamond_exact;
-    Alcotest.test_case "phase1 incremental = plain" `Quick test_phase1_identity;
-    Alcotest.test_case "phase2 incremental = plain" `Quick test_phase2_identity;
     QCheck_alcotest.to_alcotest prop_touched_resum_chains;
     QCheck_alcotest.to_alcotest prop_rollback_after_abort;
     Alcotest.test_case "abort stages reached" `Quick test_abort_kinds_reached;

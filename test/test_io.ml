@@ -189,6 +189,82 @@ let prop_weights_roundtrip =
       let w = Weights.random (Rng.create seed) ~num_arcs ~wmax:20 in
       Weights.equal w (Weights_io.of_string (Weights_io.to_string w)))
 
+(* The loaders the binaries call, over mutated fixtures: tokens swapped,
+   lines dropped or duplicated, documents truncated, and integers replaced
+   by counts drawn either at most 64 or at least [Sys.max_array_length], so
+   that the test itself never allocates much.  Each loader either returns
+   or raises [Failure]. *)
+let prop_loaders_fuzz =
+  let rng = Rng.create 26 in
+  let g = Gen.rand rng ~nodes:8 ~degree:3. in
+  let nodes = Graph.num_nodes g in
+  let rd, rt = Dtr_traffic.Gravity.pair rng ~nodes ~total:100. in
+  let w = Weights.random rng ~num_arcs:(Graph.num_arcs g) ~wmax:20 in
+  let loaders =
+    [|
+      ("topology", Graph_io.to_string g, fun path -> ignore (Graph_io.load ~path : Graph.t));
+      ( "traffic",
+        Matrix_io.pair_to_string ~rd ~rt,
+        fun path -> ignore (Matrix_io.load_pair ~nodes ~path : Matrix.t * Matrix.t) );
+      ( "weights",
+        Weights_io.to_string w,
+        fun path -> ignore (Weights_io.load ~path : Weights.t) );
+    |]
+  in
+  let big = [| Sys.max_array_length; Sys.max_array_length + 1; max_int / 2; max_int |] in
+  let count rng =
+    string_of_int (if Rng.bool rng then Rng.int rng 65 else Rng.pick rng big)
+  in
+  (* A document as lines of tokens; each mutation swaps two tokens, drops
+     or duplicates a line, or replaces an integer by a drawn count. *)
+  let mutate rng doc =
+    let tokens line = Array.of_list (String.split_on_char ' ' line) in
+    let lines = ref (Array.of_list (List.map tokens (String.split_on_char '\n' doc))) in
+    let token () =
+      let i = Rng.int rng (Array.length !lines) in
+      if !lines.(i) = [||] then None else Some (i, Rng.int rng (Array.length !lines.(i)))
+    in
+    for _ = 0 to Rng.int rng 3 do
+      let at = Rng.int rng (Array.length !lines) in
+      let old = Array.to_list !lines in
+      match Rng.int rng 4 with
+      | 0 -> (
+          match (token (), token ()) with
+          | Some (i, j), Some (k, l) ->
+              let t = !lines.(i).(j) in
+              !lines.(i).(j) <- !lines.(k).(l);
+              !lines.(k).(l) <- t
+          | _ -> ())
+      | 1 -> lines := Array.of_list (List.filteri (fun i _ -> i <> at) old)
+      | 2 ->
+          let twice i x = if i = at then [ x; Array.copy x ] else [ x ] in
+          lines := Array.of_list (List.concat (List.mapi twice old))
+      | _ -> (
+          match token () with
+          | Some (i, j) when int_of_string_opt !lines.(i).(j) <> None ->
+              !lines.(i).(j) <- count rng
+          | _ -> ())
+    done;
+    let line t = String.concat " " (Array.to_list t) in
+    let doc = String.concat "\n" (Array.to_list (Array.map line !lines)) in
+    (* and one time in four, truncation *)
+    if Rng.int rng 4 = 0 then String.sub doc 0 (Rng.int rng (String.length doc + 1)) else doc
+  in
+  QCheck.Test.make ~name:"loaders return or raise Failure on mutated fixtures" ~count:600
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let kind, fixture, load = Rng.pick rng loaders in
+      let doc = mutate rng fixture in
+      let path = temp_file ".fuzz" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc doc);
+      match load path with
+      | () | (exception Failure _) -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "%s loader raised %s on:\n%s" kind (Printexc.to_string e)
+            doc)
+
 let suite =
   [
     Alcotest.test_case "graph round-trip" `Quick test_graph_roundtrip;
@@ -207,4 +283,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_graph_roundtrip;
     QCheck_alcotest.to_alcotest prop_matrix_roundtrip;
     QCheck_alcotest.to_alcotest prop_weights_roundtrip;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |]) prop_loaders_fuzz;
   ]

@@ -99,6 +99,25 @@ let test_accessors () =
     (Option.bind (Json.member "i" j) Json.to_int_opt);
   Alcotest.(check (option int)) "non-integral rejected by to_int_opt" None
     (Option.bind (Json.member "f" j) Json.to_int_opt);
+  (* Only [-2^62, 2^62) holds ints; [int_of_float] outside it is
+     unspecified (it gave 0 for 1e20). *)
+  List.iter
+    (fun (f, want) ->
+      Alcotest.(check (option int)) (Printf.sprintf "to_int_opt %h" f) want
+        (Json.to_int_opt (Json.Num f)))
+    [
+      (1e20, None);
+      (-1e20, None);
+      (1e40, None);
+      (0x1p62, None);
+      (Float.infinity, None);
+      (Float.nan, None);
+      (-0x1p62, Some min_int);
+      (0x1p62 -. 512., Some 4611686018427387392);
+      (-1., Some (-1));
+    ];
+  Alcotest.(check int) "int_member of an out-of-range number" 7
+    (Json.int_member "big" (Json.Obj [ ("big", Json.Num 1e20) ]) ~default:7);
   Alcotest.(check (float 0.)) "float member" 3.5
     (Json.float_member "f" j ~default:0.);
   Alcotest.(check (option bool)) "bool member" (Some false)

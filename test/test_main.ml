@@ -34,11 +34,11 @@ let () =
       ("core.prune", Test_prune.suite);
       ("core.resident", Test_resident.suite);
       ("core.joint", Test_joint.suite);
-      ("spf.oracle", Test_oracle.suite);
       ("io", Test_io.suite);
       ("serve", Test_serve.suite);
       ("extensions", Test_extensions.suite);
       ("edge-cases", Test_edge_cases.suite);
       ("integration", Test_integration.suite);
+      ("oracle", Test_reference.suite);
       ("core.golden", Test_golden.suite);
     ]

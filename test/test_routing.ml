@@ -124,11 +124,7 @@ let test_expected_delay_ecmp () =
   set 0 2 0.003;
   set 2 3 0.003;
   let del = Routing.expected_delays_to r ~arc_delay ~dest:3 in
-  Alcotest.(check (float 1e-9)) "expected = mean of branches" 0.004 del.(0);
-  let worst = Routing.max_delays_to r ~arc_delay ~dest:3 in
-  Alcotest.(check (float 1e-9)) "max = slower branch" 0.006 worst.(0);
-  Alcotest.(check (float 1e-9)) "pair helper agrees" 0.004
-    (Routing.pair_expected_delay r ~arc_delay ~src:0 ~dst:3)
+  Alcotest.(check (float 1e-9)) "expected = mean of branches" 0.004 del.(0)
 
 let test_bottleneck () =
   let g = ecmp_diamond () in

@@ -506,6 +506,217 @@ let test_error_reply_keeps_id () =
       ("garbage", None);
     ]
 
+(* Integers outside OCaml's int range and budgets below their minimum are
+   bad requests, refused before any state changes: [int_of_float 1e20] was
+   0, which took arc 0 (or SRLG group 0) down, and [max_rounds: 0] failed
+   inside the search. *)
+let test_out_of_range_refused () =
+  let _, d = state_daemon ~seed:3 ~nodes:8 () in
+  List.iter
+    (fun (line, want_id) ->
+      let j = reply_json d line in
+      let code = Option.bind (Json.member "error" j) (Json.member "code") in
+      Alcotest.(check bool) ("refused: " ^ line) true (code = Some (Json.Str "bad_request"));
+      Alcotest.(check bool) ("id of " ^ line) true (Json.member "id" j = Some want_id))
+    [
+      ({|{"id": 1, "event": "link_down", "arc": 1e20}|}, Json.Num 1.);
+      ({|{"id": 2, "event": "srlg_down", "group": 1e40}|}, Json.Num 2.);
+      ({|{"id": 3, "event": "link_down", "src": -1e20, "dst": 1}|}, Json.Num 3.);
+      ({|{"id": 4, "event": "eval", "failure": {"node": 4611686018427387904}}|}, Json.Num 4.);
+      ({|{"id": 5, "event": "reoptimize", "max_rounds": 0}|}, Json.Num 5.);
+      ({|{"id": 6, "event": "reoptimize", "max_sweeps": -1}|}, Json.Num 6.);
+      ({|{"id": 1e20, "event": "stats"}|}, Json.Null);
+      ({|{"id": 4611686018427387904, "event": "stats"}|}, Json.Null);
+      ({|{"id": -9223372036854775808, "event": "stats"}|}, Json.Null);
+    ];
+  let stats = result_of d {|{"id": 7, "event": "stats"}|} in
+  Alcotest.(check string) "no arc went down" "[]"
+    (Json.to_string (Option.get (Json.member "failed" stats)));
+  let _, fresh = state_daemon ~seed:3 ~nodes:8 () in
+  Alcotest.(check string) "the next eval answers as a fresh daemon"
+    (Json.to_string (result_of fresh (eval_line "")))
+    (Json.to_string (result_of d (eval_line "")))
+
+(* Event handling under hostile fields: about 2,000 events of every kind
+   but [reoptimize full] and [shutdown], from a fixed seed, with ids, arcs,
+   nodes and groups in and out of range, wrongly typed, non-integral,
+   extreme and missing values, unknown fields and kinds, and nesting past
+   the reader's cap.  Warm budgets stay within 2 sweeps and 1 round.
+   [handle_line] never raises; every reply is an envelope, ok or an error
+   with a known code; an error's id is the line's when that is an in-range
+   integer, and null otherwise; and an error changes neither the
+   incumbent, the epochs, the failed links nor a plain eval's cost. *)
+let test_event_fuzz () =
+  let seed = 13 in
+  let scenario, d = state_daemon ~seed ~nodes:8 () in
+  let n = Scenario.num_nodes scenario and m = Scenario.num_arcs scenario in
+  let groups =
+    Dtr_topology.Srlg.(num_groups (geographic scenario.Scenario.graph))
+  in
+  let rng = Rng.create seed in
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  let beyond_int = [| "1e20"; "-1e20"; "1e40"; "4611686018427387904"; "-9223372036854775808" |] in
+  let out_of_range = Array.append [| "-1"; "2.5" |] beyond_int in
+  let wrong = [| {|"3"|}; "true"; "null"; "[1]"; "{}"; {|"x"|} |] in
+  (* Set when the line carries a value every handler must refuse. *)
+  let hostile = ref false in
+  let refused v =
+    hostile := true;
+    v
+  in
+  let bad values = refused (pick values) in
+  let obj fields =
+    let member (k, v) = Printf.sprintf "%S: %s" k v in
+    "{" ^ String.concat ", " (List.map member fields) ^ "}"
+  in
+  (* An integer field bounded by [limit]: mostly in range, else at the
+     edges, out of range or wrongly typed. *)
+  let int_value limit =
+    match Rng.int rng 6 with
+    | 0 | 1 | 2 -> string_of_int (Rng.int rng limit)
+    | 3 -> pick [| string_of_int limit; string_of_int n; string_of_int m |]
+    | 4 -> bad out_of_range
+    | _ -> bad wrong
+  in
+  let float_value () =
+    match Rng.int rng 3 with
+    | 0 -> pick [| "0.05"; "0.2"; "0.5"; "1.2" |]
+    | 1 -> pick [| "-1"; "0"; "-0.0"; "1e300"; "1e-300"; "1e20"; "4611686018427387904" |]
+    | _ -> bad wrong
+  in
+  let field key value = if Rng.int rng 8 = 0 then [] else [ (key, value ()) ] in
+  let arc_fields () =
+    if Rng.bool rng then field "arc" (fun () -> int_value m)
+    else field "src" (fun () -> int_value n) @ field "dst" (fun () -> int_value n)
+  in
+  let budget () =
+    (* reoptimize always names a budget of at most 2 sweeps and 1 round,
+       or one the parser refuses *)
+    let sweeps =
+      match Rng.int rng 4 with
+      | 0 -> bad out_of_range
+      | 1 -> bad wrong
+      | _ -> string_of_int (Rng.int rng 3)
+    in
+    let rounds =
+      match Rng.int rng 4 with
+      | 0 -> bad [| "0"; "-1"; "1e20" |]
+      | 1 -> bad wrong
+      | _ -> "1"
+    in
+    [ ("max_sweeps", sweeps); ("max_rounds", rounds) ]
+  in
+  let failure () =
+    obj
+      (match Rng.int rng 5 with
+      | 0 -> field "node" (fun () -> int_value n)
+      | 1 -> field "srlg" (fun () -> int_value groups)
+      | 2 -> field "edge" (fun () -> int_value m)
+      | 3 -> arc_fields ()
+      | _ -> [ ("bogus", bad [| "1" |]) ])
+  in
+  let body () =
+    match Rng.int rng 14 with
+    | 0 -> ("hello", [])
+    | 1 ->
+        ( "tm_update",
+          if Rng.bool rng then ("model", {|"gaussian"|}) :: field "eps" float_value
+          else
+            (("model", if Rng.bool rng then {|"hotspot"|} else bad [| {|"weird"|}; "7" |])
+            :: field "server_fraction" float_value)
+            @ field "factor_max" float_value
+            @ field "direction" (fun () ->
+                  if Rng.bool rng then {|"upload"|} else bad [| {|"sideways"|}; "1" |]) )
+    | 2 | 3 -> ("link_down", arc_fields ())
+    | 4 | 5 -> ("link_up", arc_fields ())
+    | 6 -> ("srlg_down", field "group" (fun () -> int_value groups))
+    | 7 -> ("resize", field "max_util" float_value @ field "step" float_value)
+    | 8 | 9 | 10 -> ("eval", if Rng.bool rng then [ ("failure", failure ()) ] else [])
+    | 11 ->
+        ( "reoptimize",
+          (("mode", {|"warm"|}) :: budget ())
+          @ field "target_lambda" float_value @ field "target_phi" float_value )
+    | 12 -> (pick [| "stats"; "metrics" |], [])
+    | _ -> (bad [| "frobnicate"; ""; "EVAL"; "shutdown " |], [])
+  in
+  let id_value () =
+    let text, want =
+      match Rng.int rng 8 with
+      | 0 -> (bad beyond_int, None)
+      | 1 -> (bad (Array.append [| "2.5" |] wrong), None)
+      | 2 -> ("-1", Some (-1))
+      | _ ->
+          let i = Rng.int rng 1_000_000 in
+          (string_of_int i, Some i)
+    in
+    (("id", text), want)
+  in
+  (* The daemon's state as a reply can show it. *)
+  let snapshot () =
+    let stats = result_of d {|{"id": 0, "event": "stats"}|} in
+    let eval = result_of d (eval_line "") in
+    ( Weights.copy (Daemon.incumbent d),
+      Json.to_string (Option.get (Json.member "epochs" stats)),
+      Json.to_string (Option.get (Json.member "failed" stats)),
+      Json.to_string (Option.get (Json.member "lambda" eval)),
+      Json.to_string (Option.get (Json.member "phi" eval)) )
+  in
+  let codes =
+    [
+      "parse_error"; "too_deep"; "request_too_large"; "unknown_event"; "bad_request";
+      "bad_arc"; "internal";
+    ]
+  in
+  let before = ref (snapshot ()) and errors = ref 0 in
+  for k = 1 to 2000 do
+    hostile := false;
+    let id = if Rng.int rng 10 = 0 then refused [] else [ id_value () ] in
+    let kind, fields = body () in
+    let event =
+      match Rng.int rng 30 with
+      | 0 -> refused []
+      | 1 -> [ ("event", bad [| "5" |]) ]
+      | _ -> [ ("event", Printf.sprintf "%S" kind) ]
+    in
+    let unknown = if Rng.int rng 10 = 0 then [ ("unknown", {|{"a": [1, 2]}|}) ] else [] in
+    let deep = Rng.int rng 100 = 0 in
+    let nest =
+      if deep then refused [ ("nest", String.make 600 '[' ^ String.make 600 ']') ] else []
+    in
+    let line = obj (List.map fst id @ event @ fields @ unknown @ nest) in
+    let reply, continue =
+      try Daemon.handle_line d line
+      with e -> Alcotest.failf "event %d raised %s: %s" k (Printexc.to_string e) line
+    in
+    if not continue then Alcotest.failf "event %d stopped the daemon: %s" k line;
+    let j =
+      match Json.parse reply with
+      | Ok j -> j
+      | Error e -> Alcotest.failf "event %d: unparseable reply %s (%s)" k reply e
+    in
+    let want_id = match id with [ (_, Some i) ] when not deep -> Some i | _ -> None in
+    let expect =
+      match want_id with Some i -> Json.Num (float_of_int i) | None -> Json.Null
+    in
+    let id_ok = Json.member "id" j = Some expect in
+    match Json.member "ok" j with
+    | Some (Json.Bool true) ->
+        if not id_ok then Alcotest.failf "event %d: ok reply with a wrong id: %s" k reply;
+        if !hostile then Alcotest.failf "event %d: ok reply %s to %s" k reply line;
+        before := snapshot ()
+    | Some (Json.Bool false) ->
+        incr errors;
+        let code = Option.bind (Json.member "error" j) (Json.member "code") in
+        (match code with
+        | Some (Json.Str c) when List.mem c codes -> ()
+        | _ -> Alcotest.failf "event %d: no known error code in %s" k reply);
+        if not id_ok then Alcotest.failf "event %d: error reply %s to %s" k reply line;
+        if snapshot () <> !before then
+          Alcotest.failf "event %d: an error changed the state: %s" k line
+    | _ -> Alcotest.failf "event %d: no envelope: %s" k reply
+  done;
+  Alcotest.(check bool) "both replies seen" true (!errors > 100 && !errors < 1900)
+
 (* --- the cached read path ------------------------------------------------ *)
 
 (* A fixed read session on an 8-node setting: a plain eval and arc, edge,
@@ -1351,6 +1562,9 @@ let suite =
       test_non_finite_refused;
     Alcotest.test_case "daemon: error replies keep the request id" `Quick
       test_error_reply_keeps_id;
+    Alcotest.test_case "daemon: out-of-range integers are refused" `Quick
+      test_out_of_range_refused;
+    Alcotest.test_case "daemon: event fuzz" `Quick test_event_fuzz;
     Alcotest.test_case "read session: replies and log lines unchanged" `Quick
       test_read_session_bytes;
     Alcotest.test_case "a cached eval allocates at most 400 words" `Quick
