@@ -34,6 +34,7 @@ let () =
       ("core.prune", Test_prune.suite);
       ("core.resident", Test_resident.suite);
       ("core.joint", Test_joint.suite);
+      ("spf.oracle", Test_oracle.suite);
       ("io", Test_io.suite);
       ("serve", Test_serve.suite);
       ("extensions", Test_extensions.suite);

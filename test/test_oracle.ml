@@ -1,83 +1,62 @@
-(* Oracle tests: compare the production DP implementations against brute
-   force on small random instances.
+(* Oracle tests for Routing's per-destination outputs and Eval's Lambda,
+   against the paths that [Reference] enumerates with its own
+   Bellman-Ford (reference.ml), on small random instances.  Nothing here
+   walks Routing's next hops.
 
-   - expected ECMP delay: enumerate every shortest path together with its
-     even-split probability (product of 1/|next hops| at each node) and
-     average the path delays;
-   - max ECMP delay: maximum path delay over the enumeration;
-   - ECMP loads: push each demand along the enumeration and accumulate
-     per-arc loads;
-   - Lambda: recompute Eq. (2) from the delay oracle. *)
+   - expected ECMP delay: average each pair's path delays, weighted by the
+     paths' even-split probabilities;
+   - ECMP loads: push each demand along the paths and accumulate per-arc
+     loads;
+   - Lambda: Eq. (2) over the reference's pair delays, as a bracket. *)
 
 module Rng = Dtr_util.Rng
 module Graph = Dtr_topology.Graph
 module Gen = Dtr_topology.Gen
 module Routing = Dtr_spf.Routing
-module Dijkstra = Dtr_spf.Dijkstra
 
-(* All (probability, delay, arcs) triples for the ECMP paths src -> dst. *)
-let enumerate_paths g routing ~arc_delay ~src ~dst =
-  let rec walk node prob delay arcs =
-    if node = dst then [ (prob, delay, List.rev arcs) ]
-    else begin
-      let nh = Routing.next_hops routing ~dest:dst ~node in
-      let k = Array.length nh in
-      if k = 0 then []
-      else
-        Array.to_list nh
-        |> List.concat_map (fun id ->
-               let a = Graph.arc g id in
-               walk a.Graph.dst
-                 (prob /. float_of_int k)
-                 (delay +. arc_delay.(id))
-                 (id :: arcs))
-    end
-  in
-  walk src 1.0 0. []
-
+(* 9 nodes with weights in 1..3, so that ECMP ties abound. *)
 let random_setup seed =
   let rng = Rng.create seed in
   let g = Gen.rand rng ~nodes:9 ~degree:3.5 in
   let m = Graph.num_arcs g in
-  (* small weights to force plenty of ECMP ties *)
   let weights = Array.init m (fun _ -> 1 + Rng.int rng 3) in
   let routing = Routing.compute g ~weights () in
   let arc_delay = Array.init m (fun _ -> Rng.float rng 0.01) in
-  (g, rng, routing, arc_delay)
+  let paths =
+    Reference.path_table (Array.to_list (Graph.arcs g)) ~n:(Graph.num_nodes g) ~weights
+  in
+  (g, rng, routing, arc_delay, paths)
+
+let check_reachable routing paths ~src ~dst =
+  Alcotest.(check bool)
+    (Printf.sprintf "pair %d->%d reachable" src dst)
+    (paths.(src).(dst) <> [])
+    (Routing.reachable routing ~src ~dst)
 
 let test_expected_delay_oracle () =
   for seed = 0 to 14 do
-    let g, _, routing, arc_delay = random_setup seed in
+    let g, _, routing, arc_delay, paths = random_setup seed in
     let n = Graph.num_nodes g in
     for dst = 0 to n - 1 do
       let del = Routing.expected_delays_to routing ~arc_delay ~dest:dst in
       for src = 0 to n - 1 do
-        if src <> dst && Routing.reachable routing ~src ~dst then begin
-          let paths = enumerate_paths g routing ~arc_delay ~src ~dst in
-          let total_prob = List.fold_left (fun acc (p, _, _) -> acc +. p) 0. paths in
-          Alcotest.(check (float 1e-9)) "probabilities sum to 1" 1. total_prob;
-          let expected =
-            List.fold_left (fun acc (p, d, _) -> acc +. (p *. d)) 0. paths
-          in
-          Alcotest.(check (float 1e-9))
-            (Printf.sprintf "seed %d pair %d->%d" seed src dst)
-            expected del.(src)
-        end
-      done
-    done
-  done
-
-let test_max_delay_oracle () =
-  for seed = 0 to 9 do
-    let g, _, routing, arc_delay = random_setup (100 + seed) in
-    let n = Graph.num_nodes g in
-    for dst = 0 to n - 1 do
-      let del = Routing.max_delays_to routing ~arc_delay ~dest:dst in
-      for src = 0 to n - 1 do
-        if src <> dst && Routing.reachable routing ~src ~dst then begin
-          let paths = enumerate_paths g routing ~arc_delay ~src ~dst in
-          let worst = List.fold_left (fun acc (_, d, _) -> Float.max acc d) 0. paths in
-          Alcotest.(check (float 1e-9)) "max over paths" worst del.(src)
+        if src <> dst then begin
+          check_reachable routing paths ~src ~dst;
+          if paths.(src).(dst) <> [] then begin
+            let total_prob =
+              List.fold_left (fun acc (p, _) -> acc +. p) 0. paths.(src).(dst)
+            in
+            Alcotest.(check (float 1e-9)) "probabilities sum to 1" 1. total_prob;
+            let expected =
+              List.fold_left
+                (fun acc (p, arcs) ->
+                  acc +. (p *. List.fold_left (fun s a -> s +. arc_delay.(a)) 0. arcs))
+                0. paths.(src).(dst)
+            in
+            Alcotest.(check (float 1e-9))
+              (Printf.sprintf "seed %d pair %d->%d" seed src dst)
+              expected del.(src)
+          end
         end
       done
     done
@@ -85,7 +64,7 @@ let test_max_delay_oracle () =
 
 let test_load_oracle () =
   for seed = 0 to 9 do
-    let g, rng, routing, arc_delay = random_setup (200 + seed) in
+    let g, rng, routing, _, paths = random_setup (200 + seed) in
     let n = Graph.num_nodes g in
     let m = Graph.num_arcs g in
     (* a handful of random demands *)
@@ -102,11 +81,12 @@ let test_load_oracle () =
       for t = 0 to n - 1 do
         let v = demands.(s).(t) in
         if v > 0. then begin
-          if Routing.reachable routing ~src:s ~dst:t then
+          check_reachable routing paths ~src:s ~dst:t;
+          if paths.(s).(t) <> [] then
             List.iter
-              (fun (p, _, arcs) ->
+              (fun (p, arcs) ->
                 List.iter (fun id -> oracle.(id) <- oracle.(id) +. (p *. v)) arcs)
-              (enumerate_paths g routing ~arc_delay ~src:s ~dst:t)
+              paths.(s).(t)
           else dropped := !dropped +. v
         end
       done
@@ -117,39 +97,31 @@ let test_load_oracle () =
     done
   done
 
-(* Lambda from Eval vs a recomputation on top of the delay oracle. *)
+(* Lambda, the violation count and the pair delays from Eval vs the
+   reference's recomputation of Eq. (2) over its own paths. *)
 let test_lambda_oracle () =
   for seed = 0 to 4 do
     let scenario = Fixtures.small ~seed:(300 + seed) () in
     let g = scenario.Dtr_core.Scenario.graph in
     let rng = Rng.create (400 + seed) in
-    let w =
-      Dtr_core.Weights.random rng ~num_arcs:(Graph.num_arcs g) ~wmax:20
-    in
+    let w = Dtr_core.Weights.random rng ~num_arcs:(Graph.num_arcs g) ~wmax:20 in
     let detail = Dtr_core.Eval.evaluate scenario ~want_pair_delays:true w in
-    let sla = scenario.Dtr_core.Scenario.params.Dtr_core.Scenario.sla in
-    let lambda_oracle =
-      Array.fold_left
-        (fun acc (_, _, xi) -> acc +. Dtr_cost.Sla.pair_penalty sla xi)
-        0. detail.Dtr_core.Eval.pair_delays
-    in
-    Alcotest.(check (float 1e-6)) "lambda equals sum of pair penalties" lambda_oracle
-      detail.Dtr_core.Eval.cost.Dtr_cost.Lexico.lambda;
-    (* violation count agrees with the profile *)
-    let violations =
-      Array.fold_left
-        (fun acc (_, _, xi) -> if Dtr_cost.Sla.is_violation sla xi then acc + 1 else acc)
-        0 detail.Dtr_core.Eval.pair_delays
-    in
-    Alcotest.(check int) "violation count agrees" violations
-      detail.Dtr_core.Eval.violations
+    let r = Reference.price scenario w in
+    let what = Printf.sprintf "seed %d" (300 + seed) in
+    Test_reference.check_pair_delays what r detail.Dtr_core.Eval.pair_delays;
+    let lambda = detail.Dtr_core.Eval.cost.Dtr_cost.Lexico.lambda in
+    let lo = r.Reference.lambda_lo and hi = r.Reference.lambda_hi in
+    if not (Test_reference.within ~lo ~hi lambda) then
+      Alcotest.failf "%s: lambda %.17g outside the reference's [%.17g, %.17g]" what lambda
+        lo hi;
+    Test_reference.check_counts what r ~violations:detail.Dtr_core.Eval.violations
+      ~unreachable:detail.Dtr_core.Eval.unreachable_pairs
   done
 
 let suite =
   [
     Alcotest.test_case "expected ECMP delay vs path enumeration" `Quick
       test_expected_delay_oracle;
-    Alcotest.test_case "max ECMP delay vs path enumeration" `Quick test_max_delay_oracle;
     Alcotest.test_case "ECMP loads vs path enumeration" `Quick test_load_oracle;
     Alcotest.test_case "Lambda vs pair-penalty recomputation" `Quick test_lambda_oracle;
   ]
