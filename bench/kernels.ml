@@ -211,7 +211,8 @@ let parallel_sweep () =
      assessment (loads, delays, SLA, congestion) is recomputed per failure;
    - {e repaired}: the dynamic-SPF engine — affected destinations are
      repaired over their affected cone only, and loads, delays, SLA
-     subtotals and congestion terms are patched from the sweep cache.
+     subtotals and congestion terms are patched on the sweep's priced
+     state ([Patch]).
 
    Serial execution isolates the algorithmic gain from domain parallelism,
    and the bit-identity contract (costs, loads, violation and unreachable

@@ -3,7 +3,6 @@ module Failure = Dtr_topology.Failure
 module Routing = Dtr_spf.Routing
 module Matrix = Dtr_traffic.Matrix
 module Lexico = Dtr_cost.Lexico
-module Sla = Dtr_cost.Sla
 module Delay_model = Dtr_cost.Delay_model
 module Congestion = Dtr_cost.Congestion
 module Exec = Dtr_exec.Exec
@@ -20,39 +19,6 @@ type detail = {
   throughput_loads : float array;
   pair_delays : (int * int * float) array;
 }
-
-(* One destination's SLA penalty subtotal: expected-delay DP over the ECMP
-   DAG, then a left fold (from 0, in source order) of the pair penalties.
-   Keeping the fold per-destination lets the incremental engine cache the
-   subtotal and re-sum destination subtotals bit-identically (0. + x = x, so
-   a fold of per-destination folds equals the flat fold).  The penalty is
-   [Sla.pair_penalty]'s arithmetic, expression for expression, inlined so
-   that no pair boxes a float; only [on_pair], when given, sees each
-   delay. *)
-let dest_sla ?on_pair (scenario : Scenario.t) ~routing_d ~arc_delay ~dense_rd
-    ~excluded ~dest =
-  let { Sla.theta; b1; b2 } = scenario.Scenario.params.Scenario.sla in
-  let unreachable_penalty = b1 +. (b2 *. theta *. 1000.) in
-  let n = Array.length dense_rd in
-  let del = Routing.expected_delays_to routing_d ~arc_delay ~dest in
-  let lambda = ref 0. and violations = ref 0 and unreachable = ref 0 in
-  for src = 0 to n - 1 do
-    if src <> dest && (not (excluded src)) && dense_rd.(src).(dest) > 0. then begin
-      let xi = del.(src) in
-      if xi = Float.infinity then begin
-        lambda := !lambda +. unreachable_penalty;
-        incr unreachable;
-        incr violations
-      end
-      else if xi > theta then begin
-        lambda := !lambda +. (b1 +. (b2 *. (xi -. theta) *. 1000.));
-        incr violations
-      end
-      else lambda := !lambda +. 0.;
-      match on_pair with Some f -> f src dest xi | None -> ()
-    end
-  done;
-  (!lambda, !violations, !unreachable)
 
 (* Dense views + delay-sink flags: the scenario's own matrices come with
    cached ones; overrides (perturbed traffic) fall back to a local scan. *)
@@ -105,7 +71,7 @@ let assess (scenario : Scenario.t) ~routing_d ~routing_t ~exclude_node ~dense_rd
   for dest = 0 to n - 1 do
     if sinks.(dest) && not (excluded dest) then begin
       let lam, viol, unreach =
-        dest_sla ?on_pair scenario ~routing_d ~arc_delay ~dense_rd ~excluded ~dest
+        Patch.dest_sla ?on_pair scenario ~routing_d ~arc_delay ~dense_rd ~excluded ~dest
       in
       lambda := !lambda +. lam;
       violations := !violations + viol;
@@ -128,43 +94,19 @@ let failed_arcs_of_mask mask =
   Array.iteri (fun id dead -> if dead then acc := id :: !acc) mask;
   !acc
 
-type sweep_cache = {
-  rows_d : float array array; (* rows_d.(dest).(arc): delay-class share *)
-  rows_t : float array array;
-  base_tloads : float array;
-  base_loads : float array;
-  base_delay : float array;
-  base_phi : float array; (* per-arc congestion term (0. off the L set) *)
-  base_lam : float array;
-  base_viol : int array;
-  base_unreach : int array;
-}
-
 (* Per-domain sweep working memory: Dijkstra + dynamic-SPF repair buffers, a
-   failure mask, and the cached sweep engine's working arrays, cached
-   across parallel operations (pool workers are persistent domains) and keyed
-   by graph identity so concurrent scenarios do not collide.  The cache is
-   bounded; evicting an entry only costs a reallocation on the next sweep
-   touching that graph. *)
+   failure mask, the resident flags and the view that cached failures
+   patch, cached across parallel operations (pool workers are persistent
+   domains) and keyed by graph identity so concurrent scenarios do not
+   collide.  The cache is bounded; evicting an entry only costs a
+   reallocation on the next sweep touching that graph. *)
 type sweep_scratch = {
   buffers : Routing.buffers;
   mask : bool array;
-  node_flow : float array;  (* Routing.add_loads_dest's per-node flows *)
-  touched : bool array;  (* per-arc: some replaced row differs here *)
-  arcs : int array;  (* the touched arcs, [n_arcs] of them *)
-  mutable n_arcs : int;
   keep_d : bool array;  (* per-destination: take the resident state (false between uses) *)
   keep_t : bool array;
-  (* Between two failures of a sweep these mirror the sweep cache [synced]:
-     its total loads and delays, and its rows.  A failure patches them at
-     its touched arcs and re-routed destinations and undoes the patch once
-     it is priced. *)
-  mutable synced : sweep_cache option;
-  tloads : float array;
-  loads : float array;
-  arc_delay : float array;
-  view_d : float array array;  (* view_d.(dest): the row the failure routes *)
-  view_t : float array array;
+  mutable view : Patch.t option;  (* a view of the state of sweep [stamp] *)
+  mutable stamp : int;
 }
 
 let make_sweep_scratch g =
@@ -172,18 +114,10 @@ let make_sweep_scratch g =
   {
     buffers = Routing.make_buffers g;
     mask = Array.make m false;
-    node_flow = Array.make n 0.;
-    touched = Array.make m false;
-    arcs = Array.make m 0;
-    n_arcs = 0;
     keep_d = Array.make n false;
     keep_t = Array.make n false;
-    synced = None;
-    tloads = Array.make m 0.;
-    loads = Array.make m 0.;
-    arc_delay = Array.make m 0.;
-    view_d = Array.make n [||];
-    view_t = Array.make n [||];
+    view = None;
+    stamp = -1;
   }
 
 let sweep_slot : (Graph.t * sweep_scratch) list ref Scratch.t =
@@ -201,9 +135,10 @@ let sweep_scratch_for g =
       s
 
 (* Runs [f] on this domain's scratch for [g].  Cached pricing leaves the
-   scratch's flag arrays all-false when it returns; if it raises instead,
-   the scratch may hold stray flags, so it leaves the cache and the next
-   sweep on this domain allocates a clean one. *)
+   scratch's flags all-false and its view unpatched when it returns; if it
+   raises instead, the scratch may hold stray flags or an open patch, so it
+   leaves the cache and the next sweep on this domain allocates a clean
+   one. *)
 let with_sweep_scratch g f =
   match f (sweep_scratch_for g) with
   | r -> r
@@ -268,122 +203,14 @@ let c_resident_reused = Metric.Counter.create "eval.sweep.resident_reused"
 let c_dests_repaired = Metric.Counter.create "eval.sweep.dests_repaired"
 let a_seconds = Metric.Accum.create "eval.sweep.seconds"
 
-(* --- Cached failure pricing (the dynamic-SPF sweep engine) --------------
+(* --- Resident post-failure states (see [Residents] in eval.mli) -------
 
-   A failure sweep evaluates many single-failure states against the same
-   no-failure bases.  The pieces of the full assessment are cached once per
-   sweep, per (destination, class):
-
-   - the per-arc load contribution row of every destination (each arc gets
-     at most one addition per destination, so re-summing rows in destination
-     order reproduces [Routing.add_loads] bit-for-bit);
-   - the per-arc delays of the base loads;
-   - every delay-sink destination's SLA subtotal.
-
-   Pricing a failure then only recomputes the rows of the destinations whose
-   DAG lost an arc, re-sums the {e touched} arcs (those where some replaced
-   row differs) in destination order, patches exactly the touched arcs'
-   delays, and recomputes SLA subtotals only for destinations that were
-   re-routed or whose DAG reads a changed delay — the same bit-identity
-   argument the incremental single-arc engine ([Eval_incr]) established.
-
-   That engine keeps exactly these pieces for its committed state and its
-   pending trial, computed the same way, so its sweeps hand them in
-   ([make_sweep_cache]) and build nothing; every other sweep builds them
-   once ([build_sweep_cache]).  DAG membership is read off the base
-   routing ([Routing.uses_arc] probes one hop row), so the cache carries
-   nothing proportional to the DAGs. *)
-
-let make_sweep_cache ~rows_d ~rows_t ~tloads ~loads ~arc_delay ~phi_arc ~lam ~viol
-    ~unreach =
-  {
-    rows_d;
-    rows_t;
-    base_tloads = tloads;
-    base_loads = loads;
-    base_delay = arc_delay;
-    base_phi = phi_arc;
-    base_lam = lam;
-    base_viol = viol;
-    base_unreach = unreach;
-  }
-
-let contribution_rows routing ~demands ~n ~m =
-  Array.init n (fun dest ->
-      let row = Array.make m 0. in
-      let (_ : float) = Routing.add_loads_dest routing ~demands ~dest ~into:row in
-      row)
-
-(* Summing every destination's row in destination order matches the
-   [add_loads] accumulation bit-for-bit: each arc receives at most one
-   addition per destination there, and adding the [0.] of a non-contributing
-   destination is a bitwise no-op on the non-negative partial sums. *)
-let sum_rows ~into rows =
-  let m = Array.length into in
-  Array.iter
-    (fun row ->
-      for a = 0 to m - 1 do
-        into.(a) <- into.(a) +. row.(a)
-      done)
-    rows
-
-let build_sweep_cache (scenario : Scenario.t) ~base_d ~base_t ~dense_rd ~dense_rt
-    ~sinks =
-  let g = scenario.Scenario.graph in
-  let n = Graph.num_nodes g and m = Graph.num_arcs g in
-  let rows_t = contribution_rows base_t ~demands:dense_rt ~n ~m in
-  let rows_d = contribution_rows base_d ~demands:dense_rd ~n ~m in
-  let tloads = Array.make m 0. in
-  sum_rows ~into:tloads rows_t;
-  let loads = Array.copy tloads in
-  sum_rows ~into:loads rows_d;
-  let arc_delay = Delay_model.arc_delays scenario.Scenario.params.Scenario.delay g ~loads in
-  let lam = Array.make n 0. and viol = Array.make n 0 and unreach = Array.make n 0 in
-  for dest = 0 to n - 1 do
-    if sinks.(dest) then begin
-      let l, v, u =
-        dest_sla scenario ~routing_d:base_d ~arc_delay ~dense_rd
-          ~excluded:(fun _ -> false) ~dest
-      in
-      lam.(dest) <- l;
-      viol.(dest) <- v;
-      unreach.(dest) <- u
-    end
-  done;
-  let cap = Graph.arc_capacities g in
-  let phi_arc =
-    Array.init m (fun a ->
-        if tloads.(a) > 1e-9 then Congestion.arc_cost ~capacity:cap.(a) ~load:loads.(a)
-        else 0.)
-  in
-  make_sweep_cache ~rows_d ~rows_t ~tloads ~loads ~arc_delay ~phi_arc ~lam ~viol ~unreach
-
-(* --- Resident post-failure states --------------------------------------
-
-   The incremental engine's sweeps (Phase 2, the warm start) price one
-   single-arc trial after another against the same fixed failure list, and
-   a one-arc move rarely reaches a post-failure route.  So the engine keeps,
-   for the committed incumbent, each failure's post-failure state per class:
-   the routing its last sweep produced and the load row of every
-   destination the failure re-routed.  A trial's cached pricing takes that
-   state and row in place of the repair and the re-route of destination
-   [t] when both
-
-   - the trial's base state for [t] is physically the incumbent's
-     ([Routing.with_changed_arc] left it shared), and
-   - the move cannot reach the resident route: the moved arc is one of the
-     failure's arcs, this class's weight did not change, an increased arc is
-     off [t]'s post-failure DAG, or a decreased arc still loses,
-     [w' + d_f(head) > d_f(tail)] on the resident distances.
-
-   That is [with_changed_arc]'s own affected test, applied to the
-   failure-reduced graph: a move it clears leaves every shortest distance
-   and the ECMP DAG towards [t] there unchanged, so the resident state is
-   the repair and its row the re-route, bit for bit.  Invariant: every
-   committed entry equals a from-scratch repair under the committed
-   weights.  A trial stages the states its sweep computed; [commit] installs
-   the staged failures and, for the rest (failures its sweep left
-   unstaged), keeps only the entries the committed move cannot reach. *)
+   A trial's patched failure takes the resident state and row of a
+   re-routed destination [t] when the trial's base state for [t] is
+   physically the incumbent's and the move cannot reach the resident route
+   ([unreached]: [Routing.with_changed_arc]'s affected test on the
+   failure-reduced graph).  Invariant: every committed entry equals a
+   from-scratch repair under the committed weights. *)
 
 type resident_class = {
   r_routing : Routing.t;  (* the post-failure routing of the sweep that made it *)
@@ -496,89 +323,55 @@ module Residents = struct
         if Option.is_none t.move then t.committed.(i) <- fresh else t.staged.(i) <- fresh
 end
 
-(* Makes the scratch's working arrays mirror [cache]: the loads, delays and
-   rows a failure patches and then restores.  A sweep hands the same record
-   to every failure, so this copies once per sweep and domain. *)
-let sync_scratch s cache =
-  match s.synced with
-  | Some c when c == cache -> ()
-  | _ ->
-      let m = Array.length s.tloads and n = Array.length s.view_d in
-      Array.blit cache.base_tloads 0 s.tloads 0 m;
-      Array.blit cache.base_loads 0 s.loads 0 m;
-      Array.blit cache.base_delay 0 s.arc_delay 0 m;
-      Array.blit cache.rows_d 0 s.view_d 0 n;
-      Array.blit cache.rows_t 0 s.view_t 0 n;
-      s.synced <- Some cache
+(* This domain's view of [base], the state of the sweep numbered [stamp]:
+   synced once per sweep and domain, and left mirroring [base] by every
+   failure priced on it. *)
+let view_of s base ~stamp =
+  match s.view with
+  | Some v when s.stamp = stamp -> v
+  | Some v ->
+      Patch.sync v ~from:base;
+      s.stamp <- stamp;
+      v
+  | None ->
+      let v = Patch.view base in
+      s.view <- Some v;
+      s.stamp <- stamp;
+      v
 
-(* Drops the scratch's references to a sweep's rows once the sweep is done. *)
-let unsync_scratch s =
-  if Option.is_some s.synced then begin
-    s.synced <- None;
-    Array.fill s.view_d 0 (Array.length s.view_d) [||];
-    Array.fill s.view_t 0 (Array.length s.view_t) [||]
-  end
-
-(* Flags, into [s.arcs], each arc where [row] differs from [old].  Both are
-   annotated [float array], so the compare reads unboxed floats. *)
-let mark_diff s ~(old : float array) ~(row : float array) =
-  for a = 0 to Array.length row - 1 do
-    if row.(a) <> old.(a) && not s.touched.(a) then begin
-      s.touched.(a) <- true;
-      s.arcs.(s.n_arcs) <- a;
-      s.n_arcs <- s.n_arcs + 1
-    end
-  done
+(* Numbers the sweeps, so that a domain's view syncs once per sweep. *)
+let sweep_stamps = Atomic.make 0
 
 (* The failure's row of every re-routed destination: the resident row of a
-   destination flagged in [keep] (clearing its flag), otherwise a fresh
-   re-route.  Each goes into [view] and has its differing arcs flagged. *)
-let rec replace_rows s ~m ~rows ~view ~routing ~demands ~keep ~resident_rows = function
+   destination flagged in [keep] (clearing its flag), otherwise a
+   re-route. *)
+let rec place_rows view cls ~keep ~resident_rows = function
   | [] -> ()
   | dest :: rest ->
-      let row =
-        if keep.(dest) then begin
-          keep.(dest) <- false;
-          resident_rows.(dest)
-        end
-        else begin
-          let row = Array.make m 0. in
-          let (_ : float) =
-            Routing.add_loads_dest ~node_flow:s.node_flow routing ~demands ~dest ~into:row
-          in
-          row
-        end
-      in
-      view.(dest) <- row;
-      mark_diff s ~old:rows.(dest) ~row;
-      replace_rows s ~m ~rows ~view ~routing ~demands ~keep ~resident_rows rest
+      if keep.(dest) then begin
+        keep.(dest) <- false;
+        Patch.place view cls dest resident_rows.(dest)
+      end
+      else Patch.route view cls dest;
+      place_rows view cls ~keep ~resident_rows rest
 
-let rec restore_rows ~view ~rows = function
-  | [] -> ()
-  | dest :: rest ->
-      view.(dest) <- rows.(dest);
-      restore_rows ~view ~rows rest
-
-(* One failure priced from the sweep cache.  Only valid when the failure
-   excludes no node (a node failure also drops the node's demands, which
-   invalidates the cached rows — those fall back to [assess_failure]).  The
-   scratch's flag arrays must be (and are left) all-false between calls,
-   and its working arrays are left mirroring [cache].  [resident] is the
-   failure's committed resident state and [move] the pending trial's move
-   ([None]: pricing the committed state itself); with [track] the pricing
-   also returns its own post-failure state for the resident store.  With
-   [want_loads] the detail carries copies of the post-failure loads,
-   otherwise empty arrays.  Returns the detail, that state, and how many
-   destination re-routes were taken from [resident] versus repaired. *)
-let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_t
-    ~dense_rd ~dense_rt ~sinks ?resident ?move ~track ~want_loads w f =
+(* One failure priced as a patch on [view], the domain's view of the
+   sweep's no-failure state, undone once it is priced.  Only valid when the
+   failure excludes no node (a node failure also drops the node's demands,
+   which invalidates the state's rows — those fall back to
+   [assess_failure]).  The scratch's flags must be (and are left)
+   all-false between calls.  [resident] is the failure's committed
+   resident state and [move] the pending trial's move ([None]: pricing the
+   committed state itself); with [track] the pricing also returns its own
+   post-failure state for the resident store.  With [want_loads] the
+   detail carries copies of the post-failure loads, otherwise empty
+   arrays.  Returns the detail, that state, and how many destination
+   re-routes were taken from [resident] versus repaired. *)
+let assess_failure_cached (scenario : Scenario.t) ~view ~scratch ~base_d ~base_t
+    ?resident ?move ~track ~want_loads w f =
   let g = scenario.Scenario.graph in
-  let params = scenario.Scenario.params in
-  let cap = Graph.arc_capacities g and prop = Graph.arc_prop_delays g in
-  let n = Graph.num_nodes g and m = Graph.num_arcs g in
-  let s = scratch in
-  let { buffers; mask; touched; keep_d; keep_t; _ } = s in
-  sync_scratch s cache;
+  let n = Graph.num_nodes g in
+  let { buffers; mask; keep_d; keep_t; _ } = scratch in
   Failure.set_mask g f mask;
   let failed = failed_arcs_of_mask mask in
   (* Destinations whose DAG uses a failed arc, in increasing order — exactly
@@ -634,126 +427,42 @@ let assess_failure_cached (scenario : Scenario.t) ~cache ~scratch ~base_d ~base_
     Routing.with_failed_arcs ~buffers ~changed:changed_t ?resident:hook_t base_t
       ~weights:(Weights.throughput_of w) ~disabled:mask ~failed
   in
-  (* A replaced row can differ from the cached one only on the union of the
-     old and new DAG supports (contributions are zero everywhere else); a
-     full-row compare finds those arcs without walking either DAG. *)
   let rd, rt =
     match resident with None -> ([||], [||]) | Some r -> (r.r_d.r_rows, r.r_t.r_rows)
   in
-  replace_rows s ~m ~rows:cache.rows_t ~view:s.view_t ~routing:routing_t
-    ~demands:dense_rt ~keep:keep_t ~resident_rows:rt changed_t;
-  replace_rows s ~m ~rows:cache.rows_d ~view:s.view_d ~routing:routing_d
-    ~demands:dense_rd ~keep:keep_d ~resident_rows:rd changed_d;
-  (* Re-sum only the touched arcs, in destination order: per-arc
-     accumulations across destinations are independent, so untouched arcs
-     keep the cached totals bit-for-bit. *)
-  let view_t = s.view_t and view_d = s.view_d in
-  let delay_arcs = ref [] in
-  for i = 0 to s.n_arcs - 1 do
-    let a = s.arcs.(i) in
-    let tl = ref 0. in
-    for dest = 0 to n - 1 do
-      tl := !tl +. view_t.(dest).(a)
-    done;
-    s.tloads.(a) <- !tl;
-    let l = ref !tl in
-    for dest = 0 to n - 1 do
-      l := !l +. view_d.(dest).(a)
-    done;
-    s.loads.(a) <- !l;
-    let d =
-      Delay_model.arc_delay params.Scenario.delay ~capacity:cap.(a) ~prop:prop.(a)
-        ~load:!l
-    in
-    (* The queueing term is 0 up to utilisation µ, so most touched arcs
-       keep their propagation-only delay — and every delay-DP over a DAG
-       that reads no changed delay keeps its cached subtotal. *)
-    if d <> s.arc_delay.(a) then begin
-      s.arc_delay.(a) <- d;
-      delay_arcs := a :: !delay_arcs
-    end
-  done;
-  (* A subtotal is recomputed for a re-routed destination and for one whose
-     DAG reads a changed delay; an unchanged destination shares the base
-     DAG, so the latter is a membership probe on the base routing. *)
-  let delay_arcs = !delay_arcs in
-  let rerouted = ref changed_d in
-  let lambda = ref 0. and violations = ref 0 and unreachable = ref 0 in
-  for dest = 0 to n - 1 do
-    let fresh =
-      match !rerouted with
-      | d :: rest when d = dest ->
-          rerouted := rest;
-          true
-      | _ -> false
-    in
-    if sinks.(dest) then begin
-      let lam, viol, unreach =
-        if fresh || Routing.uses_any base_d ~dest delay_arcs then
-          dest_sla scenario ~routing_d ~arc_delay:s.arc_delay ~dense_rd
-            ~excluded:(fun _ -> false) ~dest
-        else (cache.base_lam.(dest), cache.base_viol.(dest), cache.base_unreach.(dest))
-      in
-      lambda := !lambda +. lam;
-      violations := !violations + viol;
-      unreachable := !unreachable + unreach
-    end
-  done;
-  (* Congestion from cached per-arc terms, re-evaluated only where a load
-     changed.  Adding the [0.] of an arc outside the throughput set matches
-     [Congestion.total]'s skip bit-for-bit: the partial sums are
-     non-negative, and [x +. 0. = x] then. *)
-  let phi = ref 0. in
-  for a = 0 to m - 1 do
-    let term =
-      if touched.(a) then
-        if s.tloads.(a) > 1e-9 then
-          Congestion.arc_cost ~capacity:cap.(a) ~load:s.loads.(a)
-        else 0.
-      else cache.base_phi.(a)
-    in
-    phi := !phi +. term
-  done;
-  let loads, tloads =
-    if want_loads then (Array.copy s.loads, Array.copy s.tloads) else ([||], [||])
+  Patch.start view ~routing_d ~routing_t;
+  place_rows view Patch.Throughput ~keep:keep_t ~resident_rows:rt changed_t;
+  place_rows view Patch.Delay ~keep:keep_d ~resident_rows:rd changed_d;
+  let (_ : bool) = Patch.price view ~prune:None in
+  let detail =
+    {
+      cost = Patch.cost view;
+      violations = Patch.violations view;
+      unreachable_pairs = Patch.unreachable_pairs view;
+      loads = (if want_loads then Array.copy (Patch.loads view) else [||]);
+      throughput_loads =
+        (if want_loads then Array.copy (Patch.throughput_loads view) else [||]);
+      pair_delays = [||];
+    }
   in
   let fresh =
     if not track then None
     else
-      let rows view changed =
+      let rows cls changed =
         let a = Array.make n [||] in
-        List.iter (fun dest -> a.(dest) <- view.(dest)) changed;
+        List.iter (fun dest -> a.(dest) <- Patch.row view cls dest) changed;
         a
       in
       Some
         {
           r_failed = failed;
-          r_d = { r_routing = routing_d; r_rows = rows view_d changed_d };
-          r_t = { r_routing = routing_t; r_rows = rows view_t changed_t };
+          r_d = { r_routing = routing_d; r_rows = rows Patch.Delay changed_d };
+          r_t = { r_routing = routing_t; r_rows = rows Patch.Throughput changed_t };
         }
   in
-  (* Undo the patch: the working arrays mirror [cache] again. *)
-  for i = 0 to s.n_arcs - 1 do
-    let a = s.arcs.(i) in
-    touched.(a) <- false;
-    s.tloads.(a) <- cache.base_tloads.(a);
-    s.loads.(a) <- cache.base_loads.(a);
-    s.arc_delay.(a) <- cache.base_delay.(a)
-  done;
-  s.n_arcs <- 0;
-  restore_rows ~view:view_t ~rows:cache.rows_t changed_t;
-  restore_rows ~view:view_d ~rows:cache.rows_d changed_d;
-  ( {
-      cost = Lexico.make ~lambda:!lambda ~phi:!phi;
-      violations = !violations;
-      unreachable_pairs = !unreachable;
-      loads;
-      throughput_loads = tloads;
-      pair_delays = [||];
-    },
-    fresh,
-    !reused,
-    List.length changed_d + List.length changed_t - !reused )
+  (* A tracked failure's rows now belong to the resident store. *)
+  Patch.undo view ~recycle:(not track);
+  (detail, fresh, !reused, List.length changed_d + List.length changed_t - !reused)
 
 type bounded_sweep =
   | Swept of Lexico.t
@@ -761,13 +470,14 @@ type bounded_sweep =
 
 (* The failure-sweep loop behind every sweep entry point.  Failures are
    priced in list order against the shared no-failure bases: a link failure
-   from the sweep cache, a node failure (its dropped demands invalidate the
-   cached rows) or any failure under [DTR_REFERENCE=1] from scratch.  A
-   caller that keeps the bases' cache (the incremental engine) hands it in
-   as [cache]; otherwise it costs about one full assessment, so it is built
-   just before the first failure that reads it — a sweep that prices no
-   link failure, or that [prune] stops first, never pays for it — and a
-   single-failure sweep prices from scratch instead.
+   as a patch on the bases' priced state ([Patch]), a node failure (its
+   dropped demands invalidate the state's rows) or any failure under
+   [DTR_REFERENCE=1] from scratch.  A caller that keeps the state (the
+   incremental engine) hands it in as [base]; otherwise it costs about one
+   full assessment, so it is built just before the first failure that
+   reads it — a sweep that prices no link failure, or that [prune] stops
+   first, never pays for it — and a single-failure sweep prices from
+   scratch instead.
 
    The compound is summed as failures are priced, from [Lexico.zero] in list
    order, and a serial sweep stops at the first partial [init + sum] that
@@ -778,16 +488,16 @@ type bounded_sweep =
    associative; [add init (compound costs)] is what an unbounded caller
    computes.
 
-   Every sweep borrows its domain's cached scratch ([with_sweep_scratch]).
-   At jobs > 1 the cache is built before the pool map and shared read-only,
-   each domain prices its share with its own cached scratch, and the results
-   are taken back in list order, so details, sums and resident slots are
-   bit-identical to the serial loop for every job count.  Those sweeps price
-   every failure and never consult [prune].  With [residents], failure [i]
-   reads and writes only slot [i].
+   Every sweep borrows its domain's cached scratch ([with_sweep_scratch]),
+   whose view of the state it syncs once.  At jobs > 1 the state is built
+   before the pool map and shared read-only, each domain patches its own
+   view, and the results are taken back in list order, so details, sums
+   and resident slots are bit-identical to the serial loop for every job
+   count.  Those sweeps price every failure and never consult [prune].
+   With [residents], failure [i] reads and writes only slot [i].
 
    Returns the details of the priced failures, in order, and the outcome. *)
-let run_sweep (scenario : Scenario.t) ?exec ?residents ?cache ?rd ?rt ~base_d ~base_t
+let run_sweep (scenario : Scenario.t) ?exec ?residents ?base ?rd ?rt ~base_d ~base_t
     ?(init = Lexico.zero) ?prune ~want_loads w failure_list =
   let exec = resolve_exec exec in
   let g = scenario.Scenario.graph in
@@ -802,25 +512,30 @@ let run_sweep (scenario : Scenario.t) ?exec ?residents ?cache ?rd ?rt ~base_d ~b
      a run, so traced sweeps of the same instance correlate. *)
   let trace_id = if Trace.enabled () then Hashtbl.hash scenario land 0x3FFFFFFF else 0 in
   if Trace.enabled () then Trace.emit_sweep_begin ~scenario:trace_id ~failures:num;
-  let use_cache = Spf_delta.enabled () && (Option.is_some cache || num >= 2) in
-  let cached f = use_cache && Option.is_none (Failure.excluded_node f) in
-  let cache = ref cache in
-  let get_cache () =
-    match !cache with
-    | Some c -> c
+  let use_patch = Spf_delta.enabled () && (Option.is_some base || num >= 2) in
+  let cached f = use_patch && Option.is_none (Failure.excluded_node f) in
+  let base = ref base in
+  let get_base () =
+    match !base with
+    | Some b -> b
     | None ->
-        let c = build_sweep_cache scenario ~base_d ~base_t ~dense_rd ~dense_rt ~sinks in
-        cache := Some c;
+        let b =
+          Patch.create scenario ~dense_rd ~dense_rt ~sinks ~routing_d:base_d
+            ~routing_t:base_t
+        in
+        base := Some b;
         Metric.Counter.incr c_cache_builds;
-        c
+        b
   in
+  let stamp = Atomic.fetch_and_add sweep_stamps 1 in
   let move = Option.bind residents (fun r -> r.Residents.move) in
   let track = Option.is_some residents in
   let price ~scratch i f =
     if cached f then
       let resident = Option.bind residents (fun r -> r.Residents.committed.(i)) in
-      assess_failure_cached scenario ~cache:(get_cache ()) ~scratch ~base_d ~base_t
-        ~dense_rd ~dense_rt ~sinks ?resident ?move ~track ~want_loads w f
+      let view = view_of scratch (get_base ()) ~stamp in
+      assess_failure_cached scenario ~view ~scratch ~base_d ~base_t ?resident ?move ~track
+        ~want_loads w f
     else
       ( assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask ~base_d
           ~base_t ~dense_rd ~dense_rt ~sinks w f,
@@ -848,10 +563,10 @@ let run_sweep (scenario : Scenario.t) ?exec ?residents ?cache ?rd ?rt ~base_d ~b
           (match prune with Some p -> stop := p (Lexico.add init !sum) | None -> ());
           incr i
         done;
-        unsync_scratch scratch;
+        Option.iter Patch.release scratch.view;
         !stop
     | _ ->
-        if Array.exists cached failures then ignore (get_cache () : sweep_cache);
+        if Array.exists cached failures then ignore (get_base () : Patch.t);
         Array.iteri take
           (Exec.map exec ~n:num ~f:(fun i ->
                with_sweep_scratch g (fun scratch -> price ~scratch i failures.(i))));
@@ -885,18 +600,18 @@ let sweep_details scenario ?exec ?rd ?rt w failures =
 let sweep scenario ?exec w failures =
   costs (sweep_fresh scenario ?exec ~want_loads:false w failures)
 
-let sweep_from scenario ?exec ?residents ?cache ~routing_d ~routing_t w ~failures =
+let sweep_from scenario ?exec ?residents ?base ~routing_d ~routing_t w ~failures =
   costs
     (fst
-       (run_sweep scenario ?exec ?residents ?cache ~base_d:routing_d ~base_t:routing_t
+       (run_sweep scenario ?exec ?residents ?base ~base_d:routing_d ~base_t:routing_t
           ~want_loads:false w failures))
 
 let compound costs = Array.fold_left Lexico.add Lexico.zero costs
 
-let compound_sweep_bounded scenario ?exec ?residents ?cache ~routing_d ~routing_t ?init
+let compound_sweep_bounded scenario ?exec ?residents ?base ~routing_d ~routing_t ?init
     ~prune w ~failures =
   snd
-    (run_sweep scenario ?exec ?residents ?cache ~base_d:routing_d ~base_t:routing_t ?init
+    (run_sweep scenario ?exec ?residents ?base ~base_d:routing_d ~base_t:routing_t ?init
        ~prune ~want_loads:false w failures)
 
 (* What-if pricing from resident bases: the daemon holds its incumbent's
@@ -916,7 +631,3 @@ let evaluate_from (scenario : Scenario.t) ~routing_d ~routing_t ?failure w =
       let scratch = sweep_scratch_for scenario.Scenario.graph in
       assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask
         ~base_d:routing_d ~base_t:routing_t ~dense_rd ~dense_rt ~sinks w f
-
-module Internal = struct
-  let dest_sla = dest_sla
-end

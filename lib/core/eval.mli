@@ -64,11 +64,11 @@ val sweep :
     Every sweep entry point runs the same loop, which keeps its telemetry
     in {!Dtr_obs.Metric}, whether or not instrumentation is enabled:
     counters [eval.sweeps], [eval.sweep.cache_builds] (sweeps that built
-    the dynamic-SPF pricing cache, which happens just before the first
-    link failure priced; sweeps handed a {!sweep_cache} build none),
-    [eval.sweep.cached_evals] and
-    [eval.sweep.full_evals] (failures priced from the cache and from
-    scratch), [eval.sweep.resident_reused] and [eval.sweep.dests_repaired]
+    the priced no-failure state, a {!Patch.t}, which happens just before
+    the first link failure priced; sweeps handed one build none),
+    [eval.sweep.cached_evals] and [eval.sweep.full_evals] (failures priced
+    as patches on that state and from scratch),
+    [eval.sweep.resident_reused] and [eval.sweep.dests_repaired]
     (re-routed destinations per class that took a resident state, see
     {!Residents}, or were repaired), and the accumulator
     [eval.sweep.seconds] (wall time inside sweeps). *)
@@ -88,9 +88,9 @@ val sweep_details :
     traffic class an entry holds the post-failure routing state and load
     row of every destination the failure re-routes.  A sweep given the
     store (the [?residents] of {!sweep_from} and
-    {!compound_sweep_bounded}) prices a failure as usual, except that a
-    re-routed destination [t] takes its resident state and row instead of
-    a dynamic-SPF repair and a re-route when
+    {!compound_sweep_bounded}) patches a failure as usual, except that a
+    re-routed destination [t] places its resident state and row in the
+    patch instead of a dynamic-SPF repair and a re-route when
 
     - the sweep's base state for [t] is physically the incumbent's (the
       single-arc move left it shared), and
@@ -102,10 +102,10 @@ val sweep_details :
     That is {!Dtr_spf.Routing.with_changed_arc}'s affected test applied to
     the failure-reduced graph, so reuse is exact: costs are bit-identical
     to pricing without the store.  Every committed entry equals a
-    from-scratch repair under the committed weights.  Only cached pricing
+    from-scratch repair under the committed weights.  Only patched pricing
     uses the store: node failures and [DTR_REFERENCE=1] never read or fill
-    it.  The engine's sweeps hand in their {!sweep_cache}, so they price
-    every link failure from the cache, a single-failure list included.
+    it.  The engine's sweeps hand in its priced state, so they patch every
+    link failure, a single-failure list included.
 
     Lifecycle, mirroring {!Eval_incr}'s trial protocol (which drives it):
     a sweep with no trial begun prices the committed state and fills the
@@ -147,43 +147,11 @@ module Residents : sig
   (** The trial's move was discarded. *)
 end
 
-type sweep_cache
-(** The pieces of the no-failure assessment that cached failure pricing
-    reads, for one pair of routing bases under the scenario's own
-    matrices: each destination's per-arc load row per class, the total
-    loads, the arc delays, the per-arc congestion terms and each
-    destination's SLA subtotal, violations and unreachable pairs. *)
-
-val make_sweep_cache :
-  rows_d:float array array ->
-  rows_t:float array array ->
-  tloads:float array ->
-  loads:float array ->
-  arc_delay:float array ->
-  phi_arc:float array ->
-  lam:float array ->
-  viol:int array ->
-  unreach:int array ->
-  sweep_cache
-(** The cache of bases whose pieces the caller already keeps (the
-    incremental engine, for its committed state or pending trial); the
-    arrays are shared, not copied, and must stay unchanged while a sweep
-    reads them.  Each must be exactly what the sweep itself would compute
-    from the bases: [rows_*.(dest)] the {!Dtr_spf.Routing.add_loads_dest}
-    row, [tloads] the destination-order sum of [rows_t] from zeros,
-    [loads] that of [rows_d] from [tloads], [arc_delay] the delay model
-    at [loads], [phi_arc.(a)] the congestion term of arc [a] at [loads]
-    ([0.] where [tloads.(a) <= 1e-9]), and for every delay-sink
-    destination [lam]/[viol]/[unreach] its {!Internal.dest_sla} at those
-    delays.  A sweep reads the arrays of the record it was handed: a
-    caller that changes them in place passes a fresh record to the next
-    sweep. *)
-
 val sweep_from :
   Scenario.t ->
   ?exec:Dtr_exec.Exec.t ->
   ?residents:Residents.t ->
-  ?cache:sweep_cache ->
+  ?base:Patch.t ->
   routing_d:Dtr_spf.Routing.t ->
   routing_t:Dtr_spf.Routing.t ->
   Weights.t ->
@@ -191,13 +159,17 @@ val sweep_from :
   Lexico.t array
 (** Per-failure costs of [w], in order, starting from already-computed
     no-failure routing bases for both classes (the scenario's own traffic
-    matrices).  With [residents], cached pricing reuses and refreshes the
-    store's resident post-failure states (see {!Residents}).  With
-    [cache], the sweep cache of exactly these bases, every link failure is
-    priced from it, a single one included, and no cache is built;
-    without it the sweep builds one before its first link failure when it
-    has two or more failures, and prices a lone failure from scratch.
-    Costs are bit-identical either way. *)
+    matrices).  A link failure is priced as a patch on the bases' priced
+    state ({!Patch}), undone once priced: only the destinations whose DAG
+    lost an arc are repaired and re-routed, and only the arcs where their
+    rows changed are re-summed.  With [residents], that pricing reuses and
+    refreshes the store's resident post-failure states (see
+    {!Residents}).  With [base], the priced state of exactly these bases
+    under the scenario's own matrices (the incremental engine's, a staged
+    trial's patch included), every link failure is patched, a single one
+    included, and nothing is built; without it the sweep builds the state before its
+    first link failure when it has two or more failures, and prices a lone
+    failure from scratch.  Costs are bit-identical either way. *)
 
 type bounded_sweep =
   | Swept of Lexico.t  (** the exact compound, all failures priced *)
@@ -209,7 +181,7 @@ val compound_sweep_bounded :
   Scenario.t ->
   ?exec:Dtr_exec.Exec.t ->
   ?residents:Residents.t ->
-  ?cache:sweep_cache ->
+  ?base:Patch.t ->
   routing_d:Dtr_spf.Routing.t ->
   routing_t:Dtr_spf.Routing.t ->
   ?init:Lexico.t ->
@@ -231,7 +203,7 @@ val compound_sweep_bounded :
     Serial execution aborts mid-sweep; at jobs > 1 every failure is priced
     in parallel, [prune] is not consulted and the result is [Swept].  A
     [prune] that never fires gives the unbounded compound.  [residents]
-    and [cache] as in {!sweep_from}; an aborted sweep stages only the
+    and [base] as in {!sweep_from}; an aborted sweep stages only the
     failures it priced. *)
 
 val evaluate_from :
@@ -253,24 +225,3 @@ val evaluate_from :
 val compound : Lexico.t array -> Lexico.t
 (** Componentwise sum over scenarios — [Kfail] of Eq. (4) (or its
     critical-set restriction, Eq. (7)). *)
-
-(**/**)
-
-(** Shared internals of the full and incremental evaluations.  [Eval_incr]
-    must produce bit-identical costs, so the per-destination SLA subtotal is
-    single-sourced here rather than duplicated. *)
-module Internal : sig
-  val dest_sla :
-    ?on_pair:(int -> int -> float -> unit) ->
-    Scenario.t ->
-    routing_d:Dtr_spf.Routing.t ->
-    arc_delay:float array ->
-    dense_rd:float array array ->
-    excluded:(int -> bool) ->
-    dest:int ->
-    float * int * int
-  (** One destination's SLA penalty: a left fold (from [0.], in source
-      order) of the pair penalties over the expected-delay DP, plus the
-      violation and unreachable-pair counts.  [on_pair src dest delay], if
-      given, sees each priced pair's delay. *)
-end

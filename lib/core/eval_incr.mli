@@ -3,36 +3,23 @@
     The local search's inner loop evaluates a weight setting that differs
     from the last committed one on exactly one arc.  A full {!Eval.evaluate}
     pays [O(n)] Dijkstra runs plus an [O(n^2)] delay pass per trial; this
-    engine caches, per traffic class, the routing state, each destination's
-    arc-load contribution and each destination's SLA penalty subtotal, and
-    recomputes only the destinations the single-arc move can affect (see
-    {!Dtr_spf.Routing.with_changed_arc}).  Load totals are re-summed from
-    the per-destination rows in destination order, on the arcs where a
-    re-routed destination's row changed; [Lambda] is re-summed from the
-    per-destination subtotals, recomputed where the routing or a delay the
-    destination reads changed; [Phi] is folded from per-arc congestion
-    terms, recomputed where a load changed.  Together with the
-    per-destination fold in {!Eval.Internal.dest_sla} this makes every
-    result {e bit-identical} to the full evaluation: not merely close, the
-    same floats.  A trial writes into the engine's own arrays and rows
-    taken from a pool, keeping what it overwrote for {!rollback}, so it
-    allocates no rows or load arrays.
-
-    The same caching pattern is reused {e across failure states}: a failure
-    sweep ({!Eval.sweep_details}, {!Eval.sweep_from}) builds the
-    per-destination contribution rows and SLA subtotals once from the
-    no-failure base and re-prices each single-arc failure by repairing the
-    routing with {!Dtr_spf.Spf_delta} and re-summing only the destinations
-    that failure touches — see the dynamic-SPF section of [DESIGN.md].
+    engine keeps the committed setting's priced state ({!Patch.t}: per
+    class the routing and each destination's load row, then the loads,
+    delays, congestion terms and SLA subtotals) and prices a trial as a
+    patch on it.  Only the destinations the move can reach are repaired
+    ({!Dtr_spf.Routing.with_changed_arc}) and re-routed, and only the arcs
+    where their rows changed are re-summed, so every result is
+    {e bit-identical} to the full evaluation: not merely close, the same
+    floats.  A trial writes into the state's arrays and pooled rows,
+    keeping what it overwrote for {!rollback}, so it allocates no rows or
+    load arrays.
 
     The engine also serves the failure sweeps of Phase 2 and the warm start
-    ({!sweep}, {!sweep_bounded}).  Its per-destination rows, totals, delays
-    and SLA subtotals are exactly the pieces a sweep's assessment cache
-    holds, so these sweeps hand in the current state's ({!Eval.sweep_cache})
-    instead of building one, and price every link failure from it — a
-    single-failure list included.  For its committed incumbent it keeps, per
-    failure of the sweeps' fixed list and per class, the post-failure
-    routing state and load row of every destination the failure re-routes
+    ({!sweep}, {!sweep_bounded}): each link failure is a patch on a view of
+    the current state, undone once priced, so these sweeps build nothing.
+    For its committed incumbent the engine keeps, per failure of the
+    sweeps' fixed list and per class, the post-failure routing state and
+    load row of every destination the failure re-routes
     ({!Eval.Residents}); a trial's sweep takes them wherever the single-arc
     move cannot reach the resident route, instead of repairing and
     re-routing.  Bounded trials ({!try_arc_bounded}) additionally test a
@@ -138,14 +125,14 @@ val sweep :
 (** Per-failure costs of the current state ({!current_routing}'s bases, and
     [w], which must be the current setting) under [failures]:
     {!Eval.sweep_from} with the engine's resident post-failure states and
-    the current state's sweep cache — the committed arrays, or for a
-    pending trial copies of the destination-indexed ones with the trial's
-    re-routed rows and fresh SLA subtotals swapped in.  No cache is built,
-    and every link failure, a lone one included, is priced from the cache
-    (node failures, and every failure under [DTR_REFERENCE=1], from scratch).
-    Pass the same (physically equal) list every time: the states are kept
-    per failure of one list.  Bit-identical to {!Eval.sweep_from} without
-    the states or the cache. *)
+    its priced state as [base].  That is the engine's own arrays, a staged
+    trial's writes included, which each domain's view copies once per
+    sweep and whose rows it shares.  Nothing is built, and every link
+    failure, a lone one included, is a patch on a view (node failures, and
+    every failure under [DTR_REFERENCE=1], are priced from scratch).  Pass
+    the same (physically equal) list every time: the states are kept per
+    failure of one list.  Bit-identical to {!Eval.sweep_from} without the
+    states or the base. *)
 
 val sweep_bounded :
   t ->
@@ -156,4 +143,4 @@ val sweep_bounded :
   failures:Failure.t list ->
   Eval.bounded_sweep
 (** {!Eval.compound_sweep_bounded} from the current state, with the
-    engine's resident post-failure states and sweep cache, like {!sweep}. *)
+    engine's resident post-failure states and priced state, like {!sweep}. *)

@@ -5,19 +5,12 @@ let body_to_buffer buf m =
   Matrix.iter m (fun ~src ~dst v ->
       Buffer.add_string buf (Printf.sprintf "demand %d %d %.17g\n" src dst v))
 
-let to_string m =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "# dtr traffic v1\n";
-  body_to_buffer buf m;
-  Buffer.contents buf
-
 let fail_line lineno msg = failwith (Printf.sprintf "Matrix_io: line %d: %s" lineno msg)
 
-(* Parses a sequence of (size, demand, class) records; [multi] allows the
-   [class] markers used by the pair format.  A [size] record allocates an
-   n x n matrix, so with [nodes] (the topology's node count) any other size
-   is refused before anything is allocated. *)
-let parse ?nodes ~multi s =
+(* Parses a sequence of (class, size, demand) records.  A [size] record
+   allocates an n x n matrix, so with [nodes] (the topology's node count)
+   any other size is refused before anything is allocated. *)
+let parse ?nodes s =
   let current = ref None in
   let sections = ref [] in
   let finish () = match !current with Some m -> sections := m :: !sections | None -> () in
@@ -41,7 +34,7 @@ let parse ?nodes ~multi s =
       if line <> "" then begin
         match String.split_on_char ' ' line |> List.filter (fun t -> t <> "") with
         | [ "size"; n ] -> begin_section lineno (int_of_string_opt n)
-        | [ "class"; ("d" | "t") ] when multi -> ()
+        | [ "class"; ("d" | "t") ] -> ()
         | [ "demand"; src; dst; v ] -> begin
             match
               (!current, int_of_string_opt src, int_of_string_opt dst, float_of_string_opt v)
@@ -58,24 +51,6 @@ let parse ?nodes ~multi s =
     (String.split_on_char '\n' s);
   finish ();
   List.rev !sections
-
-let of_string s =
-  match parse ~multi:false s with
-  | [ m ] -> m
-  | [] -> failwith "Matrix_io: empty document"
-  | _ -> failwith "Matrix_io: multiple matrices in a single-matrix document"
-
-let save m ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string m))
-
-let load ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
 
 let pair_to_string ~rd ~rt =
   if Matrix.size rd <> Matrix.size rt then
@@ -95,7 +70,7 @@ let pair_of_sections = function
       (rd, rt)
   | _ -> failwith "Matrix_io: expected exactly two class sections"
 
-let pair_of_string s = pair_of_sections (parse ~multi:true s)
+let pair_of_string s = pair_of_sections (parse s)
 
 let load_pair ~nodes ~path =
   let ic = open_in path in
@@ -103,4 +78,4 @@ let load_pair ~nodes ~path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let s = really_input_string ic (in_channel_length ic) in
-      pair_of_sections (parse ~nodes ~multi:true s))
+      pair_of_sections (parse ~nodes s))

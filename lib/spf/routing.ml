@@ -255,18 +255,6 @@ let compute g ~weights ?buffers ?disabled () =
   in
   { graph = g; dests }
 
-let exists_dag_arc t ~dest f =
-  let st = t.dests.(dest) in
-  let ord = st.order and off = st.hop_off and ids = st.hop_ids in
-  let rec scan i =
-    if i >= Array.length ord then false
-    else
-      let u = ord.(i) in
-      let rec scan_nh j = j < off.(u + 1) && (f ids.(j) || scan_nh (j + 1)) in
-      scan_nh off.(u) || scan (i + 1)
-  in
-  scan 0
-
 let iter_dag_arcs t ~dest f =
   let st = t.dests.(dest) in
   let ord = st.order and off = st.hop_off and ids = st.hop_ids in
@@ -291,6 +279,8 @@ let rec uses_any t ~dest = function
   | id :: rest -> uses_arc t ~dest id || uses_any t ~dest rest
 
 let shares_dest a b ~dest = a.dests.(dest) == b.dests.(dest)
+
+let empty g = { graph = g; dests = [||] }
 
 (* Flags the rebuilt nodes and records their new row lengths; answers
    whether every one keeps its old length ([boff] being the old offsets). *)

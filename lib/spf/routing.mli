@@ -33,24 +33,22 @@ val compute :
 (** Runs one reverse Dijkstra per destination and derives the ECMP DAGs.
     @raise Invalid_argument on malformed weights (checked once per call). *)
 
+val empty : Graph.t -> t
+(** A state with no destination, for a holder that must drop the state it
+    kept: every query on it raises [Invalid_argument]. *)
+
 val uses_arc : t -> dest:Graph.node -> Graph.arc_id -> bool
 (** Whether the arc lies on some shortest path towards [dest] (i.e. belongs
-    to the destination's ECMP DAG). *)
+    to the destination's ECMP DAG, whose arcs are exactly the ones the
+    delay DPs read). *)
 
 val uses_any : t -> dest:Graph.node -> Graph.arc_id list -> bool
 (** Whether any of the arcs satisfies {!uses_arc}. *)
 
-val exists_dag_arc : t -> dest:Graph.node -> (Graph.arc_id -> bool) -> bool
-(** Whether any arc of [dest]'s ECMP DAG satisfies the predicate — exactly
-    the arcs the delay DPs read, so a negative answer certifies that a
-    delay-DP result over this destination cannot have changed when only the
-    flagged arcs' delays did. *)
-
 val iter_dag_arcs : t -> dest:Graph.node -> (Graph.arc_id -> unit) -> unit
 (** Applies the function to every arc of [dest]'s ECMP DAG (each arc appears
-    exactly once: hop rows of distinct nodes are disjoint).  Cached failure
-    pricing walks a re-routed destination's old and new DAGs with it to
-    find the arcs where its load row can differ. *)
+    exactly once: hop rows of distinct nodes are disjoint), in traversal
+    order. *)
 
 val with_failed_arcs :
   ?buffers:buffers ->

@@ -14,6 +14,7 @@ module Lexico = Dtr_cost.Lexico
 module Scenario = Dtr_core.Scenario
 module Weights = Dtr_core.Weights
 module Eval = Dtr_core.Eval
+module Eval_incr = Dtr_core.Eval_incr
 module Optimizer = Dtr_core.Optimizer
 module Exec = Dtr_exec.Exec
 module Metric = Dtr_obs.Metric
@@ -233,6 +234,58 @@ let test_stats_report_engine_state () =
         (counter "eval.sweep.full_evals"))
     [ Exec.serial; Exec.of_jobs 2 ]
 
+(* Allocation pin for patched failure pricing, the counterpart of
+   core.eval_incr's trial pin: the minor words of a second one-shot sweep
+   and of a second engine sweep after [anchor], over every single-arc
+   failure of a fixed instance, are deterministic.  A failure is a patch
+   on its domain's view of the sweep's state, undone once priced, so what
+   is left per failure is the routing repair, the rows an engine sweep
+   hands to its resident states, and the SLA programmes of the
+   destinations it refreshes; a one-shot sweep also builds its state.
+   Returns the words per failure of each. *)
+let failure_alloc () =
+  let scenario =
+    Scenario.random_instance ~params:Scenario.quick_params ~nodes:10 ~degree:4.
+      ~avg_util:0.4 (Rng.create 5) Gen.Rand_topo
+  in
+  let num_arcs = Scenario.num_arcs scenario in
+  let w = Weights.random (Rng.create 6) ~num_arcs ~wmax:20 in
+  let failures = Failure.all_single_arcs scenario.Scenario.graph in
+  let per_failure sweep =
+    let (_ : Lexico.t array) = sweep () in
+    let before = Gc.minor_words () in
+    let (_ : Lexico.t array) = sweep () in
+    (Gc.minor_words () -. before) /. float_of_int (List.length failures)
+  in
+  let one_shot = per_failure (fun () -> Eval.sweep scenario ~exec:Exec.serial w failures) in
+  let engine = Eval_incr.create scenario in
+  let (_ : Lexico.t) = Eval_incr.anchor engine w in
+  let engine_sweep =
+    per_failure (fun () -> Eval_incr.sweep engine ~exec:Exec.serial w ~failures)
+  in
+  (one_shot, engine_sweep)
+
+let test_failure_allocation_pin () =
+  let was_spf = Spf_delta.enabled () and was_metric = Metric.enabled () in
+  Spf_delta.set_enabled true;
+  Metric.set_enabled false;
+  let one_shot, engine_sweep =
+    Fun.protect
+      ~finally:(fun () ->
+        Spf_delta.set_enabled was_spf;
+        Metric.set_enabled was_metric)
+      failure_alloc
+  in
+  (* The sweeps allocate 1,065 and 526 words per failure.  Before the
+     engine's trials and failures shared one patch pricer they allocated
+     1,257 and 536; the bounds are those counts plus 3%. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "one-shot sweep: %.0f minor words per failure, at most 1,295" one_shot)
+    true (one_shot <= 1295.);
+  Alcotest.(check bool)
+    (Printf.sprintf "engine sweep: %.0f minor words per failure, at most 552" engine_sweep)
+    true (engine_sweep <= 552.)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_repair_routing_identity;
@@ -242,4 +295,5 @@ let suite =
       test_e2e_engine_identity;
     Alcotest.test_case "sweep stats reflect engine state" `Quick
       test_stats_report_engine_state;
+    Alcotest.test_case "failure allocation pin" `Quick test_failure_allocation_pin;
   ]

@@ -479,7 +479,7 @@ let test_allocation_pin () =
         Metric.set_enabled was_metric)
       alloc_sequence
   in
-  (* The sequence allocates 124,380 words (1,382 per trial, its last sweep
+  (* The sequence allocates 91,247 words (1,014 per trial, its last sweep
      included); an engine that allocates a row per re-routed destination
      and fresh load arrays per trial allocates 205,160. *)
   let per_trial = words /. 90. in

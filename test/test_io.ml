@@ -84,25 +84,38 @@ let test_graph_dot () =
 
 (* Matrix_io *)
 
+(* Both matrices of a pair survive a round trip through the document. *)
+let pair_roundtrips rd rt =
+  let rd', rt' = Matrix_io.pair_of_string (Matrix_io.pair_to_string ~rd ~rt) in
+  let same m m' =
+    Matrix.size m = Matrix.size m'
+    && (let ok = ref true in
+        Matrix.iter m (fun ~src ~dst v -> if Matrix.get m' ~src ~dst <> v then ok := false);
+        Matrix.iter m' (fun ~src ~dst v -> if Matrix.get m ~src ~dst <> v then ok := false);
+        !ok)
+  in
+  same rd rd' && same rt rt'
+
 let test_matrix_roundtrip () =
   let rng = Rng.create 6 in
-  let m = Dtr_traffic.Gravity.single rng ~nodes:9 ~total:123.456 in
-  let m' = Matrix_io.of_string (Matrix_io.to_string m) in
-  Alcotest.(check int) "size" (Matrix.size m) (Matrix.size m');
-  Matrix.iter m (fun ~src ~dst v ->
-      Alcotest.(check (float 1e-12)) "demand preserved" v (Matrix.get m' ~src ~dst));
-  Alcotest.(check (float 1e-9)) "total preserved" (Matrix.total m) (Matrix.total m')
+  let rd = Dtr_traffic.Gravity.single rng ~nodes:9 ~total:123.456 in
+  let rt = Dtr_traffic.Gravity.single rng ~nodes:9 ~total:654.321 in
+  Alcotest.(check bool) "demands preserved" true (pair_roundtrips rd rt)
 
 let test_matrix_file_io () =
-  let m = Matrix.create 3 in
-  Matrix.set m ~src:0 ~dst:2 7.25;
+  let rd = Matrix.create 3 and rt = Matrix.create 3 in
+  Matrix.set rd ~src:0 ~dst:2 7.25;
+  Matrix.set rt ~src:2 ~dst:1 0.5;
   let path = temp_file ".tm" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Matrix_io.save m ~path;
-      let m' = Matrix_io.load ~path in
-      Alcotest.(check (float 0.)) "demand" 7.25 (Matrix.get m' ~src:0 ~dst:2))
+      let oc = open_out path in
+      output_string oc (Matrix_io.pair_to_string ~rd ~rt);
+      close_out oc;
+      let rd', rt' = Matrix_io.load_pair ~nodes:3 ~path in
+      Alcotest.(check (float 0.)) "delay demand" 7.25 (Matrix.get rd' ~src:0 ~dst:2);
+      Alcotest.(check (float 0.)) "throughput demand" 0.5 (Matrix.get rt' ~src:2 ~dst:1))
 
 let test_matrix_pair_roundtrip () =
   let rng = Rng.create 7 in
@@ -111,11 +124,24 @@ let test_matrix_pair_roundtrip () =
   Alcotest.(check (float 1e-9)) "rd total" (Matrix.total rd) (Matrix.total rd');
   Alcotest.(check (float 1e-9)) "rt total" (Matrix.total rt) (Matrix.total rt')
 
+(* Each malformed body, as the delay class of a document whose throughput
+   class is well formed, fails to parse from a string and from a file. *)
 let test_matrix_parse_errors () =
-  let check_fails name s =
-    match Matrix_io.of_string s with
+  let check_fails name body =
+    let s = "class d\n" ^ body ^ "\nclass t\nsize 3\ndemand 1 0 2\n" in
+    (match Matrix_io.pair_of_string s with
     | exception Failure _ -> ()
-    | _ -> Alcotest.fail (name ^ ": expected failure")
+    | _ -> Alcotest.fail (name ^ ": expected failure"));
+    let path = temp_file ".tm" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out path in
+        output_string oc s;
+        close_out oc;
+        match Matrix_io.load_pair ~nodes:3 ~path with
+        | exception Failure _ -> ()
+        | _ -> Alcotest.fail (name ^ ": expected failure from load_pair"))
   in
   check_fails "empty" "";
   check_fails "demand before size" "demand 0 1 5\n";
@@ -175,12 +201,8 @@ let prop_matrix_roundtrip =
   QCheck.Test.make ~name:"random matrices round-trip" ~count:25
     QCheck.(pair (int_range 2 15) (int_range 0 10000))
     (fun (nodes, seed) ->
-      let m = Dtr_traffic.Gravity.single (Rng.create seed) ~nodes ~total:500. in
-      let m' = Matrix_io.of_string (Matrix_io.to_string m) in
-      let ok = ref true in
-      Matrix.iter m (fun ~src ~dst v ->
-          if Float.abs (Matrix.get m' ~src ~dst -. v) > 1e-12 then ok := false);
-      !ok)
+      let rd, rt = Dtr_traffic.Gravity.pair (Rng.create seed) ~nodes ~total:500. in
+      pair_roundtrips rd rt)
 
 let prop_weights_roundtrip =
   QCheck.Test.make ~name:"random weight settings round-trip" ~count:50

@@ -350,7 +350,9 @@ let prop_resident =
             let f = List.nth failures i in
             let r = Reference.price inst.scenario ~failure:f inst.w in
             check_cost (what ^ ", " ^ Failure.name g f) r c)
-          (Array.to_list (Eval_incr.sweep e inst.w ~failures))
+          (Array.to_list (Eval_incr.sweep e inst.w ~failures));
+        (* a failure patch that left a write behind shows here *)
+        check_engine (what ^ ", after the sweep") e inst
       in
       check "anchor";
       for k = 1 to 10 do
@@ -416,11 +418,12 @@ let prop_bounded =
         let prune =
           random_prune rng (Lexico.make ~lambda:(base.Lexico.lambda +. t.lo) ~phi)
         in
-        match Eval_incr.sweep_bounded e ?init ~prune inst.w ~failures with
+        (match Eval_incr.sweep_bounded e ?init ~prune inst.w ~failures with
         | Eval.Swept c -> check_total (what ^ " sweep") ?init t c
         | Eval.Aborted_at _ ->
             if not (prune (ceiling_of ~lambda:(base.Lexico.lambda +. t.hi) ~phi)) then
-              failf "%s sweep aborted, but its prune rejects the reference's sum" what
+              failf "%s sweep aborted, but its prune rejects the reference's sum" what);
+        check_engine (what ^ ", after its sweep") e inst
       done)
 
 let prop_joint =
