@@ -19,24 +19,11 @@ module Scenario = Dtr_core.Scenario
 module Optimizer = Dtr_core.Optimizer
 module Metrics = Dtr_core.Metrics
 module Lexico = Dtr_cost.Lexico
+module Cli = Dtr_cli.Cli
 
 (* ------------------------------------------------------------------ *)
 (* Converters and shared options                                       *)
 (* ------------------------------------------------------------------ *)
-
-let topo_conv =
-  let parse = function
-    | "rand" -> Ok Gen.Rand_topo
-    | "near" -> Ok Gen.Near_topo
-    | "pl" -> Ok Gen.Pl_topo
-    | "isp" -> Ok Gen.Isp
-    | "backbone" -> Ok Gen.Backbone
-    | s ->
-        Error
-          (`Msg (Printf.sprintf "unknown topology %S (rand|near|pl|isp|backbone)" s))
-  in
-  let print ppf k = Format.pp_print_string ppf (Gen.kind_name k) in
-  Cmdliner.Arg.conv (parse, print)
 
 let selector_conv =
   let parse = function
@@ -75,45 +62,15 @@ let failure_model_conv =
 
 open Cmdliner
 
-let topo =
-  Arg.(value & opt topo_conv Gen.Rand_topo & info [ "t"; "topology" ] ~docv:"KIND"
-         ~doc:"Topology family: rand, near, pl, isp or backbone.")
-
-let nodes =
-  Arg.(value & opt int 16 & info [ "n"; "nodes" ] ~docv:"N"
-         ~doc:"Number of nodes (ignored for isp and backbone).")
-
-let degree =
-  Arg.(value & opt float 5. & info [ "d"; "degree" ] ~docv:"D"
-         ~doc:"Mean undirected node degree (ignored for isp and backbone).")
-
-let avg_util =
-  Arg.(value & opt float 0.43 & info [ "u"; "avg-util" ] ~docv:"U"
-         ~doc:"Target average link utilization under hop-count routing.")
-
-let seed =
-  Arg.(value & opt int 2008 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-
 let jobs =
-  Arg.(value & opt (some Dtr_cli.Cli.jobs_conv) None & info [ "j"; "jobs" ] ~docv:"N"
+  Arg.(value & opt (some Cli.jobs_conv) None & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Price failure sweeps on $(docv) domains.  Results are \
                bit-identical for every job count.  Overrides the DTR_JOBS \
                environment variable; the default is serial execution.")
 
 (* Explicit flag wins over DTR_JOBS; absent both, run serially.  Validation
-   happens in Dtr_cli.Cli.jobs_conv, through Cmdliner's own error channel. *)
-let exec_of_jobs = Dtr_cli.Cli.exec_of_jobs
-
-let chunk_size =
-  Arg.(value & opt (some Dtr_cli.Cli.chunk_size_conv) None
-       & info [ "chunk-size" ] ~docv:"ITEMS"
-           ~doc:"Pin the pool's work-queue chunk size to $(docv) items per \
-                 claim instead of the adaptive policy.  Chunking only \
-                 affects scheduling: results are bit-identical for every \
-                 chunk size.  Overrides the DTR_CHUNK_SIZE environment \
-                 variable.")
-
-let apply_chunk_size = Dtr_cli.Cli.apply_chunk_size
+   happens in Cli.jobs_conv, through Cmdliner's own error channel. *)
+let exec_of_jobs = Cli.exec_of_jobs
 
 let reference =
   Arg.(value & flag & info [ "reference" ]
@@ -124,7 +81,7 @@ let reference =
                variable; results are bit-identical either way, the flag \
                exists for A/B benchmarking).")
 
-let apply_reference = Dtr_cli.Cli.apply_reference
+let apply_reference = Cli.apply_reference
 
 let print_prune_breakdown (solution : Optimizer.solution) =
   let p1 = solution.Optimizer.phase1.Dtr_core.Phase1.stats in
@@ -235,18 +192,6 @@ let instance_fields scenario ~topo ~topology_file ~seed ~exec =
     ("prune", B (Dtr_core.Prune.enabled ()));
   ]
 
-let theta =
-  Arg.(value & opt float 25. & info [ "theta" ] ~docv:"MS"
-         ~doc:"SLA end-to-end delay bound in milliseconds.")
-
-let topology_file =
-  Arg.(value & opt (some string) None & info [ "topology-file" ] ~docv:"PATH"
-         ~doc:"Load the topology from a dtr topology file instead of generating one.")
-
-let traffic_file =
-  Arg.(value & opt (some string) None & info [ "traffic-file" ] ~docv:"PATH"
-         ~doc:"Load the two-class traffic matrices from a dtr traffic file.")
-
 (* ------------------------------------------------------------------ *)
 (* Instance assembly                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -255,7 +200,7 @@ let build_params theta_ms paper_scale =
   let params = if paper_scale then Scenario.paper_params else Scenario.quick_params in
   { params with Scenario.sla = Dtr_cost.Sla.with_theta (theta_ms /. 1000.) }
 
-let build_scenario = Dtr_cli.Cli.build_scenario ~exe:"dtr-opt"
+let build_scenario = Cli.build_scenario ~exe:"dtr-opt"
 
 let report_instance scenario =
   Format.printf "%a@." Graph.pp_summary scenario.Scenario.graph;
@@ -321,16 +266,15 @@ let print_failure_comparison scenario ~exec ~regular ~robust =
 
 let run_optimize topo nodes degree avg_util seed fraction selector fmodel srlg_radius
     pair_samples cascade_trip theta_ms paper_scale topology_file traffic_file
-    out_weights jobs chunk_size reference verbose report trace log =
+    out_weights jobs reference verbose report trace log =
   let exec = exec_of_jobs jobs in
-  apply_chunk_size chunk_size;
   apply_reference reference;
   if verbose then begin
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.set_level (Some Logs.Info)
   end;
   let log = resolve_log ~verbose log in
-  Dtr_cli.Cli.with_obs ?log ~verbose ~report ~trace @@ fun () ->
+  Cli.with_obs ?log ~verbose ~report ~trace @@ fun () ->
   let params = build_params theta_ms paper_scale in
   let scenario =
     build_scenario ~topo ~nodes ~degree ~avg_util ~seed ~params ~topology_file
@@ -408,15 +352,14 @@ let run_optimize topo nodes degree avg_util seed fraction selector fmodel srlg_r
 (* ------------------------------------------------------------------ *)
 
 let run_evaluate topo nodes degree avg_util seed theta_ms topology_file traffic_file
-    weights_file node_failures jobs chunk_size reference verbose report trace log =
+    weights_file node_failures jobs reference verbose report trace log =
   let exec = exec_of_jobs jobs in
-  apply_chunk_size chunk_size;
   apply_reference reference;
   let log = resolve_log ~verbose log in
   (* The bracket resets all counters at entry — without it, in-process reuse
      (and the sweeps below) reported stale totals accumulated by earlier
      runs — and tears instrumentation down again if the run raises. *)
-  Dtr_cli.Cli.with_obs ?log ~verbose ~report ~trace @@ fun () ->
+  Cli.with_obs ?log ~verbose ~report ~trace @@ fun () ->
   let params = build_params theta_ms false in
   let scenario =
     build_scenario ~topo ~nodes ~degree ~avg_util ~seed ~params ~topology_file
@@ -424,7 +367,7 @@ let run_evaluate topo nodes degree avg_util seed theta_ms topology_file traffic_
   in
   report_instance scenario;
   let w =
-    Dtr_cli.Cli.load_input ~exe:"dtr-opt" (fun () ->
+    Cli.load_input ~exe:"dtr-opt" (fun () ->
         Dtr_io.Weights_io.load ~path:weights_file)
   in
   if Dtr_core.Weights.num_arcs w <> Scenario.num_arcs scenario then begin
@@ -525,8 +468,8 @@ let generate_cmd =
   Cmd.v
     (Cmd.info "generate" ~doc:"synthesize an instance and write it to files")
     Term.(
-      const run_generate $ topo $ nodes $ degree $ avg_util $ seed $ out_topology
-      $ out_traffic $ out_dot)
+      const run_generate $ Cli.topo $ Cli.nodes $ Cli.degree $ Cli.avg_util $ Cli.seed
+      $ out_topology $ out_traffic $ out_dot)
 
 let optimize_term =
   let out_weights =
@@ -534,11 +477,10 @@ let optimize_term =
            ~doc:"Write the robust weight setting here.")
   in
   Term.(
-    const run_optimize $ topo $ nodes $ degree $ avg_util $ seed $ fraction $ selector
-    $ failure_model $ srlg_radius $ pair_samples $ cascade_trip
-    $ theta $ paper_scale $ topology_file $ traffic_file $ out_weights $ jobs
-    $ chunk_size $ reference $ verbose $ report_path $ trace_path
-    $ log_path)
+    const run_optimize $ Cli.topo $ Cli.nodes $ Cli.degree $ Cli.avg_util $ Cli.seed
+    $ fraction $ selector $ failure_model $ srlg_radius $ pair_samples $ cascade_trip
+    $ Cli.theta $ paper_scale $ Cli.topology_file $ Cli.traffic_file $ out_weights
+    $ jobs $ reference $ verbose $ report_path $ trace_path $ log_path)
 
 let optimize_cmd =
   Cmd.v (Cmd.info "optimize" ~doc:"run the two-phase robust optimization") optimize_term
@@ -555,10 +497,9 @@ let evaluate_cmd =
   Cmd.v
     (Cmd.info "evaluate" ~doc:"price a saved weight setting under failures")
     Term.(
-      const run_evaluate $ topo $ nodes $ degree $ avg_util $ seed $ theta
-      $ topology_file $ traffic_file $ weights_file $ node_failures $ jobs
-      $ chunk_size $ reference $ verbose $ report_path $ trace_path
-      $ log_path)
+      const run_evaluate $ Cli.topo $ Cli.nodes $ Cli.degree $ Cli.avg_util $ Cli.seed
+      $ Cli.theta $ Cli.topology_file $ Cli.traffic_file $ weights_file $ node_failures
+      $ jobs $ reference $ verbose $ report_path $ trace_path $ log_path)
 
 let cmd =
   let doc = "robust dual-topology routing optimization (Kwong et al., CoNEXT 2008)" in

@@ -7,63 +7,18 @@
    stdout carries only protocol responses. *)
 
 module Rng = Dtr_util.Rng
-module Graph = Dtr_topology.Graph
 module Gen = Dtr_topology.Gen
 module Scenario = Dtr_core.Scenario
 module Optimizer = Dtr_core.Optimizer
 module Daemon = Dtr_serve.Daemon
-
-let topo_conv =
-  let parse = function
-    | "rand" -> Ok Gen.Rand_topo
-    | "near" -> Ok Gen.Near_topo
-    | "pl" -> Ok Gen.Pl_topo
-    | "isp" -> Ok Gen.Isp
-    | "backbone" -> Ok Gen.Backbone
-    | s ->
-        Error
-          (`Msg (Printf.sprintf "unknown topology %S (rand|near|pl|isp|backbone)" s))
-  in
-  let print ppf k = Format.pp_print_string ppf (Gen.kind_name k) in
-  Cmdliner.Arg.conv (parse, print)
+module Cli = Dtr_cli.Cli
 
 open Cmdliner
-
-let topo =
-  Arg.(value & opt topo_conv Gen.Rand_topo & info [ "t"; "topology" ] ~docv:"KIND"
-         ~doc:"Topology family: rand, near, pl, isp or backbone.")
-
-let nodes =
-  Arg.(value & opt int 16 & info [ "n"; "nodes" ] ~docv:"N"
-         ~doc:"Number of nodes (ignored for isp and backbone).")
-
-let degree =
-  Arg.(value & opt float 5. & info [ "d"; "degree" ] ~docv:"D"
-         ~doc:"Mean undirected node degree (ignored for isp and backbone).")
-
-let avg_util =
-  Arg.(value & opt float 0.43 & info [ "u"; "avg-util" ] ~docv:"U"
-         ~doc:"Target average link utilization under hop-count routing.")
-
-let seed =
-  Arg.(value & opt int 2008 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-
-let theta =
-  Arg.(value & opt float 25. & info [ "theta" ] ~docv:"MS"
-         ~doc:"SLA end-to-end delay bound in milliseconds.")
 
 let fraction =
   Arg.(value & opt float 0.15 & info [ "f"; "critical-fraction" ] ~docv:"F"
          ~doc:"Target |Ec| / |E| for critical-link selection in full \
                re-optimizations.")
-
-let topology_file =
-  Arg.(value & opt (some string) None & info [ "topology-file" ] ~docv:"PATH"
-         ~doc:"Load the topology from a dtr topology file instead of generating one.")
-
-let traffic_file =
-  Arg.(value & opt (some string) None & info [ "traffic-file" ] ~docv:"PATH"
-         ~doc:"Load the two-class traffic matrices from a dtr traffic file.")
 
 let weights_file =
   Arg.(value & opt (some string) None & info [ "w"; "weights" ] ~docv:"PATH"
@@ -73,15 +28,9 @@ let weights_file =
                $(b,mode=full)).")
 
 let jobs =
-  Arg.(value & opt (some Dtr_cli.Cli.jobs_conv) None & info [ "j"; "jobs" ] ~docv:"N"
+  Arg.(value & opt (some Cli.jobs_conv) None & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Price failure sweeps on $(docv) domains.  Results are \
                bit-identical for every job count.  Overrides DTR_JOBS.")
-
-let chunk_size =
-  Arg.(value & opt (some Dtr_cli.Cli.chunk_size_conv) None
-       & info [ "chunk-size" ] ~docv:"ITEMS"
-           ~doc:"Pin the pool's work-queue chunk size (overrides \
-                 DTR_CHUNK_SIZE; scheduling only, results unchanged).")
 
 let reference =
   Arg.(value & flag & info [ "reference" ]
@@ -98,7 +47,7 @@ let socket =
 
 let cache_capacity =
   Arg.(value
-       & opt Dtr_cli.Cli.cache_capacity_conv 64
+       & opt Cli.cache_capacity_conv 64
        & info [ "cache-capacity" ] ~docv:"STATES"
          ~doc:"Bound on the what-if cache, in daemon states: an LRU keyed \
                by the graph, traffic and weights epochs and the links \
@@ -145,7 +94,7 @@ let build_params theta_ms =
   { Scenario.quick_params with
     Scenario.sla = Dtr_cost.Sla.with_theta (theta_ms /. 1000.) }
 
-let build_scenario = Dtr_cli.Cli.build_scenario ~exe:"dtr-serve"
+let build_scenario = Cli.build_scenario ~exe:"dtr-serve"
 
 (* The --metrics sink: "fd:2" streams snapshots to stderr; "fd:1" is
    rejected because stdout carries protocol responses; anything else is a
@@ -171,13 +120,12 @@ let open_metrics_sink = function
       (Some write, close)
 
 let run topo nodes degree avg_util seed theta_ms fraction topology_file
-    traffic_file weights_file jobs chunk_size reference socket
+    traffic_file weights_file jobs reference socket
     cache_capacity report trace metrics metrics_every log verbose =
-  let exec = Dtr_cli.Cli.exec_of_jobs jobs in
-  Dtr_cli.Cli.apply_chunk_size chunk_size;
-  Dtr_cli.Cli.apply_reference reference;
+  let exec = Cli.exec_of_jobs jobs in
+  Cli.apply_reference reference;
   let metrics_write, metrics_close = open_metrics_sink metrics in
-  Dtr_cli.Cli.with_obs ?log ~verbose ~report ~trace @@ fun () ->
+  Cli.with_obs ?log ~verbose ~report ~trace @@ fun () ->
   let params = build_params theta_ms in
   let scenario =
     build_scenario ~topo ~nodes ~degree ~avg_util ~seed ~params ~topology_file
@@ -198,7 +146,7 @@ let run topo nodes degree avg_util seed theta_ms fraction topology_file
     match weights_file with
     | Some path ->
         let w =
-          Dtr_cli.Cli.load_input ~exe:"dtr-serve" (fun () -> Dtr_io.Weights_io.load ~path)
+          Cli.load_input ~exe:"dtr-serve" (fun () -> Dtr_io.Weights_io.load ~path)
         in
         if Dtr_core.Weights.num_arcs w <> Scenario.num_arcs scenario then begin
           Format.eprintf "weight setting has %d arcs but the topology has %d@."
@@ -303,9 +251,9 @@ let cmd =
   Cmd.v
     (Cmd.info "dtr-serve" ~version:"1.0.0" ~doc)
     Term.(
-      const run $ topo $ nodes $ degree $ avg_util $ seed $ theta $ fraction
-      $ topology_file $ traffic_file $ weights_file $ jobs $ chunk_size
-      $ reference $ socket $ cache_capacity $ report_path $ trace_path
+      const run $ Cli.topo $ Cli.nodes $ Cli.degree $ Cli.avg_util $ Cli.seed
+      $ Cli.theta $ fraction $ Cli.topology_file $ Cli.traffic_file $ weights_file
+      $ jobs $ reference $ socket $ cache_capacity $ report_path $ trace_path
       $ metrics_path $ metrics_every $ log_path $ verbose)
 
 let () = exit (Cmd.eval cmd)

@@ -4,8 +4,7 @@
    eprintf-and-exit, which bypassed the man page and broke the exit-code
    contract. *)
 
-(* A count that must be at least 1: [--jobs], [--chunk-size],
-   [--cache-capacity]. *)
+(* A count that must be at least 1: [--jobs], [--cache-capacity]. *)
 let positive_conv ~what ~docv =
   let parse s =
     match int_of_string_opt (String.trim s) with
@@ -22,7 +21,6 @@ let exec_of_jobs = function
   | Some n -> Dtr_exec.Exec.of_jobs n
   | None -> Dtr_exec.Exec.default ()
 
-let chunk_size_conv = positive_conv ~what:"chunk size" ~docv:"ITEMS"
 let cache_capacity_conv = positive_conv ~what:"cache capacity" ~docv:"STATES"
 
 (* The loaders ([Dtr_io]) reject a malformed or out-of-range file with a
@@ -54,10 +52,6 @@ let build_scenario ~exe ~topo ~nodes ~degree ~avg_util ~seed ~params ~topology_f
           (Dtr_traffic.Scaling.Avg_utilization avg_util)
   in
   Dtr_core.Scenario.make ~graph ~rd ~rt ~params
-
-let apply_chunk_size = function
-  | Some _ as s -> Dtr_exec.Exec.set_chunk_size s
-  | None -> ()
 
 let apply_reference reference =
   if reference then begin
@@ -97,3 +91,66 @@ let with_obs ?log ~verbose ~report ~trace f =
       let bt = Printexc.get_raw_backtrace () in
       obs_abort ();
       Printexc.raise_with_backtrace exn bt
+
+module Gen = Dtr_topology.Gen
+
+(* The instance options [build_scenario] reads, shared by both
+   executables. *)
+let topo_conv =
+  let parse = function
+    | "rand" -> Ok Gen.Rand_topo
+    | "near" -> Ok Gen.Near_topo
+    | "pl" -> Ok Gen.Pl_topo
+    | "isp" -> Ok Gen.Isp
+    | "backbone" -> Ok Gen.Backbone
+    | s ->
+        Error
+          (`Msg (Printf.sprintf "unknown topology %S (rand|near|pl|isp|backbone)" s))
+  in
+  let print ppf k = Format.pp_print_string ppf (Gen.kind_name k) in
+  Cmdliner.Arg.conv (parse, print)
+
+let topo =
+  Cmdliner.Arg.(
+    value & opt topo_conv Gen.Rand_topo
+    & info [ "t"; "topology" ] ~docv:"KIND"
+        ~doc:"Topology family: rand, near, pl, isp or backbone.")
+
+let nodes =
+  Cmdliner.Arg.(
+    value & opt int 16
+    & info [ "n"; "nodes" ] ~docv:"N"
+        ~doc:"Number of nodes (ignored for isp and backbone).")
+
+let degree =
+  Cmdliner.Arg.(
+    value & opt float 5.
+    & info [ "d"; "degree" ] ~docv:"D"
+        ~doc:"Mean undirected node degree (ignored for isp and backbone).")
+
+let avg_util =
+  Cmdliner.Arg.(
+    value & opt float 0.43
+    & info [ "u"; "avg-util" ] ~docv:"U"
+        ~doc:"Target average link utilization under hop-count routing.")
+
+let seed =
+  Cmdliner.Arg.(
+    value & opt int 2008 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+
+let theta =
+  Cmdliner.Arg.(
+    value & opt float 25.
+    & info [ "theta" ] ~docv:"MS" ~doc:"SLA end-to-end delay bound in milliseconds.")
+
+let topology_file =
+  Cmdliner.Arg.(
+    value & opt (some string) None
+    & info [ "topology-file" ] ~docv:"PATH"
+        ~doc:"Load the topology from a dtr topology file instead of generating one.")
+
+let traffic_file =
+  Cmdliner.Arg.(
+    value & opt (some string) None
+    & info [ "traffic-file" ] ~docv:"PATH"
+        ~doc:"Load the two-class traffic matrices from a dtr traffic file.")

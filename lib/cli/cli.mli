@@ -10,10 +10,6 @@ val exec_of_jobs : int option -> Dtr_exec.Exec.t
     domains (the explicit flag wins over [DTR_JOBS]); [None] falls back to
     [Exec.default ()] (the [DTR_JOBS] environment variable, else serial). *)
 
-val chunk_size_conv : int Cmdliner.Arg.conv
-(** Pool chunk-size converter for [--chunk-size]: accepts integers [>= 1],
-    mirroring {!jobs_conv}'s validation-in-converter style. *)
-
 val cache_capacity_conv : int Cmdliner.Arg.conv
 (** [dtr-serve --cache-capacity] converter: accepts integers [>= 1], as
     {!jobs_conv} does. *)
@@ -23,11 +19,6 @@ val load_input : exe:string -> (unit -> 'a) -> 'a
     ([Failure], the loaders' line-numbered message) or cannot read
     ([Sys_error]) ends the process: the message goes to stderr as
     ["<exe>: <message>"] and the exit code is 1. *)
-
-val apply_chunk_size : int option -> unit
-(** [apply_chunk_size (Some n)] pins the pool chunk size process-wide via
-    [Exec.set_chunk_size] (the explicit flag wins over [DTR_CHUNK_SIZE]);
-    [None] leaves the environment/adaptive default in place. *)
 
 val apply_reference : bool -> unit
 (** [apply_reference true] (the [--reference] flag) turns reference mode
@@ -78,3 +69,20 @@ val build_scenario :
     [traffic_file] or a gravity pair calibrated to [avg_util], both drawn
     from [seed]'s stream.  A rejected file, or traffic matrices whose size
     is not the topology's, ends the process as {!load_input} does. *)
+
+(** {2 Instance options}
+
+    The command-line terms {!build_scenario}'s arguments come from, the
+    same in every dtr executable: [-t]/[--topology], [-n]/[--nodes],
+    [-d]/[--degree], [-u]/[--avg-util], [-s]/[--seed], [--theta] (the SLA
+    delay bound in milliseconds), [--topology-file] and
+    [--traffic-file]. *)
+
+val topo : Dtr_topology.Gen.kind Cmdliner.Term.t
+val nodes : int Cmdliner.Term.t
+val degree : float Cmdliner.Term.t
+val avg_util : float Cmdliner.Term.t
+val seed : int Cmdliner.Term.t
+val theta : float Cmdliner.Term.t
+val topology_file : string option Cmdliner.Term.t
+val traffic_file : string option Cmdliner.Term.t

@@ -1,12 +1,10 @@
 module Graph = Dtr_topology.Graph
 module Failure = Dtr_topology.Failure
 module Routing = Dtr_spf.Routing
-module Matrix = Dtr_traffic.Matrix
 module Lexico = Dtr_cost.Lexico
 module Delay_model = Dtr_cost.Delay_model
 module Congestion = Dtr_cost.Congestion
 module Exec = Dtr_exec.Exec
-module Scratch = Dtr_exec.Scratch
 module Spf_delta = Dtr_spf.Spf_delta
 module Metric = Dtr_obs.Metric
 module Trace = Dtr_obs.Trace
@@ -20,34 +18,11 @@ type detail = {
   pair_delays : (int * int * float) array;
 }
 
-(* Dense views + delay-sink flags: the scenario's own matrices come with
-   cached ones; overrides (perturbed traffic) fall back to a local scan. *)
-let dense_inputs (scenario : Scenario.t) ~rd ~rt =
-  let dense_rd, sinks =
-    if rd == scenario.Scenario.rd then
-      (scenario.Scenario.dense_rd, scenario.Scenario.delay_sinks)
-    else begin
-      let dense = Matrix.dense rd in
-      let n = Array.length dense in
-      let sinks = Array.make n false in
-      for src = 0 to n - 1 do
-        for dest = 0 to n - 1 do
-          if src <> dest && dense.(src).(dest) > 0. then sinks.(dest) <- true
-        done
-      done;
-      (dense, sinks)
-    end
-  in
-  let dense_rt =
-    if rt == scenario.Scenario.rt then scenario.Scenario.dense_rt else Matrix.dense rt
-  in
-  (dense_rd, dense_rt, sinks)
-
 (* Cost computation given already-computed per-class routing states. *)
-let assess (scenario : Scenario.t) ~routing_d ~routing_t ~exclude_node ~dense_rd
-    ~dense_rt ~sinks ~want_pair_delays =
+let assess (scenario : Scenario.t) ~routing_d ~routing_t ~exclude_node ~want_pair_delays =
   let g = scenario.Scenario.graph in
   let params = scenario.Scenario.params in
+  let dense_rd = scenario.Scenario.dense_rd and dense_rt = scenario.Scenario.dense_rt in
   let num_arcs = Graph.num_arcs g in
   let throughput_loads = Array.make num_arcs 0. in
   let (_ : float) =
@@ -69,7 +44,7 @@ let assess (scenario : Scenario.t) ~routing_d ~routing_t ~exclude_node ~dense_rd
     else None
   in
   for dest = 0 to n - 1 do
-    if sinks.(dest) && not (excluded dest) then begin
+    if scenario.Scenario.delay_sinks.(dest) && not (excluded dest) then begin
       let lam, viol, unreach =
         Patch.dest_sla ?on_pair scenario ~routing_d ~arc_delay ~dense_rd ~excluded ~dest
       in
@@ -120,13 +95,13 @@ let make_sweep_scratch g =
     stamp = -1;
   }
 
-let sweep_slot : (Graph.t * sweep_scratch) list ref Scratch.t =
-  Scratch.create (fun () -> ref [])
+let sweep_slot : (Graph.t * sweep_scratch) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
 let max_cached_graphs = 8
 
 let sweep_scratch_for g =
-  let cache = Scratch.get sweep_slot in
+  let cache = Domain.DLS.get sweep_slot in
   match List.find_opt (fun (g', _) -> g' == g) !cache with
   | Some (_, s) -> s
   | None ->
@@ -144,17 +119,14 @@ let with_sweep_scratch g f =
   | r -> r
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      let cache = Scratch.get sweep_slot in
+      let cache = Domain.DLS.get sweep_slot in
       cache := List.filter (fun (g', _) -> g' != g) !cache;
       Printexc.raise_with_backtrace e bt
 
 let resolve_exec = function Some e -> e | None -> Exec.default ()
 
-let evaluate (scenario : Scenario.t) ?failure ?rd ?rt ?(want_pair_delays = false) w =
+let evaluate (scenario : Scenario.t) ?failure ?(want_pair_delays = false) w =
   let g = scenario.Scenario.graph in
-  let rd = match rd with Some m -> m | None -> scenario.Scenario.rd in
-  let rt = match rt with Some m -> m | None -> scenario.Scenario.rt in
-  let dense_rd, dense_rt, sinks = dense_inputs scenario ~rd ~rt in
   let disabled, exclude_node =
     match failure with
     | None -> (None, None)
@@ -165,8 +137,7 @@ let evaluate (scenario : Scenario.t) ?failure ?rd ?rt ?(want_pair_delays = false
   let routing_t =
     Routing.compute g ~weights:(Weights.throughput_of w) ~buffers ?disabled ()
   in
-  assess scenario ~routing_d ~routing_t ~exclude_node ~dense_rd ~dense_rt ~sinks
-    ~want_pair_delays
+  assess scenario ~routing_d ~routing_t ~exclude_node ~want_pair_delays
 
 let cost scenario ?failure w = (evaluate scenario ?failure w).cost
 
@@ -174,8 +145,7 @@ let cost scenario ?failure w = (evaluate scenario ?failure w).cost
    with caller-supplied working memory: the sweep loop's from-scratch unit
    of work, serial or on the domain pool.  It allocates only the
    per-failure routing views and load arrays, never scratch. *)
-let assess_failure (scenario : Scenario.t) ~buffers ~mask ~base_d ~base_t ~dense_rd
-    ~dense_rt ~sinks w f =
+let assess_failure (scenario : Scenario.t) ~buffers ~mask ~base_d ~base_t w f =
   let g = scenario.Scenario.graph in
   Failure.set_mask g f mask;
   let failed = failed_arcs_of_mask mask in
@@ -188,7 +158,7 @@ let assess_failure (scenario : Scenario.t) ~buffers ~mask ~base_d ~base_t ~dense
       ~disabled:mask ~failed
   in
   assess scenario ~routing_d ~routing_t ~exclude_node:(Failure.excluded_node f)
-    ~dense_rd ~dense_rt ~sinks ~want_pair_delays:false
+    ~want_pair_delays:false
 
 (* Sweep telemetry for [--verbose] and [--report], read through
    [Dtr_obs.Metric]: the sweep loop bumps these once per sweep, not per
@@ -497,13 +467,10 @@ type bounded_sweep =
    With [residents], failure [i] reads and writes only slot [i].
 
    Returns the details of the priced failures, in order, and the outcome. *)
-let run_sweep (scenario : Scenario.t) ?exec ?residents ?base ?rd ?rt ~base_d ~base_t
+let run_sweep (scenario : Scenario.t) ?exec ?residents ?base ~base_d ~base_t
     ?(init = Lexico.zero) ?prune ~want_loads w failure_list =
   let exec = resolve_exec exec in
   let g = scenario.Scenario.graph in
-  let rd = Option.value rd ~default:scenario.Scenario.rd in
-  let rt = Option.value rt ~default:scenario.Scenario.rt in
-  let dense_rd, dense_rt, sinks = dense_inputs scenario ~rd ~rt in
   Option.iter (fun r -> Residents.bind r failure_list) residents;
   let failures = Array.of_list failure_list in
   let num = Array.length failures in
@@ -519,10 +486,7 @@ let run_sweep (scenario : Scenario.t) ?exec ?residents ?base ?rd ?rt ~base_d ~ba
     match !base with
     | Some b -> b
     | None ->
-        let b =
-          Patch.create scenario ~dense_rd ~dense_rt ~sinks ~routing_d:base_d
-            ~routing_t:base_t
-        in
+        let b = Patch.create scenario ~routing_d:base_d ~routing_t:base_t in
         base := Some b;
         Metric.Counter.incr c_cache_builds;
         b
@@ -538,7 +502,7 @@ let run_sweep (scenario : Scenario.t) ?exec ?residents ?base ?rd ?rt ~base_d ~ba
         ~want_loads w f
     else
       ( assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask ~base_d
-          ~base_t ~dense_rd ~dense_rt ~sinks w f,
+          ~base_t w f,
         None,
         0,
         0 )
@@ -587,15 +551,15 @@ let costs details = Array.of_list (List.map (fun d -> d.cost) details)
 
 (* Failure sweeps compute the no-failure routing once and re-route only the
    destinations whose ECMP DAG lost an arc (see Routing.with_failed_arcs). *)
-let sweep_fresh (scenario : Scenario.t) ?exec ?rd ?rt ~want_loads w failures =
+let sweep_fresh (scenario : Scenario.t) ?exec ~want_loads w failures =
   let g = scenario.Scenario.graph in
   let buffers = Routing.make_buffers g in
   let base_d = Routing.compute g ~weights:(Weights.delay_of w) ~buffers () in
   let base_t = Routing.compute g ~weights:(Weights.throughput_of w) ~buffers () in
-  fst (run_sweep scenario ?exec ?rd ?rt ~base_d ~base_t ~want_loads w failures)
+  fst (run_sweep scenario ?exec ~base_d ~base_t ~want_loads w failures)
 
-let sweep_details scenario ?exec ?rd ?rt w failures =
-  sweep_fresh scenario ?exec ?rd ?rt ~want_loads:true w failures
+let sweep_details scenario ?exec w failures =
+  sweep_fresh scenario ?exec ~want_loads:true w failures
 
 let sweep scenario ?exec w failures =
   costs (sweep_fresh scenario ?exec ~want_loads:false w failures)
@@ -620,14 +584,9 @@ let compound_sweep_bounded scenario ?exec ?residents ?base ~routing_d ~routing_t
    under a failure.  Scratch comes from the per-domain sweep cache, so
    repeated queries allocate no buffers. *)
 let evaluate_from (scenario : Scenario.t) ~routing_d ~routing_t ?failure w =
-  let dense_rd = scenario.Scenario.dense_rd
-  and dense_rt = scenario.Scenario.dense_rt
-  and sinks = scenario.Scenario.delay_sinks in
   match failure with
-  | None ->
-      assess scenario ~routing_d ~routing_t ~exclude_node:None ~dense_rd ~dense_rt
-        ~sinks ~want_pair_delays:false
+  | None -> assess scenario ~routing_d ~routing_t ~exclude_node:None ~want_pair_delays:false
   | Some f ->
       let scratch = sweep_scratch_for scenario.Scenario.graph in
       assess_failure scenario ~buffers:scratch.buffers ~mask:scratch.mask
-        ~base_d:routing_d ~base_t:routing_t ~dense_rd ~dense_rt ~sinks w f
+        ~base_d:routing_d ~base_t:routing_t w f

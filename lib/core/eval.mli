@@ -33,15 +33,11 @@ type detail = {
 }
 
 val evaluate :
-  Scenario.t ->
-  ?failure:Failure.t ->
-  ?rd:Dtr_traffic.Matrix.t ->
-  ?rt:Dtr_traffic.Matrix.t ->
-  ?want_pair_delays:bool ->
-  Weights.t ->
-  detail
-(** Full evaluation.  [rd]/[rt] override the scenario's matrices (used to
-    test a solution against perturbed traffic, Section V-F).
+  Scenario.t -> ?failure:Failure.t -> ?want_pair_delays:bool -> Weights.t -> detail
+(** Full evaluation under the scenario's own matrices.  To test a solution
+    against perturbed traffic (Section V-F), price it on
+    {!Scenario.with_traffic}, which builds the dense views and delay sinks
+    of the new matrices.
     @raise Invalid_argument on malformed weights. *)
 
 val cost : Scenario.t -> ?failure:Failure.t -> Weights.t -> Lexico.t
@@ -74,13 +70,7 @@ val sweep :
     [eval.sweep.seconds] (wall time inside sweeps). *)
 
 val sweep_details :
-  Scenario.t ->
-  ?exec:Dtr_exec.Exec.t ->
-  ?rd:Dtr_traffic.Matrix.t ->
-  ?rt:Dtr_traffic.Matrix.t ->
-  Weights.t ->
-  Failure.t list ->
-  detail list
+  Scenario.t -> ?exec:Dtr_exec.Exec.t -> Weights.t -> Failure.t list -> detail list
 (** Full per-scenario details of a sweep (without pair delays). *)
 
 (** Resident post-failure states: the incremental engine's memory of its

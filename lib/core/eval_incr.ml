@@ -90,9 +90,7 @@ let create (scenario : Scenario.t) =
       committed = Weights.create ~num_arcs:m ~init:1;
       buffers = Routing.make_buffers g;
       patch =
-        Patch.create scenario ~dense_rd:scenario.Scenario.dense_rd
-          ~dense_rt:scenario.Scenario.dense_rt ~sinks:scenario.Scenario.delay_sinks
-          ~routing_d:routing ~routing_t:routing;
+        Patch.create scenario ~routing_d:routing ~routing_t:routing;
       residents = Eval.Residents.create ();
       state = Idle;
       arc = 0;

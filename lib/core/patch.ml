@@ -239,11 +239,15 @@ let anchor t ~routing_d ~routing_t =
   t.unreachable <- !unreachable;
   ignore (fold_phi t ~prune:None : bool)
 
-let create (scenario : Scenario.t) ~dense_rd ~dense_rt ~sinks ~routing_d ~routing_t =
+let create (scenario : Scenario.t) ~routing_d ~routing_t =
   let g = scenario.Scenario.graph in
   let n = Graph.num_nodes g and m = Graph.num_arcs g in
   let rows () = Array.init n (fun _ -> Array.make m 0.) in
-  let t = alloc scenario ~dense_rd ~dense_rt ~sinks ~routing_d ~routing_t ~rows in
+  let t =
+    alloc scenario ~dense_rd:scenario.Scenario.dense_rd
+      ~dense_rt:scenario.Scenario.dense_rt ~sinks:scenario.Scenario.delay_sinks
+      ~routing_d ~routing_t ~rows
+  in
   anchor t ~routing_d ~routing_t;
   t
 

@@ -47,17 +47,9 @@ type t
 
 type cls = Delay | Throughput
 
-val create :
-  Scenario.t ->
-  dense_rd:float array array ->
-  dense_rt:float array array ->
-  sinks:bool array ->
-  routing_d:Dtr_spf.Routing.t ->
-  routing_t:Dtr_spf.Routing.t ->
-  t
+val create : Scenario.t -> routing_d:Dtr_spf.Routing.t -> routing_t:Dtr_spf.Routing.t -> t
 (** The priced state of the no-failure bases [routing_d]/[routing_t] under
-    the dense demands (of the scenario's graph), [sinks.(dest)] being
-    whether some pair sends delay traffic to [dest]. *)
+    the scenario's own matrices. *)
 
 val anchor : t -> routing_d:Dtr_spf.Routing.t -> routing_t:Dtr_spf.Routing.t -> unit
 (** Re-prices the whole state, in place, for other bases.  No patch may be

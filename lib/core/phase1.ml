@@ -1,7 +1,6 @@
 module Rng = Dtr_util.Rng
 module Lexico = Dtr_cost.Lexico
 module Exec = Dtr_exec.Exec
-module Scratch = Dtr_exec.Scratch
 module Metric = Dtr_obs.Metric
 module Span = Dtr_obs.Span
 module Trace = Dtr_obs.Trace
@@ -50,27 +49,28 @@ module Pool = struct
   let finalize t = List.sort compare_entries t.entries
 end
 
-(* Per-domain Phase-1b probing state: an incremental engine anchored at the
-   Phase-1a best plus a private working copy of it.  Cached across parallel
-   sweeps and keyed by (scenario, anchor) identity — the anchor is the same
-   physical vector for the whole top-up loop, so validation is O(1); a new
-   run (or scenario) simply re-anchors. *)
-type probe_scratch = { engine : Eval_incr.t; w : Weights.t; anchor : Weights.t }
+(* A domain's Phase-1b probing state: an incremental engine anchored at the
+   Phase-1a best plus a private working copy of it.  A domain keeps at most
+   one, across sweeps, checked by (scenario, anchor) identity — the anchor
+   is the same physical vector for the whole top-up loop, so the check is
+   O(1); a probe of another run builds a fresh one in its place. *)
+type probe = {
+  scenario : Scenario.t;
+  engine : Eval_incr.t;
+  w : Weights.t;
+  anchor : Weights.t;
+}
 
-let probe_slot : (Scenario.t * probe_scratch) list ref Scratch.t =
-  Scratch.create (fun () -> ref [])
+let probe_slot : probe option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let probe_scratch_for scenario best =
-  let cache = Scratch.get probe_slot in
-  match
-    List.find_opt (fun (sc, s) -> sc == scenario && s.anchor == best) !cache
-  with
-  | Some (_, s) -> s
-  | None ->
+let probe_for scenario best =
+  match Domain.DLS.get probe_slot with
+  | Some s when s.scenario == scenario && s.anchor == best -> s
+  | _ ->
       let engine = Eval_incr.create scenario in
       ignore (Eval_incr.anchor engine best : Lexico.t);
-      let s = { engine; w = Weights.copy best; anchor = best } in
-      cache := (scenario, s) :: List.filter (fun (sc, _) -> sc != scenario) !cache;
+      let s = { scenario; engine; w = Weights.copy best; anchor = best } in
+      Domain.DLS.set probe_slot (Some s);
       s
 
 let run_impl ~rng ?exec (scenario : Scenario.t) =
@@ -164,23 +164,19 @@ let run_impl ~rng ?exec (scenario : Scenario.t) =
   let best = search.Local_search.best and best_cost = search.Local_search.best_cost in
   (* Phase 1b: explicit failure-emulating sampling from the best setting
      until rankings converge and every arc has a sample floor.  Every probe
-     is a single-arc move off [best], so the incremental engine anchors at
-     [best] once and prices each probe with a try/rollback pair. *)
+     is a single-arc move off [best], priced with a try/rollback pair on
+     its domain's engine anchored at [best]; the calling domain's is the
+     Phase-1a engine, re-anchored. *)
   let phase1b_sweeps = ref 0 and extra_evals = ref 0 in
   let needs_more () =
     (not !converged) || Sampler.min_count sampler < p.Scenario.min_samples
   in
   ignore (Eval_incr.anchor incr_eval best : Lexico.t);
-  let probe_cost w ~arc =
-    let cost = Eval_incr.try_arc incr_eval w ~arc in
-    Eval_incr.rollback incr_eval;
-    cost
-  in
-  (* One parallel probe: price [best] with [arc] raised to the pre-drawn
-     weights, on this domain's own engine.  It is bit-identical to the
-     serial probe — both price the same single-arc move off [best]. *)
-  let probe_parallel ~arc ~wd ~wt =
-    let s = probe_scratch_for scenario best in
+  Domain.DLS.set probe_slot
+    (Some { scenario; engine = incr_eval; w = Weights.copy best; anchor = best });
+  (* Price [best] with [arc] raised to the pre-drawn weights. *)
+  let probe ~arc (wd, wt) =
+    let s = probe_for scenario best in
     let saved = Weights.save_arc s.w arc in
     Weights.set_arc s.w ~arc ~wd ~wt;
     let cost = Eval_incr.try_arc s.engine s.w ~arc in
@@ -193,36 +189,21 @@ let run_impl ~rng ?exec (scenario : Scenario.t) =
    Convergence.with_series ~name:"phase1b" @@ fun () ->
    while needs_more () && !phase1b_sweeps < p.Scenario.max_phase1b_rounds do
      incr phase1b_sweeps;
+    (* Draw the sweep's raised weights first, in arc order, then price the
+       probes through [exec] and record the samples back in arc order: the
+       RNG stream and the samples are the same at every job count. *)
     let w = Weights.copy best in
-    if Exec.jobs exec = 1 then
-      for arc = 0 to num_arcs - 1 do
-        let saved = Weights.save_arc w arc in
-        Weights.raise_arc rng w ~arc ~wmax:p.Scenario.wmax ~q:p.Scenario.q;
-        let cost = probe_cost w ~arc in
-        incr extra_evals;
-        Sampler.record sampler ~arc cost;
-        Weights.restore_arc w saved
-      done
-    else begin
-      (* Draw the sweep's raised weights first, in arc order, so the RNG
-         stream is exactly the serial one; then price the probes in
-         parallel and record the samples back in arc order. *)
-      let raised =
-        Array.init num_arcs (fun arc ->
-            let saved = Weights.save_arc w arc in
-            Weights.raise_arc rng w ~arc ~wmax:p.Scenario.wmax ~q:p.Scenario.q;
-            let drawn = (w.Weights.wd.(arc), w.Weights.wt.(arc)) in
-            Weights.restore_arc w saved;
-            drawn)
-      in
-      let costs =
-        Exec.map exec ~n:num_arcs ~f:(fun arc ->
-            let wd, wt = raised.(arc) in
-            probe_parallel ~arc ~wd ~wt)
-      in
-      extra_evals := !extra_evals + num_arcs;
-      Array.iteri (fun arc cost -> Sampler.record sampler ~arc cost) costs
-    end;
+    let raised =
+      Array.init num_arcs (fun arc ->
+          let saved = Weights.save_arc w arc in
+          Weights.raise_arc rng w ~arc ~wmax:p.Scenario.wmax ~q:p.Scenario.q;
+          let drawn = (w.Weights.wd.(arc), w.Weights.wt.(arc)) in
+          Weights.restore_arc w saved;
+          drawn)
+    in
+    let costs = Exec.map exec ~n:num_arcs ~f:(fun arc -> probe ~arc raised.(arc)) in
+    extra_evals := !extra_evals + num_arcs;
+    Array.iteri (fun arc cost -> Sampler.record sampler ~arc cost) costs;
     converged := Criticality.Convergence.check ~exec tracker sampler;
     (* One convergence point per sampling round: cumulative probes, the
        per-arc sample floor, and whether rankings have converged. *)
@@ -233,6 +214,8 @@ let run_impl ~rng ?exec (scenario : Scenario.t) =
         ~accepts:(Sampler.min_count sampler)
         ~resets:(if !converged then 1 else 0)
   done);
+  (* The Phase-1a engine goes with the run. *)
+  Domain.DLS.set probe_slot None;
   let criticality =
     match Criticality.Convergence.last tracker with
     | Some c -> c

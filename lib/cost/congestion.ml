@@ -41,37 +41,3 @@ let total g ~loads ~carries_throughput =
       acc := !acc +. arc_cost ~capacity:cap.(a) ~load:loads.(a)
   done;
   !acc
-
-(* Min-hop distances to [dest] by reverse BFS. *)
-let hop_distances g dest =
-  let n = Graph.num_nodes g in
-  let dist = Array.make n (-1) in
-  dist.(dest) <- 0;
-  let queue = Queue.create () in
-  Queue.add dest queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    List.iter
-      (fun id ->
-        let v = (Graph.arc g id).Graph.src in
-        if dist.(v) < 0 then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v queue
-        end)
-      (Graph.in_arcs g u)
-  done;
-  dist
-
-let uncapacitated_bound g ~demands =
-  let n = Graph.num_nodes g in
-  if Array.length demands <> n then
-    invalid_arg "Congestion.uncapacitated_bound: demands size mismatch";
-  let acc = ref 0. in
-  for dest = 0 to n - 1 do
-    let dist = hop_distances g dest in
-    for src = 0 to n - 1 do
-      if src <> dest && dist.(src) > 0 then
-        acc := !acc +. (demands.(src).(dest) *. float_of_int dist.(src))
-    done
-  done;
-  !acc

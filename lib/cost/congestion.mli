@@ -14,11 +14,7 @@
     v}
 
     The network cost [Phi] sums the arc cost over the arcs that carry
-    throughput-sensitive traffic (the paper's set [L]).  [Phi] is also
-    reported {e normalised} by the uncapacitated lower bound
-    [Phi_uncap = sum over pairs (demand * min-hop-count)] — Fortz &
-    Thorup's scaling, which makes values comparable across instances (the
-    figures of the paper plot costs of that magnitude). *)
+    throughput-sensitive traffic (the paper's set [L]). *)
 
 val arc_cost : capacity:float -> load:float -> float
 (** Piecewise-linear cost of one arc.
@@ -35,8 +31,3 @@ val total :
   float
 (** [total g ~loads ~carries_throughput] sums {!arc_cost} of the total load
     over the arcs selected by the predicate. *)
-
-val uncapacitated_bound :
-  Dtr_topology.Graph.t -> demands:float array array -> float
-(** [Phi_uncap]: every demand routed over min-hop paths at unit cost per
-    arc — the normalisation denominator. *)

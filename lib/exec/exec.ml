@@ -2,8 +2,6 @@ type t = Serial | Parallel of Pool.t
 
 let serial = Serial
 
-let of_pool pool = if Pool.jobs pool = 1 then Serial else Parallel pool
-
 let jobs = function Serial -> 1 | Parallel p -> Pool.jobs p
 
 (* Process-wide pool registry, one pool per requested size.  Pools are never
@@ -46,44 +44,7 @@ let default () =
       | Some n when n >= 1 -> of_jobs n
       | Some _ | None -> Serial)
 
-(* Explicit chunk-size override: the CLI's --chunk-size (via
-   [set_chunk_size]) wins over the DTR_CHUNK_SIZE environment variable;
-   absent both, pools size chunks adaptively.  Like the pool registry this
-   is process-global state — chunking affects scheduling only, never
-   results, so a global knob is safe. *)
-let chunk_env_var = "DTR_CHUNK_SIZE"
-
-let env_chunk_size =
-  lazy
-    (match Sys.getenv_opt chunk_env_var with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> Some n
-        | Some _ | None -> None))
-
-let chunk_override : int option ref = ref None
-
-let set_chunk_size s =
-  (match s with
-  | Some n when n < 1 -> invalid_arg "Exec.set_chunk_size: must be positive"
-  | _ -> ());
-  chunk_override := s
-
-let chunk_size () =
-  match !chunk_override with
-  | Some _ as s -> s
-  | None -> Lazy.force env_chunk_size
-
-let iter t ~n ~f =
-  match t with
-  | Serial ->
-      for i = 0 to n - 1 do
-        f i
-      done
-  | Parallel pool -> Pool.run ?chunk_size:(chunk_size ()) pool ~n ~f
-
 let map t ~n ~f =
   match t with
   | Serial -> Array.init n f
-  | Parallel pool -> Pool.map ?chunk_size:(chunk_size ()) pool ~f n
+  | Parallel pool -> Pool.map pool ~f n

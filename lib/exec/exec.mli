@@ -1,14 +1,13 @@
 (** Execution context: how the layers that fan out over independent work
     items (failure sweeps, per-arc statistics, Phase-1b probing) run them.
 
-    A context is either {e serial} — the exact code path the library always
-    had, guaranteed untouched — or a {!Pool} of domains.  Every parallel
-    consumer in the library short-circuits to its pre-existing serial code
-    when [jobs t = 1], and its parallel path is written to be bit-identical:
-    results are written back by item index and reduced in index order, so
-    costs, weights and eval counts do not depend on the context.  [jobs]
-    therefore only changes wall-clock, never results — the property the
-    test suite enforces by running everything under [DTR_JOBS=2] as well.
+    A context is either {e serial} — everything runs inline on the calling
+    domain — or a {!Pool} of domains.  Consumers are written to be
+    bit-identical across contexts: results are written back by item index
+    and reduced in index order, so costs, weights and eval counts do not
+    depend on the context.  [jobs] therefore only changes wall-clock, never
+    results — the property the test suite enforces by running everything
+    under [DTR_JOBS=2] as well.
 
     Pools are cached per size in a process-global registry ({!of_jobs}), so
     contexts are cheap to construct anywhere; worker domains are joined via
@@ -25,31 +24,11 @@ val of_jobs : int -> t
     after).  [n] is a worker count, not a core count — values above
     [Domain.recommended_domain_count ()] are allowed but oversubscribe. *)
 
-val of_pool : Pool.t -> t
-(** A context over a caller-managed pool (the caller keeps ownership and is
-    responsible for {!Pool.shutdown}). *)
-
 val jobs : t -> int
 (** Worker count; [1] for {!serial}. *)
 
 val env_var : string
 (** ["DTR_JOBS"]. *)
-
-val chunk_env_var : string
-(** ["DTR_CHUNK_SIZE"]. *)
-
-val set_chunk_size : int option -> unit
-(** Pin the pool chunk size for every subsequent parallel operation (the
-    CLI's [--chunk-size]); [None] restores the default behaviour (the
-    [DTR_CHUNK_SIZE] environment variable if set, the pool's adaptive
-    policy otherwise).  Chunking is a scheduling knob only: results are
-    bit-identical whatever the granularity.
-    @raise Invalid_argument on [Some n] with [n < 1]. *)
-
-val chunk_size : unit -> int option
-(** The effective explicit chunk-size override, if any: the value set via
-    {!set_chunk_size}, else a valid positive [DTR_CHUNK_SIZE], else
-    [None] (adaptive). *)
 
 val default : unit -> t
 (** The context library entry points fall back on when the caller passes
@@ -57,9 +36,7 @@ val default : unit -> t
     positive integer [n], {!serial} otherwise.  Lets tests and benches force
     every sweep in the process onto a pool without threading a context. *)
 
-val iter : t -> n:int -> f:(int -> unit) -> unit
-(** Calls [f i] exactly once per [i] in [0, n): a plain [for] loop under
-    {!serial}, {!Pool.run} otherwise. *)
-
 val map : t -> n:int -> f:(int -> 'a) -> 'a array
-(** [[| f 0; …; f (n-1) |]] — order-preserving under every context. *)
+(** [[| f 0; …; f (n-1) |]], calling [f] exactly once per index: a plain
+    [Array.init] under {!serial}, {!Pool.map} otherwise — order-preserving
+    under every context. *)

@@ -20,7 +20,6 @@ let set_enabled b =
   Atomic.set enabled_flag b
 
 let enabled () = Atomic.get enabled_flag
-let start_time () = Atomic.get t0
 
 type kind =
   | Span_begin
@@ -72,8 +71,8 @@ type event = {
 }
 
 (* Capacity of rings created from here on.  Existing rings keep theirs; set
-   it before the first traced emission (the CLI does, from --trace-capacity /
-   DTR_TRACE_CAP) so every domain ring ends up uniform. *)
+   it before the first traced emission so every domain ring ends up
+   uniform.  The executables keep the default. *)
 let default_capacity = 65_536
 let capacity_cell = Atomic.make default_capacity
 
@@ -222,9 +221,10 @@ let reset () =
    sweeps as Duration begin/end pairs ("B"/"E"), moves, chunk claims and
    phase transitions as thread-scoped Instant events ("i").  Timestamps are
    microseconds relative to the trace origin; pid is always 0, tid the
-   OCaml domain id.  Begin/end pairs orphaned by ring wrap-around are left
-   as-is — the viewer tolerates them, and the [dropped] counter in
-   [otherData] flags the truncation. *)
+   OCaml domain id.  A wrapped ring has lost its oldest events, so some of
+   its ends close begins that are gone: those ends are left out, so every
+   exported end closes an exported begin on its tid.  The [dropped] counter
+   in [otherData] flags the truncation. *)
 
 let escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -296,10 +296,26 @@ let chrome_json () =
   let first = ref true in
   List.iter
     (fun (tid, events) ->
+      let depth = ref 0 in
       Array.iter
         (fun e ->
-          if !first then first := false else Buffer.add_string buf ",\n";
-          chrome_event buf ~origin ~tid e)
+          let orphan =
+            match e.kind with
+            | Span_begin | Sweep_begin ->
+                incr depth;
+                false
+            | Span_end | Sweep_end ->
+                if !depth = 0 then true
+                else begin
+                  decr depth;
+                  false
+                end
+            | Move | Chunk_claim | Phase -> false
+          in
+          if not orphan then begin
+            if !first then first := false else Buffer.add_string buf ",\n";
+            chrome_event buf ~origin ~tid e
+          end)
         events)
     (drain ());
   Buffer.add_string buf "\n],\n";

@@ -20,9 +20,6 @@ val set_enabled : bool -> unit
 
 val enabled : unit -> bool
 
-val start_time : unit -> float
-(** Wall-clock origin stamped by the last [set_enabled true]. *)
-
 val set_capacity : int -> unit
 (** Per-domain ring capacity for rings created after this call (rings
     already registered keep theirs — set it before the first traced

@@ -116,11 +116,3 @@ let repair_arc_removal g ~weights ~disabled ~dist ~heap ~is_affected ~affected =
         end
       done
   done
-
-let from_source g ~weights ?disabled ~src () =
-  check_weights g weights;
-  let dist = Array.make (Graph.num_nodes g) infinity in
-  let heap = Int_heap.create ~capacity:(Graph.num_nodes g) () in
-  run ~weights ~disabled ~start:src ~off:(Graph.out_offsets g)
-    ~ids:(Graph.out_csr g) ~head:(Graph.arc_dests g) ~dist ~heap;
-  dist

@@ -1,4 +1,4 @@
-(** Single-source / single-destination shortest path distances.
+(** Single-destination shortest path distances.
 
     IGP routing (OSPF/IS-IS, and their multi-topology extensions) forwards
     along shortest paths w.r.t. configured integer arc weights.  Destination-
@@ -26,15 +26,6 @@ val to_destination :
     from each node to [dest] along enabled arcs.  [weights] is indexed by arc
     id and must be positive.
     @raise Invalid_argument on size mismatches or non-positive weights. *)
-
-val from_source :
-  Dtr_topology.Graph.t ->
-  weights:int array ->
-  ?disabled:bool array ->
-  src:Dtr_topology.Graph.node ->
-  unit ->
-  int array
-(** Forward counterpart: distances from [src] to every node. *)
 
 val fill_to_destination :
   Dtr_topology.Graph.t ->

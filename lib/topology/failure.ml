@@ -61,13 +61,6 @@ let excluded_node = function
 
 let all_single_arcs g = List.init (Graph.num_arcs g) (fun id -> Arc id)
 
-let all_single_edges g =
-  Array.fold_right
-    (fun a acc ->
-      if a.Graph.rev < 0 || a.Graph.id < a.Graph.rev then Edge a.Graph.id :: acc
-      else acc)
-    (Graph.arcs g) []
-
 let all_single_nodes g = List.init (Graph.num_nodes g) (fun v -> Node v)
 
 let disconnects g t =

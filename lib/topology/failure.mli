@@ -38,9 +38,6 @@ val excluded_node : t -> Graph.node option
 val all_single_arcs : Graph.t -> t list
 (** One [Arc] scenario per arc, in id order — the failure set of Eq. (4). *)
 
-val all_single_edges : Graph.t -> t list
-(** One [Edge] scenario per physical link (the lower arc id of each pair). *)
-
 val all_single_nodes : Graph.t -> t list
 (** One [Node] scenario per node, in node order. *)
 

@@ -68,14 +68,6 @@ let gaussian t ~mean ~stddev =
   let r = sqrt (-2. *. log u1) in
   mean +. (stddev *. r *. cos (2. *. Float.pi *. u2))
 
-let exponential t ~rate =
-  if rate <= 0. then invalid_arg "Rng.exponential: rate must be positive";
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u = 0. then nonzero () else u
-  in
-  -.log (nonzero ()) /. rate
-
 let log_normal t ~mu ~sigma = exp (gaussian t ~mean:mu ~stddev:sigma)
 
 let shuffle t a =

@@ -51,9 +51,6 @@ val gaussian : t -> mean:float -> stddev:float -> float
 (** Normally distributed variate (Box–Muller). [stddev] must be
     non-negative. *)
 
-val exponential : t -> rate:float -> float
-(** Exponentially distributed variate with the given rate (> 0). *)
-
 val log_normal : t -> mu:float -> sigma:float -> float
 (** Log-normally distributed variate: [exp (N (mu, sigma))]. *)
 

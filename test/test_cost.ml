@@ -134,19 +134,6 @@ let test_congestion_total_filters () =
   Alcotest.(check (float 1e-9)) "no arcs" 0. none;
   Alcotest.(check (float 1e-9)) "one arc" 50. fwd
 
-let test_uncapacitated_bound () =
-  (* line 0-1-2: demand 0->2 must cross two arcs *)
-  let g =
-    Dtr_topology.Graph.of_edges ~n:3
-      [
-        Dtr_topology.Graph.{ u = 0; v = 1; cap = 1.; prop = 0.001 };
-        Dtr_topology.Graph.{ u = 1; v = 2; cap = 1.; prop = 0.001 };
-      ]
-  in
-  let demands = [| [| 0.; 0.; 5. |]; [| 0.; 0.; 0. |]; [| 0.; 0.; 0. |] |] in
-  Alcotest.(check (float 1e-9)) "2 hops * 5 units" 10.
-    (Congestion.uncapacitated_bound g ~demands)
-
 (* Lexicographic order *)
 
 let k l ph = Lexico.make ~lambda:l ~phi:ph
@@ -213,7 +200,6 @@ let suite =
     Alcotest.test_case "congestion derivative" `Quick test_congestion_derivative;
     QCheck_alcotest.to_alcotest prop_congestion_convex;
     Alcotest.test_case "congestion filter" `Quick test_congestion_total_filters;
-    Alcotest.test_case "uncapacitated bound" `Quick test_uncapacitated_bound;
     Alcotest.test_case "lexicographic order" `Quick test_lexico_order;
     Alcotest.test_case "compare consistency" `Quick test_lexico_compare_consistent;
     Alcotest.test_case "lexicographic add" `Quick test_lexico_add;

@@ -31,25 +31,6 @@ let test_line_graph () =
   let d = Dijkstra.to_destination g ~weights ~dest:3 () in
   Alcotest.(check (array int)) "distances to 3" [| 8; 7; 2; 0 |] d
 
-let test_forward_vs_reverse () =
-  (* On a symmetric-weight graph, dist(u -> v) = dist to v from u. *)
-  let rng = Rng.create 5 in
-  let g = Gen.rand rng ~nodes:15 ~degree:4. in
-  let m = Graph.num_arcs g in
-  let weights = Array.make m 0 in
-  (* symmetric weights: same for both directions of each edge *)
-  Array.iter
-    (fun a ->
-      if a.Graph.id < a.Graph.rev then begin
-        let w = 1 + Rng.int rng 10 in
-        weights.(a.Graph.id) <- w;
-        weights.(a.Graph.rev) <- w
-      end)
-    (Graph.arcs g);
-  let to3 = Dijkstra.to_destination g ~weights ~dest:3 () in
-  let from3 = Dijkstra.from_source g ~weights ~src:3 () in
-  Alcotest.(check (array int)) "symmetric graph: to = from" to3 from3
-
 let test_against_bellman_ford () =
   let rng = Rng.create 11 in
   for trial = 0 to 19 do
@@ -111,7 +92,6 @@ let prop_triangle_inequality =
 let suite =
   [
     Alcotest.test_case "line graph distances" `Quick test_line_graph;
-    Alcotest.test_case "forward vs reverse on symmetric weights" `Quick test_forward_vs_reverse;
     Alcotest.test_case "matches Bellman-Ford with failures" `Quick test_against_bellman_ford;
     Alcotest.test_case "unreachable nodes" `Quick test_unreachable;
     Alcotest.test_case "weight validation" `Quick test_rejects_bad_weights;

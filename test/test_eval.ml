@@ -83,7 +83,9 @@ let test_matrix_override () =
   let w = uniform_weights scenario in
   let rd' = Matrix.scale scenario.Scenario.rd 2. in
   let base = Eval.evaluate scenario w in
-  let bigger = Eval.evaluate scenario ~rd:rd' w in
+  let bigger =
+    Eval.evaluate (Scenario.with_traffic scenario ~rd:rd' ~rt:scenario.Scenario.rt) w
+  in
   Alcotest.(check bool) "more delay traffic, higher load" true
     (Array.fold_left ( +. ) 0. bigger.Eval.loads
     > Array.fold_left ( +. ) 0. base.Eval.loads)

@@ -8,7 +8,6 @@
 module Chunk = Dtr_exec.Chunk
 module Pool = Dtr_exec.Pool
 module Exec = Dtr_exec.Exec
-module Scratch = Dtr_exec.Scratch
 module Rng = Dtr_util.Rng
 module Graph = Dtr_topology.Graph
 module Gen = Dtr_topology.Gen
@@ -96,14 +95,14 @@ let test_map_empty_and_singleton () =
         (Exec.map exec ~n:1 ~f:(fun i -> i + 7)))
     (execs ())
 
-let test_iter_covers_all_indices () =
+let test_map_visits_every_index_once () =
   List.iter
     (fun (jobs, exec) ->
       let n = 257 in
       let hits = Array.make n 0 in
       (* Each index is owned by exactly one chunk, so unsynchronised writes
          to distinct slots are safe. *)
-      Exec.iter exec ~n ~f:(fun i -> hits.(i) <- hits.(i) + 1);
+      ignore (Exec.map exec ~n ~f:(fun i -> hits.(i) <- hits.(i) + 1) : unit array);
       Alcotest.(check bool)
         (Printf.sprintf "every index exactly once, jobs %d" jobs)
         true
@@ -135,21 +134,30 @@ let test_nested_run_degrades_serially () =
   in
   Alcotest.(check (array int)) "nested map correct" [| 10; 60; 110; 160 |] outer
 
+(* The sweep and probe caches keep per-domain state under [Domain.DLS]
+   keys: each domain gets its own instance, and pool workers are persistent
+   domains, so later batches find the instances earlier ones made. *)
 let test_scratch_is_per_domain () =
-  let slot = Scratch.create (fun () -> ref 0) in
-  let exec = Lazy.force pool4 in
-  (* Every task bumps this domain's counter; the total over all domains must
-     equal the task count even though no slot is shared or locked. *)
-  let n = 500 in
-  Exec.iter exec ~n ~f:(fun _ -> incr (Scratch.get slot));
-  let counts =
-    Exec.map exec ~n:(Exec.jobs exec) ~f:(fun _ -> !(Scratch.get slot))
+  let made = ref [] and made_mutex = Mutex.create () in
+  let slot =
+    Domain.DLS.new_key (fun () ->
+        let r = ref 0 in
+        Mutex.protect made_mutex (fun () -> made := r :: !made);
+        r)
   in
-  (* [counts] samples each participating domain at least once; the calling
-     domain's slot is read directly. *)
-  Alcotest.(check bool) "caller has its own slot" true (!(Scratch.get slot) >= 0);
-  Alcotest.(check bool) "scratch counters non-negative" true
-    (Array.for_all (fun c -> c >= 0) counts)
+  let exec = Lazy.force pool4 in
+  (* Every task bumps its domain's counter, unlocked; the counters must add
+     up to the task count, so no instance is shared between domains. *)
+  let n = 500 in
+  let batch () =
+    ignore (Exec.map exec ~n ~f:(fun _ -> incr (Domain.DLS.get slot)) : unit array)
+  in
+  batch ();
+  batch ();
+  let total = List.fold_left (fun acc r -> acc + !r) 0 !made in
+  Alcotest.(check int) "every task counted once" (2 * n) total;
+  Alcotest.(check bool) "one instance per pool domain over both batches" true
+    (List.length !made <= Exec.jobs exec)
 
 let test_exec_of_jobs_one_is_serial () =
   Alcotest.(check int) "of_jobs 1 is serial" 1 (Exec.jobs (Exec.of_jobs 1));
@@ -290,7 +298,8 @@ let suite =
     Alcotest.test_case "chunk invalid args" `Quick test_chunk_invalid;
     QCheck_alcotest.to_alcotest prop_map_matches_list_map;
     Alcotest.test_case "map empty and singleton" `Quick test_map_empty_and_singleton;
-    Alcotest.test_case "iter covers all indices" `Quick test_iter_covers_all_indices;
+    Alcotest.test_case "map visits every index once" `Quick
+      test_map_visits_every_index_once;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "nested run degrades serially" `Quick test_nested_run_degrades_serially;
     Alcotest.test_case "scratch is per-domain" `Quick test_scratch_is_per_domain;

@@ -56,7 +56,6 @@ let test_excluded_node () =
 let test_all_scenarios () =
   let g = square () in
   Alcotest.(check int) "one per arc" 8 (List.length (Failure.all_single_arcs g));
-  Alcotest.(check int) "one per edge" 4 (List.length (Failure.all_single_edges g));
   Alcotest.(check int) "one per node" 4 (List.length (Failure.all_single_nodes g))
 
 let test_disconnects () =

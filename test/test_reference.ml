@@ -297,7 +297,7 @@ let prop_node =
             (Reference.price sc ~failure:f w)
             (Eval.evaluate_from sc ~routing_d ~routing_t ~failure:f w))
         (nodes @ random_failures rng g);
-      (* sweep details under traffic other than the scenario's own *)
+      (* sweep details under traffic other than the instance's own *)
       let rd = Matrix.scale sc.Scenario.rd (0.5 +. Rng.float rng 1.) in
       let rt = Matrix.scale sc.Scenario.rt (0.5 +. Rng.float rng 1.) in
       let other = Scenario.with_traffic sc ~rd ~rt in
@@ -306,7 +306,7 @@ let prop_node =
           let r = Reference.price other ~failure:f w in
           check_detail (Failure.name g f ^ " under other traffic") r d)
         nodes
-        (Eval.sweep_details sc ~rd ~rt w nodes))
+        (Eval.sweep_details other w nodes))
 
 (* The engine's state, staged trial or committed, against the reference. *)
 let check_engine what e (inst : instance) =

@@ -139,14 +139,6 @@ let test_gaussian_rejects_negative_sd () =
     (Invalid_argument "Rng.gaussian: negative stddev") (fun () ->
       ignore (Rng.gaussian rng ~mean:0. ~stddev:(-1.)))
 
-let test_exponential_mean () =
-  let rng = Rng.create 23 in
-  let n = 50000 in
-  let xs = Array.init n (fun _ -> Rng.exponential rng ~rate:2.) in
-  Alcotest.(check bool) "mean ~ 1/rate" true
-    (Float.abs (Dtr_util.Stat.mean xs -. 0.5) < 0.02);
-  Alcotest.(check bool) "all positive" true (Array.for_all (fun x -> x > 0.) xs)
-
 let test_shuffle_permutation () =
   let rng = Rng.create 29 in
   let a = Array.init 30 (fun i -> i) in
@@ -198,7 +190,6 @@ let suite =
     Alcotest.test_case "uniform mean" `Quick test_uniform_mean;
     Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
     Alcotest.test_case "gaussian rejects bad stddev" `Quick test_gaussian_rejects_negative_sd;
-    Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
     Alcotest.test_case "pick" `Quick test_pick;

@@ -131,6 +131,64 @@ let test_chrome_export_structure () =
     (Json.int_member "dropped" other ~default:(-1));
   Trace.reset ()
 
+(* A ring that wraps inside an open span loses the span's begin but keeps
+   its end.  The export must still nest: walking each tid in file order,
+   every "E" closes an open "B" and every tid ends at depth 0 — the check
+   the Chrome viewer (and CI) applies.  The accounting keeps the loss. *)
+let test_chrome_export_wrapped_ring () =
+  Trace.reset ();
+  Trace.set_enabled true;
+  let prev_cap = Trace.capacity () in
+  Fun.protect ~finally:(fun () ->
+      Trace.set_capacity prev_cap;
+      Trace.set_enabled false;
+      Trace.reset ())
+  @@ fun () ->
+  (* A fresh domain gets a fresh ring, created at the capacity set now. *)
+  Trace.set_capacity 8;
+  let moves = 20 in
+  Domain.join
+    (Domain.spawn (fun () ->
+         Trace.emit_span_begin ~name:"outer";
+         for arc = 1 to moves do
+           Trace.emit_move ~arc ~accepted:false ~old_lambda:0. ~old_phi:0.
+             ~new_lambda:0. ~new_phi:0.
+         done;
+         Trace.emit_sweep_begin ~scenario:1 ~failures:2;
+         Trace.emit_sweep_end ~scenario:1 ~failures:2;
+         Trace.emit_span_end ~name:"outer"));
+  let doc = Json.parse_exn (Trace.chrome_json ()) in
+  let events = Json.to_list (Option.get (Json.member "traceEvents" doc)) in
+  let depths = Hashtbl.create 4 in
+  List.iter
+    (fun e ->
+      let tid = Json.int_member "tid" e ~default:(-1) in
+      let depth = Option.value (Hashtbl.find_opt depths tid) ~default:0 in
+      match Json.string_member "ph" e ~default:"?" with
+      | "B" -> Hashtbl.replace depths tid (depth + 1)
+      | "E" ->
+          if depth = 0 then Alcotest.failf "tid %d: an E with no open B" tid;
+          Hashtbl.replace depths tid (depth - 1)
+      | _ -> ())
+    events;
+  Hashtbl.iter
+    (fun tid depth -> Alcotest.(check int) (Printf.sprintf "tid %d ends closed" tid) 0 depth)
+    depths;
+  let count ph =
+    List.length
+      (List.filter (fun e -> Json.string_member "ph" e ~default:"?" = ph) events)
+  in
+  Alcotest.(check (pair int int)) "only the sweep pair survives" (1, 1)
+    (count "B", count "E");
+  let other = Option.get (Json.member "otherData" doc) in
+  let emitted = moves + 4 in
+  Alcotest.(check int) "accounting: emitted" emitted
+    (Json.int_member "emitted" other ~default:(-1));
+  Alcotest.(check int) "accounting: recorded" 8
+    (Json.int_member "recorded" other ~default:(-1));
+  Alcotest.(check int) "accounting: dropped" (emitted - 8)
+    (Json.int_member "dropped" other ~default:(-1))
+
 (* --- convergence series ------------------------------------------------ *)
 
 let with_metric enabled f =
@@ -240,6 +298,8 @@ let suite =
       test_reset_and_capacity_validation;
     Alcotest.test_case "Chrome trace-event export structure" `Quick
       test_chrome_export_structure;
+    Alcotest.test_case "Chrome export of a wrapped ring nests" `Quick
+      test_chrome_export_wrapped_ring;
     Alcotest.test_case "convergence series semantics" `Quick
       test_convergence_series;
     Alcotest.test_case "convergence gating and ambient scoping" `Quick
